@@ -23,11 +23,8 @@ from .fock import (
     FockCutoff,
     TruncationError,
     TruncationWarning,
-    beam_splitter_unitary,
     coherent_state,
     loss_channel,
-    mode_operators,
-    phase_unitary,
     simulate,
 )
 from .optimize import ConstraintRegime, NoSensitivityError, OptimumReport, optimize, working_point
@@ -60,9 +57,6 @@ __all__ = [
     "TruncationError",
     "TruncationWarning",
     "coherent_state",
-    "mode_operators",
-    "beam_splitter_unitary",
-    "phase_unitary",
     "loss_channel",
     "simulate",
     "ConstraintRegime",

@@ -129,6 +129,11 @@ def _load_config(path: str | None) -> dict[str, str]:
 
 def _resolve(args, config: dict[str, str], defaults: dict):
     """Apply flag > config > default precedence for the given keys."""
+    unknown = sorted(set(config) - set(defaults) - {"alpha"})
+    if unknown:
+        raise UsageError(
+            f"unknown config key(s) {unknown}; accepted: {sorted({*defaults, 'alpha'})}"
+        )
     resolved = {}
     for key, default in defaults.items():
         flag_value = getattr(args, key, None)

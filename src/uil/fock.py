@@ -2,14 +2,17 @@
 
 Brute-force oracle for the closed forms in :mod:`uil.analytic`: states
 are complex amplitude arrays over number states ``|0> .. |n_max>`` per
-mode, beam splitters are matrix exponentials of the quadratic mode
-generator, and probe-arm attenuation is realized exactly as a beam
-splitter coupling to a discarded vacuum ancilla (the non-unitary
-shortcut used by the closed forms only works for coherent beams; the
-dilation works for any state).
+mode, beam splitters are exponentials of the quadratic mode generator,
+and probe-arm attenuation is realized exactly as a beam splitter
+coupling to a discarded vacuum ancilla (the non-unitary shortcut used
+by the closed forms only works for coherent beams; the dilation works
+for any state).
 
-Dense linear algebra throughout; the largest object is the d^2 x d^2
-two-mode unitary with d = n_max + 1.  Truncation is surfaced, never
+The splitter generator conserves the total photon number of the two
+modes it couples, so it is applied one sector n_a + n_b = N at a time:
+each of the 2d - 1 sectors of the d x d box (d = n_max + 1) has a
+tridiagonal block of size at most d, diagonalized once per cutoff.  No
+d^2 x d^2 operator is ever formed.  Truncation is surfaced, never
 hidden: coherent states are not renormalized, constructing one with too
 much Poisson weight beyond the cutoff raises :class:`TruncationError`,
 and simulations emit :class:`TruncationWarning` when the retained edge
@@ -25,7 +28,7 @@ from typing import Callable, NamedTuple
 import warnings
 
 import numpy as np
-from scipy import stats
+from scipy.special import pdtrc
 
 from .modes import INPUT_MODE, PROBE_MODE
 from .params import InterferometerParams
@@ -37,20 +40,13 @@ __all__ = [
     "FockCutoff",
     "TruncationError",
     "TruncationWarning",
-    "TwoModeState",
-    "ModeOperatorMatrix",
     "SimulationMoments",
     "coherent_state",
     "required_cutoff",
-    "mode_operators",
-    "number_operator",
-    "beam_splitter_unitary",
-    "phase_unitary",
     "loss_channel",
     "apply_beam_splitter",
     "mode_number_moments",
     "edge_mass",
-    "difference_observable",
     "simulate",
 ]
 
@@ -92,7 +88,7 @@ def required_cutoff(alpha: complex, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     if mean == 0.0:
         return 1
     n = max(1, int(mean))
-    while stats.poisson.sf(n, mean) >= tail_tol:
+    while pdtrc(n, mean) >= tail_tol:
         n += 1
     return n
 
@@ -112,7 +108,7 @@ def coherent_state(
     cutoff = as_cutoff(cutoff)
     alpha = complex(alpha)
     mean = abs(alpha) ** 2
-    tail = float(stats.poisson.sf(cutoff.n_max, mean)) if mean > 0.0 else 0.0
+    tail = float(pdtrc(cutoff.n_max, mean)) if mean > 0.0 else 0.0
     if tail >= tail_tol:
         needed = required_cutoff(alpha, tail_tol)
         raise TruncationError(
@@ -128,46 +124,6 @@ def coherent_state(
     return amplitudes
 
 
-def mode_operators(cutoff: FockCutoff | int) -> tuple[np.ndarray, np.ndarray]:
-    """Single-mode annihilation and creation matrices (a|n> = sqrt(n)|n-1>)."""
-    d = as_cutoff(cutoff).dim
-    lowering = np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1).astype(complex)
-    return lowering, lowering.conj().T
-
-
-def number_operator(cutoff: FockCutoff | int) -> np.ndarray:
-    d = as_cutoff(cutoff).dim
-    return np.diag(np.arange(d, dtype=float)).astype(complex)
-
-
-@dataclass(frozen=True)
-class ModeOperatorMatrix:
-    """Operator on the truncated basis, tagged with what it represents.
-
-    ``entries`` is either a d^2 x d^2 two-mode matrix or a d x d
-    single-mode factor together with the acting ``mode``.  Matrices of
-    kind ``unitary`` must pass the unitarity check on construction.
-    """
-
-    entries: np.ndarray
-    kind: str
-    mode: int | None = None
-
-    _KINDS = frozenset({"annihilation", "creation", "number", "unitary", "general"})
-
-    def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        if self.kind == "unitary" and self.unitarity_defect() >= 1e-12:
-            raise ValueError(
-                f"matrix tagged unitary has unitarity defect {self.unitarity_defect():.3e}"
-            )
-
-    def unitarity_defect(self) -> float:
-        m = self.entries
-        return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
-
-
 class SimulationMoments(NamedTuple):
     mean_O: float
     std_O: float
@@ -175,111 +131,75 @@ class SimulationMoments(NamedTuple):
     probe_std: float
 
 
-@dataclass(frozen=True)
-class TwoModeState:
-    """Pure state of the two interferometer modes.
+class _SplitterSectors(NamedTuple):
+    """Splitter generator on a d x d box, diagonalized one sector at a time.
 
-    ``amplitudes`` has length d^2, indexed by n_a * d + n_b (mode a =
-    reference arm first, mode b = probe arm second).
+    ``order`` lists the flat plane indices n_a * d + n_b grouped by
+    total photon number N = n_a + n_b and ascending in n_a within a
+    sector; ``untwist`` (i**-n_a) and ``values`` run along it, and each
+    entry of ``blocks`` pairs a sector's rows of ``order`` with the
+    eigenvectors of its real symmetric coupling matrix.
     """
 
-    amplitudes: np.ndarray
-    cutoff: FockCutoff
-
-    def __post_init__(self) -> None:
-        if self.amplitudes.shape != (self.cutoff.dim**2,):
-            raise ValueError(
-                f"amplitude vector must have length {self.cutoff.dim**2}, "
-                f"got shape {self.amplitudes.shape}"
-            )
-
-    @classmethod
-    def from_single_modes(
-        cls, mode_a: np.ndarray, mode_b: np.ndarray, cutoff: FockCutoff | int
-    ) -> "TwoModeState":
-        cutoff = as_cutoff(cutoff)
-        if mode_a.shape != (cutoff.dim,) or mode_b.shape != (cutoff.dim,):
-            raise ValueError("single-mode vectors do not match the cutoff dimension")
-        return cls(np.outer(mode_a, mode_b).ravel(), cutoff)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def as_matrix(self) -> np.ndarray:
-        d = self.cutoff.dim
-        return self.amplitudes.reshape(d, d)
-
-    def edge_mass(self) -> float:
-        return edge_mass(self.as_matrix())
-
-    def apply(self, unitary: np.ndarray) -> "TwoModeState":
-        return TwoModeState(unitary @ self.amplitudes, self.cutoff)
-
-    def expectation(self, operator: np.ndarray) -> complex:
-        return complex(self.amplitudes.conj() @ (operator @ self.amplitudes))
+    order: np.ndarray
+    untwist: np.ndarray
+    values: np.ndarray
+    blocks: tuple[tuple[slice, np.ndarray], ...]
 
 
 @functools.lru_cache(maxsize=3)
-def _splitter_eigensystem(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystem of the Hermitian generator of the two-mode splitter.
+def _splitter_sectors(dim: int) -> _SplitterSectors:
+    """Eigensystems of the splitter generator G = a†b - ab†, one per sector.
 
-    The splitter is exp(theta * (a†b - ab†)); diagonalizing
-    H = i(a†b - ab†) once per cutoff lets every angle be applied as two
-    matrix-vector products in the eigenbasis.
+    G conserves n_a + n_b, so on the box it splits into 2d - 1 blocks of
+    size at most d.  Within a sector G is tridiagonal with
+    <n_a+1, n_b-1| G |n_a, n_b> = sqrt((n_a+1) n_b) = -<n_a, n_b| G |n_a+1, n_b-1>.
+    Sectors with N > n_max hold only the states that fit in the box, so
+    each block is the exact restriction of the truncated generator.
+    With D = diag(i**n_a) the block equals -i D S D^-1 for the real
+    symmetric S sharing its couplings, hence
+    exp(theta G) = D V exp(-i theta Lambda) V^T D^-1 with S = V Lambda V^T.
     """
-    lowering = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
-    eye = np.eye(dim, dtype=complex)
-    mode_a = np.kron(lowering, eye)
-    mode_b = np.kron(eye, lowering)
-    generator = mode_a.conj().T @ mode_b - mode_a @ mode_b.conj().T
-    evals, evecs = np.linalg.eigh(1j * generator)
-    return evals, evecs
-
-
-def beam_splitter_unitary(theta: float, cutoff: FockCutoff | int) -> np.ndarray:
-    """Dense two-mode splitter unitary exp(theta * (a†b - ab†)).
-
-    In the Heisenberg picture U† a U = cos(theta) a + sin(theta) b and
-    U† b U = -sin(theta) a + cos(theta) b, i.e. mode amplitudes mix by
-    the same 2x2 rotation as in the closed-form model.
-    """
-    if not math.isfinite(theta):
-        raise ValueError(f"mixing angle must be finite, got {theta!r}")
-    d = as_cutoff(cutoff).dim
-    evals, evecs = _splitter_eigensystem(d)
-    return (evecs * np.exp(-1j * theta * evals)) @ evecs.conj().T
+    indices, values, blocks = [], [], []
+    start = 0
+    for total in range(2 * dim - 1):
+        n_a = np.arange(max(0, total - dim + 1), min(total, dim - 1) + 1)
+        coupling = np.sqrt((n_a[:-1] + 1.0) * (total - n_a[:-1]))
+        evals, evecs = np.linalg.eigh(np.diag(coupling, 1) + np.diag(coupling, -1))
+        indices.append(n_a * dim + (total - n_a))
+        values.append(evals)
+        blocks.append((slice(start, start + n_a.size), evecs))
+        start += n_a.size
+    order = np.concatenate(indices)
+    untwist = np.array([1.0, -1.0j, -1.0, 1.0j])[(order // dim) % 4]
+    return _SplitterSectors(order, untwist, np.concatenate(values), tuple(blocks))
 
 
 def apply_beam_splitter(
     psi: np.ndarray, theta: float, axes: tuple[int, int]
 ) -> np.ndarray:
-    """Apply the two-mode splitter to one pair of axes of a state array.
+    """Apply the splitter exp(theta * (a†b - ab†)) to two axes of a state.
 
-    Works for any state rank; never materializes an operator larger
-    than d^2 x d^2.
+    In the Heisenberg picture U† a U = cos(theta) a + sin(theta) b and
+    U† b U = -sin(theta) a + cos(theta) b, i.e. mode amplitudes mix by
+    the same 2x2 rotation as in the closed-form model.  Works for any
+    state rank, one photon-number sector of the axis pair at a time;
+    the largest operator used is d x d.
     """
     d = psi.shape[axes[0]]
     if psi.shape[axes[1]] != d:
         raise ValueError("both axes of the splitter pair must have equal dimension")
-    evals, evecs = _splitter_eigensystem(d)
+    sectors = _splitter_sectors(d)
     moved = np.moveaxis(psi, axes, (0, 1))
-    flat = moved.reshape(d * d, -1)
-    flat = evecs @ (np.exp(-1j * theta * evals)[:, None] * (evecs.conj().T @ flat))
-    return np.moveaxis(flat.reshape(moved.shape), (0, 1), axes)
-
-
-def phase_unitary(
-    phi: float, cutoff: FockCutoff | int, mode: int = PROBE_MODE
-) -> np.ndarray:
-    """Dense two-mode unitary exp(-i*phi*n) on one mode (probe by default).
-
-    Diagonal in the number basis; sends a coherent amplitude beta to
-    exp(-i*phi)*beta.
-    """
-    d = as_cutoff(cutoff).dim
-    numbers = np.arange(d, dtype=float)
-    occupation = {0: np.repeat(numbers, d), 1: np.tile(numbers, d)}[mode]
-    return np.diag(np.exp(-1j * phi * occupation))
+    x = moved.reshape(d * d, -1)[sectors.order] * sectors.untwist[:, None]
+    rotation = np.exp(-1j * theta * sectors.values)[:, None]
+    for rows, vectors in sectors.blocks:
+        # V is real: multiply the real and imaginary parts in one product
+        y = (vectors.T @ x[rows].view(np.float64)).view(complex) * rotation[rows]
+        x[rows] = (vectors @ y.view(np.float64)).view(complex)
+    out = np.empty_like(x)
+    out[sectors.order] = x * sectors.untwist.conj()[:, None]
+    return np.moveaxis(out.reshape(moved.shape), (0, 1), axes)
 
 
 def loss_channel(
@@ -322,18 +242,16 @@ def mode_number_moments(psi: np.ndarray, axis: int) -> tuple[float, float]:
 
 
 def edge_mass(psi: np.ndarray) -> float:
-    """Probability mass with any retained mode at its highest number state."""
+    """Probability mass with any retained mode at its highest number state.
+
+    Sums the edge faces directly (each face excludes the edges of the
+    axes before it), so tiny masses are not lost to cancellation.
+    """
     probabilities = np.abs(psi) ** 2
-    interior = probabilities[tuple(slice(0, -1) for _ in range(psi.ndim))]
-    return float(probabilities.sum() - interior.sum())
-
-
-def difference_observable(cutoff: FockCutoff | int) -> np.ndarray:
-    """Dense photon-number difference n_b - n_a on the two-mode basis."""
-    d = as_cutoff(cutoff).dim
-    number = number_operator(cutoff)
-    eye = np.eye(d, dtype=complex)
-    return np.kron(eye, number) - np.kron(number, eye)
+    return sum(
+        float(probabilities[(slice(0, -1),) * axis + (-1,)].sum())
+        for axis in range(psi.ndim)
+    )
 
 
 def simulate(

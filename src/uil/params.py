@@ -65,8 +65,12 @@ class PerformanceMetrics:
     """All derived scalars at one parameter point.
 
     ``delta_phi`` uses the extended reals: it is ``inf`` when the
-    operating point has no phase sensitivity, in which case both
-    performance ratios are 0.
+    operating point has no phase sensitivity, and ``rho_intensity`` is
+    then 0.  ``rho_fluctuation`` does not depend on ``|alpha|`` and is
+    evaluated in its continuous form, so at ``delta_phi = inf`` it is 0
+    only where that form vanishes, such as ``phi = 0`` or
+    ``theta2 = 0``.  At ``theta1 = 0`` (no probe light) it takes the
+    removable limit ``2 eta exp(-kappa) |sin(2 theta2) sin(phi)|``.
     """
 
     mean_O: float

@@ -367,6 +367,21 @@ def test_config_rejects_malformed_line(capsys, tmp_path):
     assert run(capsys, "metrics", "--config", str(config))[0] == 2
 
 
+def test_config_rejects_unknown_key(capsys, tmp_path):
+    config = tmp_path / "typo.cfg"
+    config.write_text("thetal = 0.3\n")
+    code, out, err = run(capsys, "metrics", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert "thetal" in err
+    # keys are checked per subcommand: samples belongs to verify only
+    config.write_text("samples = 2\nalpha = 0.5\n")
+    assert run(capsys, "metrics", "--config", str(config))[0] == 2
+    code, out, _ = run(capsys, "verify", "--config", str(config), "--cutoff", "12")
+    assert code == 0
+    assert "2 samples, |alpha| = 0.5" in out
+
+
 def test_config_resolved_set_echoed_in_manifest(capsys, tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("kappa = 0.5\n")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import linalg, stats
 
 from uil.analytic import (
     evaluate_metrics,
@@ -13,24 +13,28 @@ from uil.analytic import (
 )
 from uil.fock import (
     FockCutoff,
-    ModeOperatorMatrix,
     TruncationError,
     TruncationWarning,
-    TwoModeState,
     apply_beam_splitter,
-    beam_splitter_unitary,
     coherent_state,
-    difference_observable,
     edge_mass,
     loss_channel,
     mode_number_moments,
-    mode_operators,
-    number_operator,
-    phase_unitary,
     required_cutoff,
     simulate,
 )
 from uil.params import InterferometerParams
+
+from dense_fock import (
+    ModeOperatorMatrix,
+    TwoModeState,
+    beam_splitter_unitary,
+    difference_observable,
+    mode_operators,
+    number_operator,
+    phase_unitary,
+    splitter_generator,
+)
 
 
 def vacuum(dim):
@@ -187,6 +191,24 @@ def test_splitter_coherent_covariance():
     assert overlap >= 1.0 - 1e-10
 
 
+@pytest.mark.parametrize("n_max", range(1, 8))
+def test_sector_splitter_matches_dense_expm(n_max):
+    # random states fill the whole box, so the truncated sectors
+    # n_a + n_b > n_max are checked along with the complete ones
+    d = n_max + 1
+    rng = np.random.default_rng(n_max)
+    theta = rng.uniform(-math.pi, math.pi)
+    unitary = linalg.expm(theta * splitter_generator(n_max))
+    psi = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    expected = (unitary @ psi.ravel()).reshape(d, d)
+    assert np.max(np.abs(apply_beam_splitter(psi, theta, axes=(0, 1)) - expected)) <= 1e-12
+    # rank 3, splitter pair on the last and first axes (mode a = axis 2)
+    psi = rng.normal(size=(d, 3, d)) + 1j * rng.normal(size=(d, 3, d))
+    pair_first = np.moveaxis(psi, (2, 0), (0, 1)).reshape(d * d, 3)
+    expected = np.moveaxis((unitary @ pair_first).reshape(d, d, 3), (0, 1), (2, 0))
+    assert np.max(np.abs(apply_beam_splitter(psi, theta, axes=(2, 0)) - expected)) <= 1e-12
+
+
 def test_apply_beam_splitter_rejects_mismatched_axes():
     with pytest.raises(ValueError):
         apply_beam_splitter(np.zeros((3, 4), dtype=complex), 0.3, axes=(0, 1))
@@ -284,6 +306,15 @@ def test_edge_mass_flags_edge_population():
     assert edge_mass(psi) == 0.0
 
 
+def test_edge_mass_matches_single_mode_analytic():
+    # only |20, 0> sits on an edge face: mass e^-1 / 20!, far below the
+    # round-off of the total probability
+    psi = np.outer(coherent_state(1.0, 20), vacuum(21))
+    assert edge_mass(psi) == pytest.approx(math.exp(-1.0) / math.factorial(20), rel=1e-12)
+    # states on two or three edge faces at once are counted once
+    assert edge_mass(np.ones((4, 4, 4))) == 4**3 - 3**3
+
+
 def test_difference_observable_expectation():
     d = 4
     one_b = np.eye(d, dtype=complex)[1]
@@ -345,6 +376,29 @@ def test_simulate_matches_closed_forms_at_random_points():
             alpha=complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
         )
         result = simulate(p, 25)
+        metrics = evaluate_metrics(p)
+        assert result.mean_O == pytest.approx(metrics.mean_O, abs=1e-8)
+        assert result.std_O == pytest.approx(metrics.std_O, abs=1e-8)
+        assert result.probe_intensity == pytest.approx(metrics.intensity_probe, abs=1e-8)
+        assert result.probe_std == pytest.approx(metrics.std_intensity_probe, abs=1e-8)
+
+
+def test_simulate_matches_closed_forms_at_large_amplitude():
+    # |alpha| = 8 needs n_max >= required_cutoff(8) = 121; ten more
+    # photons keep the 1e-10 Poisson tail from costing ~5e-9 of the
+    # 64-photon mean, so only the engine is tested
+    alpha = 8.0
+    n_max = required_cutoff(alpha) + 10
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        p = InterferometerParams(
+            rng.uniform(0.0, math.pi / 2),
+            rng.uniform(0.0, math.pi / 2),
+            rng.uniform(0.0, 2 * math.pi),
+            kappa=rng.uniform(0.0, 1.0),
+            alpha=alpha,
+        )
+        result = simulate(p, n_max)
         metrics = evaluate_metrics(p)
         assert result.mean_O == pytest.approx(metrics.mean_O, abs=1e-8)
         assert result.std_O == pytest.approx(metrics.std_O, abs=1e-8)
