@@ -27,13 +27,8 @@ from .fock import (
     loss_channel,
     simulate,
 )
-from .optimize import ConstraintRegime, NoSensitivityError, OptimumReport, optimize, working_point
-from .params import (
-    InterferometerParams,
-    OutputAmplitudes,
-    PerformanceMetrics,
-    canonicalize_splitting_angle,
-)
+from .optimize import ConstraintRegime, OptimumReport, optimize
+from .params import InterferometerParams, OutputAmplitudes, PerformanceMetrics
 
 __version__ = "0.1.0"
 
@@ -42,7 +37,6 @@ __all__ = [
     "InterferometerParams",
     "OutputAmplitudes",
     "PerformanceMetrics",
-    "canonicalize_splitting_angle",
     "beam_splitter_matrix",
     "output_amplitudes",
     "probe_arm_stats",
@@ -61,7 +55,5 @@ __all__ = [
     "simulate",
     "ConstraintRegime",
     "OptimumReport",
-    "NoSensitivityError",
     "optimize",
-    "working_point",
 ]

@@ -6,9 +6,22 @@ come from :mod:`uil.modes`; the truncated Fock-space engine in
 :mod:`uil.fock` implements the same network independently and is used by
 the test suite to cross-check every formula in this module.
 
-Scalar functions take an :class:`~uil.params.InterferometerParams`;
-the ``*_values`` kernels broadcast over numpy arrays and back the sweep
-and optimizer layers.
+Every observable is a closed form in the probe-arm transmission
+``T = exp(-kappa)``, with ``c_i = cos(theta_i)``, ``s_i = sin(theta_i)``
+and the noise ``N = sqrt(c1^2 + T^2 s1^2)``:
+
+    mean_O          = |alpha| [cos2t2 (T^2 s1^2 - c1^2) + T sin2t1 sin2t2 cos(phi)] |alpha|
+    std_O           = |alpha| N
+    delta_phi       = N / (eta |alpha| T |sin2t1 sin2t2 sin(phi)|)
+    rho_fluctuation = 2 eta T |c1 sin2t2 sin(phi)| / N
+    rho_intensity   = rho_fluctuation / (|alpha| |s1|)
+
+:func:`metrics_values` evaluates all of them over broadcast arrays, and
+the scalar functions, which take an
+:class:`~uil.params.InterferometerParams`, wrap it.  The ``*_values``
+kernels compute one objective each, with the same arithmetic, for the
+optimizer.  No formula squares ``|alpha|`` on its own, so a moment
+beyond the double range becomes ``inf`` while the ratios stay finite.
 """
 
 from __future__ import annotations
@@ -32,6 +45,7 @@ __all__ = [
     "fluctuation_performance_ratio",
     "visibility",
     "evaluate_metrics",
+    "metrics_values",
     "phase_resolution_values",
     "intensity_ratio_values",
     "fluctuation_ratio_values",
@@ -61,6 +75,8 @@ def output_amplitudes(params: InterferometerParams) -> OutputAmplitudes:
         b3 = -sin(t2)*(cos(t1)*alpha) + e^(-i*phi-kappa)*cos(t2)*(-sin(t1)*alpha)
 
     With kappa = 0 the map is unitary and |a3|^2 + |b3|^2 = |alpha|^2.
+    This matrix route is independent of the closed forms below, which
+    the tests check against it.
     """
     vec = np.zeros(2, dtype=complex)
     vec[INPUT_MODE] = params.alpha
@@ -77,44 +93,30 @@ def probe_arm_stats(params: InterferometerParams) -> tuple[float, float]:
     of ``phi``, ``kappa`` and ``theta2``.  Coherent light is Poissonian:
     the fluctuation is the square root of the intensity.
     """
-    intensity = abs(params.alpha) ** 2 * math.sin(params.theta1) ** 2
-    return intensity, abs(params.alpha * math.sin(params.theta1))
+    metrics = evaluate_metrics(params)
+    return metrics.intensity_probe, metrics.std_intensity_probe
 
 
 def mean_difference_signal(params: InterferometerParams) -> float:
     """Expected photon-number difference between the two detectors.
 
-    For the lossless interferometer this is the trigonometric polynomial
+        |alpha|^2 [cos(2 t2) (T^2 sin(t1)^2 - cos(t1)^2) + T sin(2 t1) sin(2 t2) cos(phi)]
 
-        |alpha|^2 * [4 sin(t2) cos(t1) cos(t2) sin(t1) cos(phi) - 1
-                     + 2 cos(t1)^2 - 4 cos(t2)^2 cos(t1)^2 + 2 cos(t2)^2]
-
-    and with loss it is computed as |b3|^2 - |a3|^2 of the attenuated
-    output amplitudes.
+    which is |b3|^2 - |a3|^2 of the attenuated output amplitudes.
     """
-    if params.kappa == 0.0:
-        c1, c2 = math.cos(params.theta1), math.cos(params.theta2)
-        s1, s2 = math.sin(params.theta1), math.sin(params.theta2)
-        poly = (
-            4.0 * s2 * c1 * c2 * s1 * math.cos(params.phi)
-            - 1.0
-            + 2.0 * c1 * c1
-            - 4.0 * c2 * c2 * c1 * c1
-            + 2.0 * c2 * c2
-        )
-        return abs(params.alpha) ** 2 * poly
-    out = output_amplitudes(params)
-    return abs(out.b3) ** 2 - abs(out.a3) ** 2
+    return evaluate_metrics(params).mean_O
 
 
 def difference_signal_phase_gradient(params: InterferometerParams) -> float:
     """d<difference signal>/d(phi), used by :func:`phase_resolution`."""
+    alpha_abs = abs(params.alpha)
     return (
-        -abs(params.alpha) ** 2
+        -alpha_abs
         * math.exp(-params.kappa)
         * math.sin(2.0 * params.theta1)
         * math.sin(2.0 * params.theta2)
         * math.sin(params.phi)
+        * alpha_abs
     )
 
 
@@ -122,37 +124,28 @@ def std_difference_signal(params: InterferometerParams) -> float:
     """Standard deviation of the detector difference signal.
 
     The output state is a product of coherent beams, so the variance is
-    the sum of the two output intensities (independent Poisson counts).
-    Lossless this equals |alpha| for any angles.
+    the sum of the two output intensities (independent Poisson counts),
+    |alpha|^2 (cos(t1)^2 + T^2 sin(t1)^2).  Lossless this equals |alpha|
+    for any angles.
     """
-    return math.sqrt(output_amplitudes(params).total_intensity)
+    return evaluate_metrics(params).std_O
 
 
 def phase_resolution(params: InterferometerParams) -> float:
     """Smallest resolvable phase shift (noise over signal gradient).
 
-        sqrt(cos(2 t1) (e^(2 kappa) - 1) + e^(2 kappa) + 1)
-        / (sqrt(2) |alpha sin(2 t1) sin(2 t2) sin(phi)| * eta)
+        sqrt(cos(t1)^2 + T^2 sin(t1)^2) / (eta |alpha| T |sin(2 t1) sin(2 t2) sin(phi)|)
 
-    At kappa = 0 the numerator is sqrt(2) and this reduces to
+    At kappa = 0 the numerator is 1 and this reduces to
     1 / |alpha sin(2 t1) sin(2 t2) sin(phi)|.  Detector efficiency
     inflates the resolvable angle by 1/eta, which makes both
     performance ratios scale linearly with eta.
 
     Returns ``inf`` when the operating point has no phase sensitivity
-    (any of the sine factors or |alpha| vanishing); that is not an
+    (any of the sine factors, T or |alpha| vanishing); that is not an
     error, callers must handle it.
     """
-    return float(
-        phase_resolution_values(
-            params.theta1,
-            params.theta2,
-            params.phi,
-            params.kappa,
-            params.eta,
-            abs(params.alpha),
-        )
-    )
+    return evaluate_metrics(params).delta_phi
 
 
 def intensity_performance_ratio(params: InterferometerParams) -> float:
@@ -163,16 +156,7 @@ def intensity_performance_ratio(params: InterferometerParams) -> float:
     resolution.  Lossless closed form:
     |sin(2 t1) sin(2 t2) sin(phi)| / (|alpha| sin(t1)^2).
     """
-    return float(
-        intensity_ratio_values(
-            params.theta1,
-            params.theta2,
-            params.phi,
-            params.kappa,
-            params.eta,
-            abs(params.alpha),
-        )
-    )
+    return evaluate_metrics(params).rho_intensity
 
 
 def fluctuation_performance_ratio(params: InterferometerParams) -> float:
@@ -185,15 +169,7 @@ def fluctuation_performance_ratio(params: InterferometerParams) -> float:
     the theta1 -> 0 homodyne-like limit evaluates to its limit value
     rather than 0/0.  Scales linearly with detector efficiency.
     """
-    return float(
-        fluctuation_ratio_values(
-            params.theta1,
-            params.theta2,
-            params.phi,
-            params.kappa,
-            params.eta,
-        )
-    )
+    return evaluate_metrics(params).rho_fluctuation
 
 
 def visibility(params: InterferometerParams) -> float:
@@ -204,71 +180,103 @@ def visibility(params: InterferometerParams) -> float:
     balanced lossless interferometer gives exactly 1, and zero input
     gives 0.
     """
-    if abs(params.alpha) == 0.0:
-        return 0.0
-    t = params.transmission
-    c1, s1 = math.cos(params.theta1), math.sin(params.theta1)
-    c2, s2 = math.cos(params.theta2), math.sin(params.theta2)
-    oscillation = 2.0 * t * abs(s1 * c1 * s2 * c2)
-    # Imax + Imin = 2*(s2^2 c1^2 + t^2 c2^2 s1^2); rewriting it as
-    # oscillation + (|s2 c1| - t|c2 s1|)^2 (per unit |alpha|^2, halved)
-    # avoids cancellation and is exact at the balanced point.
-    mismatch = (abs(s2 * c1) - t * abs(c2 * s1)) ** 2
-    total = oscillation + mismatch
-    if total == 0.0:
-        return 0.0
-    return oscillation / total
+    return evaluate_metrics(params).visibility
 
 
 def evaluate_metrics(params: InterferometerParams) -> PerformanceMetrics:
     """Bundle every derived scalar at one operating point."""
-    intensity, std_intensity = probe_arm_stats(params)
-    return PerformanceMetrics(
-        mean_O=mean_difference_signal(params),
-        std_O=std_difference_signal(params),
-        delta_phi=phase_resolution(params),
-        intensity_probe=intensity,
-        std_intensity_probe=std_intensity,
-        rho_intensity=intensity_performance_ratio(params),
-        rho_fluctuation=fluctuation_performance_ratio(params),
-        visibility=visibility(params),
+    columns = metrics_values(
+        params.theta1, params.theta2, params.phi, params.kappa, params.eta, abs(params.alpha)
     )
+    return PerformanceMetrics(**{name: float(value) for name, value in columns.items()})
 
 
-# Vectorized kernels.  These are the single source of truth for the
-# resolution and ratio formulas; the scalar API wraps them.
+# Vectorized kernels.  The helpers below fix the order of every floating
+# point operation, so the bundle and the single-objective kernels agree
+# bit for bit at every point, whatever the shapes of their inputs.
+#
+# 1/delta_phi and rho_fluctuation are products in which every factor
+# after the first is at most 1, except the last, |sin(2 t1)|/N <= 2 or
+# |c1|/N <= 1.  An intermediate can thus only underflow where the result
+# itself is at the edge of the double range.
+
+
+def _terms(theta1, theta2, phi, kappa):
+    """T, cos(t1), sin(t1), sin(2 t1), the noise N, and (|sin(2 t2)|, |sin(phi)|)."""
+    theta1 = np.asarray(theta1, dtype=float)
+    t = np.exp(-np.asarray(kappa, dtype=float))
+    c1, s1 = np.cos(theta1), np.sin(theta1)
+    mixer = np.abs(np.sin(2.0 * np.asarray(theta2, dtype=float))), np.abs(np.sin(phi))
+    return t, c1, s1, np.sin(2.0 * theta1), np.hypot(c1, t * s1), mixer
+
+
+def _resolution(t, sin2t1, noise, mixer, eta, alpha_abs):
+    sin2t2, sin_phi = mixer
+    with np.errstate(divide="ignore", over="ignore"):  # no sensitivity: 1/0 = inf
+        return 1.0 / (alpha_abs * t * eta * sin2t2 * sin_phi * (np.abs(sin2t1) / noise))
+
+
+def _fluctuation(t, c1, noise, mixer, eta):
+    sin2t2, sin_phi = mixer
+    return 2.0 * eta * t * sin2t2 * sin_phi * (np.abs(c1) / noise)
+
+
+def _intensity(delta_phi, rho_fluctuation, probe_std):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(np.isinf(delta_phi), 0.0, rho_fluctuation / probe_std)
+
+
+def metrics_values(theta1, theta2, phi, kappa, eta, alpha_abs) -> dict[str, np.ndarray]:
+    """Every :class:`~uil.params.PerformanceMetrics` field over broadcast inputs.
+
+    Returns the eight columns, in field order, as arrays of the inputs'
+    broadcast shape.
+    """
+    theta1, theta2, phi, kappa, eta, alpha_abs = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (theta1, theta2, phi, kappa, eta, alpha_abs))
+    )
+    t, c1, s1, sin2t1, noise, mixer = _terms(theta1, theta2, phi, kappa)
+    c2, s2 = np.cos(theta2), np.sin(theta2)
+    delta_phi = _resolution(t, sin2t1, noise, mixer, eta, alpha_abs)
+    rho_fluctuation = _fluctuation(t, c1, noise, mixer, eta)
+    probe_std = alpha_abs * np.abs(s1)
+    imbalance = (t * s1) ** 2 - c1**2
+    phase_term = t * sin2t1 * np.sin(2.0 * theta2) * np.cos(phi)
+    # Imax + Imin = 2|alpha|^2 (s2^2 c1^2 + T^2 c2^2 s1^2); written as
+    # oscillation + (|s2 c1| - T|c2 s1|)^2 (halved, per unit |alpha|^2)
+    # it has no cancellation and is exact at the balanced point.
+    oscillation = 2.0 * t * np.abs(s1 * c1 * s2 * c2)
+    total = oscillation + (np.abs(s2 * c1) - t * np.abs(c2 * s1)) ** 2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mean = alpha_abs * (np.cos(2.0 * theta2) * imbalance + phase_term) * alpha_abs
+        contrast = np.where((total == 0.0) | (alpha_abs == 0.0), 0.0, oscillation / total)
+        return {
+            "mean_O": mean,
+            "std_O": alpha_abs * noise,
+            "delta_phi": delta_phi,
+            "intensity_probe": probe_std**2,
+            "std_intensity_probe": probe_std,
+            "rho_intensity": _intensity(delta_phi, rho_fluctuation, probe_std),
+            "rho_fluctuation": rho_fluctuation,
+            "visibility": contrast,
+        }
+
 
 def phase_resolution_values(theta1, theta2, phi, kappa, eta=1.0, alpha_abs=1.0):
     """Broadcasting version of :func:`phase_resolution`."""
-    theta1, theta2, phi, kappa = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (theta1, theta2, phi, kappa))
-    )
-    growth = np.exp(2.0 * kappa)
-    numerator = np.sqrt(np.cos(2.0 * theta1) * (growth - 1.0) + growth + 1.0)
-    sensitivity = np.abs(np.sin(2.0 * theta1) * np.sin(2.0 * theta2) * np.sin(phi))
-    denominator = math.sqrt(2.0) * alpha_abs * eta * sensitivity
-    with np.errstate(divide="ignore"):
-        return np.where(denominator == 0.0, np.inf, numerator / np.where(denominator == 0.0, 1.0, denominator))
+    t, _, _, sin2t1, noise, mixer = _terms(theta1, theta2, phi, kappa)
+    return _resolution(t, sin2t1, noise, mixer, eta, alpha_abs)
 
 
 def intensity_ratio_values(theta1, theta2, phi, kappa, eta=1.0, alpha_abs=1.0):
     """Broadcasting version of :func:`intensity_performance_ratio`."""
-    resolution = phase_resolution_values(theta1, theta2, phi, kappa, eta, alpha_abs)
-    intensity = alpha_abs**2 * np.sin(np.asarray(theta1, dtype=float)) ** 2
-    intensity = np.broadcast_to(intensity, resolution.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = 1.0 / (resolution * intensity)
-    return np.where(np.isinf(resolution), 0.0, np.where(intensity == 0.0, np.inf, raw))
+    t, c1, s1, sin2t1, noise, mixer = _terms(theta1, theta2, phi, kappa)
+    delta_phi = _resolution(t, sin2t1, noise, mixer, eta, alpha_abs)
+    rho_fluctuation = _fluctuation(t, c1, noise, mixer, eta)
+    return _intensity(delta_phi, rho_fluctuation, alpha_abs * np.abs(s1))
 
 
 def fluctuation_ratio_values(theta1, theta2, phi, kappa, eta=1.0):
     """Broadcasting version of :func:`fluctuation_performance_ratio`."""
-    theta1, theta2, phi, kappa = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (theta1, theta2, phi, kappa))
-    )
-    growth = np.exp(2.0 * kappa)
-    numerator = 2.0 * math.sqrt(2.0) * np.abs(
-        np.cos(theta1) * np.sin(2.0 * theta2) * np.sin(phi)
-    )
-    denominator = np.sqrt(np.cos(2.0 * theta1) * (growth - 1.0) + growth + 1.0)
-    return eta * numerator / denominator
+    t, c1, _, _, noise, mixer = _terms(theta1, theta2, phi, kappa)
+    return _fluctuation(t, c1, noise, mixer, eta)

@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .analytic import evaluate_metrics
+from .analytic import metrics_values
 from .fock import TruncationError, coherent_state, simulate
 from .optimize import DEFAULT_TOL, ConstraintRegime, optimize
 from .params import InterferometerParams
@@ -87,11 +87,6 @@ class UsageError(ValueError):
     """Flag combination or value that cannot be acted on."""
 
 
-def _fmt(value: float) -> str:
-    """Shortest round-trip decimal; infinities print as inf/-inf."""
-    return repr(float(value))
-
-
 def _jsonable(value):
     if isinstance(value, float) and math.isinf(value):
         return "inf" if value > 0 else "-inf"
@@ -99,6 +94,8 @@ def _jsonable(value):
 
 
 def _json_dumps(obj) -> str:
+    """JSON text with infinities as "inf"/"-inf"; NaN raises ValueError."""
+
     def walk(x):
         if isinstance(x, dict):
             return {k: walk(v) for k, v in x.items()}
@@ -106,7 +103,7 @@ def _json_dumps(obj) -> str:
             return [walk(v) for v in x]
         return _jsonable(x)
 
-    return json.dumps(walk(obj), indent=2)
+    return json.dumps(walk(obj), indent=2, allow_nan=False)
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -137,6 +134,8 @@ def _resolve(args, config: dict[str, str], defaults: dict):
     resolved = {}
     for key, default in defaults.items():
         flag_value = getattr(args, key, None)
+        if key == "alpha_re" and flag_value is None:
+            flag_value = getattr(args, "alpha", None)  # --alpha is shorthand for --alpha-re
         if flag_value is not None:
             resolved[key] = flag_value
         elif key in config:
@@ -174,25 +173,45 @@ def _build_params(resolved: dict) -> InterferometerParams:
         raise UsageError(str(exc)) from exc
 
 
-def _record(params: InterferometerParams) -> dict[str, float]:
-    metrics = evaluate_metrics(params)
-    record = {
+KERNEL_INPUTS = ("theta1", "theta2", "phi", "kappa", "eta", "alpha_abs")
+
+
+def _point_inputs(params: InterferometerParams) -> dict[str, float]:
+    return {
         "theta1": params.theta1,
         "theta2": params.theta2,
         "phi": params.phi,
         "kappa": params.kappa,
-        "transmission": params.transmission,
         "eta": params.eta,
         "alpha_abs": abs(params.alpha),
     }
-    record.update(metrics.as_dict())
-    return record
 
 
-def _render_csv(records: list[dict]) -> str:
+def _columns(inputs: dict) -> dict[str, np.ndarray]:
+    """Every CSV column over the broadcast inputs, from one kernel call."""
+    metrics = metrics_values(*(inputs[name] for name in KERNEL_INPUTS))
+    shape = metrics["mean_O"].shape
+    columns = {name: np.broadcast_to(value, shape) for name, value in inputs.items()}
+    columns["transmission"] = np.exp(-columns["kappa"])
+    columns.update(metrics)
+    return {name: columns[name].ravel() for name in CSV_COLUMNS}
+
+
+def _rows(columns: dict[str, np.ndarray]):
+    return zip(*(columns[name].tolist() for name in CSV_COLUMNS))
+
+
+def _render_csv(columns: dict[str, np.ndarray]) -> str:
+    """CSV text with each number in its shortest round-trip form; NaN raises ValueError."""
+    if any(np.isnan(column).any() for column in columns.values()):
+        raise ValueError("NaN in a computed column, nothing written")
     lines = [",".join(CSV_COLUMNS)]
-    lines.extend(",".join(_fmt(rec[col]) for col in CSV_COLUMNS) for rec in records)
+    lines.extend(",".join(map(repr, row)) for row in _rows(columns))
     return "\n".join(lines) + "\n"
+
+
+def _records(columns: dict[str, np.ndarray]) -> list[dict[str, float]]:
+    return [dict(zip(CSV_COLUMNS, row)) for row in _rows(columns)]
 
 
 def _write_data_file(path: str, data: str, command: str, parameters: dict) -> None:
@@ -224,17 +243,24 @@ def _emit(data: str, args, command: str, parameters: dict) -> None:
 def _cmd_metrics(args) -> int:
     config = _load_config(args.config)
     resolved = _resolve(args, config, PARAM_DEFAULTS)
-    if args.alpha is not None and args.alpha_re is None:
-        resolved["alpha_re"] = args.alpha
-    params = _build_params(resolved)
-    record = _record(params)
+    columns = _columns(_point_inputs(_build_params(resolved)))
     fmt = args.format or "json"
-    data = _render_csv([record]) if fmt == "csv" else _json_dumps(record) + "\n"
+    data = _render_csv(columns) if fmt == "csv" else _json_dumps(_records(columns)[0]) + "\n"
     _emit(data, args, "metrics", {**resolved, "format": fmt})
     return EXIT_OK
 
 
-def _parse_axis(spec: str) -> tuple[str, float, float, int]:
+# Domain of each swept parameter: (description, test over the axis values).
+_AXIS_DOMAINS = {
+    "transmission": ("in (0, 1]", lambda v: (v > 0.0) & (v <= 1.0)),
+    "kappa": ("finite and >= 0", lambda v: np.isfinite(v) & (v >= 0.0)),
+    "eta": ("in (0, 1]", lambda v: (v > 0.0) & (v <= 1.0)),
+    "alpha_abs": ("finite and >= 0", lambda v: np.isfinite(v) & (v >= 0.0)),
+}
+
+
+def _parse_axis(spec: str) -> tuple[str, np.ndarray]:
+    """Axis name and its validated values."""
     try:
         name, rest = spec.split("=", 1)
         start_s, stop_s, steps_s = rest.split(":")
@@ -248,42 +274,31 @@ def _parse_axis(spec: str) -> tuple[str, float, float, int]:
         raise UsageError(f"axis parameter {name!r} not one of {AXIS_NAMES}")
     if steps < 2:
         raise UsageError(f"axis {name!r} needs at least 2 steps, got {steps}")
-    if name == "transmission" and not (0.0 < min(start, stop) and max(start, stop) <= 1.0):
-        raise UsageError("transmission axis values must lie in (0, 1]")
-    if name == "kappa" and min(start, stop) < 0.0:
-        raise UsageError("kappa axis values must be >= 0")
-    if name == "eta" and not (0.0 < min(start, stop) and max(start, stop) <= 1.0):
-        raise UsageError("eta axis values must lie in (0, 1]")
-    if name == "alpha_abs" and min(start, stop) < 0.0:
-        raise UsageError("alpha_abs axis values must be >= 0")
-    return name, start, stop, steps
+    with np.errstate(invalid="ignore"):  # an infinite end point spaces out to NaN
+        values = np.linspace(start, stop, steps)
+    domain, valid = _AXIS_DOMAINS.get(name, ("finite", np.isfinite))
+    bad = values[~valid(values)]
+    if bad.size:
+        raise UsageError(f"{name} axis values must be {domain}, got {float(bad[0])!r}")
+    return name, values
 
 
-def _sweep_records(axes, fixed: dict) -> list[dict]:
-    grids = [(name, np.linspace(start, stop, steps)) for name, start, stop, steps in axes]
-    records = []
-    indices = [range(len(grid)) for _, grid in grids]
-    mesh = np.meshgrid(*indices, indexing="ij") if grids else []
-    combos = zip(*(m.ravel() for m in mesh)) if grids else [()]
-    for combo in combos:
-        point = dict(fixed)
-        for (name, grid), index in zip(grids, combo):
-            value = float(grid[index])
-            if name == "transmission":
-                point["kappa"] = -math.log(value) + 0.0
-            elif name == "alpha_abs":
-                point["alpha_re"], point["alpha_im"] = value, 0.0
-            else:
-                point[name] = value
-        records.append(_record(_build_params(point)))
-    return records
+def _sweep_inputs(axes, fixed: dict) -> dict:
+    """Input columns of the grid, row-major over the axes in the given order."""
+    grids = {}
+    for name, values in axes:
+        if name == "transmission":
+            # math.log per value, not np.log, whose vector loop may differ
+            # in the last ulp: kappa = -log(T) exactly as a reader computes it.
+            name, values = "kappa", np.array([-math.log(v) + 0.0 for v in values.tolist()])
+        grids[name] = values
+    meshes = np.meshgrid(*grids.values(), indexing="ij")
+    return {**fixed, **{name: mesh.ravel() for name, mesh in zip(grids, meshes)}}
 
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
     resolved = _resolve(args, config, PARAM_DEFAULTS)
-    if args.alpha is not None and args.alpha_re is None:
-        resolved["alpha_re"] = args.alpha
 
     axis_specs = list(args.axis) if args.axis else list(PRESET_AXES)
     if not args.axis:
@@ -292,11 +307,9 @@ def _cmd_sweep(args) -> int:
     axes = [_parse_axis(spec) for spec in axis_specs]
 
     names = [axis[0] for axis in axes]
-    if len(set(names)) != len(names):
-        raise UsageError(f"swept parameters must be distinct, got {names}")
-    swept = set(names)
-    if "transmission" in swept:
-        swept.add("kappa")
+    swept = {"kappa" if name == "transmission" else name for name in names}
+    if len(swept) != len(names):
+        raise UsageError(f"swept parameters must be distinct (a transmission axis sets kappa), got {names}")
     if "alpha_abs" in swept:
         swept.update(("alpha_re", "alpha_im"))
     clashes = swept & _explicit_param_names(args, config)
@@ -305,10 +318,12 @@ def _cmd_sweep(args) -> int:
 
     if not args.output:
         raise UsageError("sweep requires --output")
-    records = _sweep_records(axes, resolved)
+    fixed = _point_inputs(_build_params(resolved))
+    columns = _columns(_sweep_inputs(axes, fixed))
     fmt = args.format or "csv"
-    data = _render_csv(records) if fmt == "csv" else _json_dumps(records) + "\n"
-    parameters = {**resolved, "axes": axis_specs, "format": fmt, "rows": len(records)}
+    data = _render_csv(columns) if fmt == "csv" else _json_dumps(_records(columns)) + "\n"
+    rows = columns["theta1"].size
+    parameters = {**resolved, "axes": axis_specs, "format": fmt, "rows": rows}
     _write_data_file(args.output, data, "sweep", parameters)
     return EXIT_OK
 
@@ -317,8 +332,6 @@ def _cmd_optimize(args) -> int:
     config = _load_config(args.config)
     defaults = {**PARAM_DEFAULTS, "tol": DEFAULT_TOL}
     resolved = _resolve(args, config, defaults)
-    if args.alpha is not None and args.alpha_re is None:
-        resolved["alpha_re"] = args.alpha
     if resolved["tol"] <= 0.0:
         raise UsageError(f"tol must be positive, got {resolved['tol']}")
     try:
@@ -352,8 +365,6 @@ def _cmd_verify(args) -> int:
         "cutoff": int(os.environ.get(CUTOFF_ENV_VAR, DEFAULT_VERIFY_CUTOFF)),
     }
     resolved = _resolve(args, config, defaults)
-    if args.alpha is not None and args.alpha_re is None:
-        resolved["alpha_re"] = args.alpha
     alpha = complex(resolved["alpha_re"], resolved["alpha_im"])
     cutoff, samples, seed, tol = (
         resolved["cutoff"],
@@ -372,7 +383,14 @@ def _cmd_verify(args) -> int:
     phi = rng.uniform(0.0, 2.0 * math.pi, samples)
     kappa = rng.uniform(0.0, 1.0, samples)
 
-    worst = {"mean_O": 0.0, "std_O": 0.0, "intensity_probe": 0.0, "std_intensity_probe": 0.0}
+    metrics = metrics_values(theta1, theta2, phi, kappa, 1.0, abs(alpha))
+    oracle_names = {
+        "mean_O": "mean_O",
+        "std_O": "std_O",
+        "intensity_probe": "probe_intensity",
+        "std_intensity_probe": "probe_std",
+    }
+    worst = dict.fromkeys(oracle_names, 0.0)
     for i in range(samples):
         params = InterferometerParams(
             theta1=float(theta1[i]),
@@ -381,16 +399,9 @@ def _cmd_verify(args) -> int:
             kappa=float(kappa[i]),
             alpha=alpha,
         )
-        metrics = evaluate_metrics(params)
         oracle = simulate(params, cutoff)
-        worst["mean_O"] = max(worst["mean_O"], abs(metrics.mean_O - oracle.mean_O))
-        worst["std_O"] = max(worst["std_O"], abs(metrics.std_O - oracle.std_O))
-        worst["intensity_probe"] = max(
-            worst["intensity_probe"], abs(metrics.intensity_probe - oracle.probe_intensity)
-        )
-        worst["std_intensity_probe"] = max(
-            worst["std_intensity_probe"], abs(metrics.std_intensity_probe - oracle.probe_std)
-        )
+        for key, name in oracle_names.items():
+            worst[key] = max(worst[key], abs(float(metrics[key][i]) - getattr(oracle, name)))
 
     max_dev = max(worst.values())
     print(

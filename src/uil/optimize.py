@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .analytic import fluctuation_ratio_values, intensity_ratio_values
-from .params import InterferometerParams
 
 DEFAULT_GRID_POINTS = 721  # 0.125 degree spacing over a quarter turn
 DEFAULT_TOL = 1e-8
@@ -33,18 +32,12 @@ REGIME_KINDS = ("free", "equal_splitters", "fixed_mixer")
 __all__ = [
     "ConstraintRegime",
     "OptimumReport",
-    "NoSensitivityError",
     "optimize",
-    "working_point",
     "OBJECTIVES",
     "REGIME_KINDS",
     "DEFAULT_GRID_POINTS",
     "DEFAULT_TOL",
 ]
-
-
-class NoSensitivityError(ValueError):
-    """The operating point has no phase sensitivity at all."""
 
 
 @dataclass(frozen=True)
@@ -92,21 +85,6 @@ class OptimumReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def working_point(params: InterferometerParams) -> float:
-    """Operating phase minimizing the phase resolution, for fixed angles.
-
-    The resolution depends on the phase only through 1/|sin|, for any
-    attenuation, so the optimum is a quarter turn.  Raises
-    :class:`NoSensitivityError` when the splitting angles give no phase
-    sensitivity at any phase.
-    """
-    if math.sin(2.0 * params.theta1) * math.sin(2.0 * params.theta2) == 0.0:
-        raise NoSensitivityError(
-            "sin(2*theta1)*sin(2*theta2) = 0: no operating phase gives sensitivity"
-        )
-    return math.pi / 2.0
 
 
 class _CountingObjective:
@@ -230,7 +208,9 @@ def optimize(
     grids = {
         name: np.linspace(*f.coord_domain(name), per_axis) for name in names
     }
-    meshes = np.meshgrid(*(grids[name] for name in names), indexing="ij")
+    # Sparse axes: the kernels broadcast them, so only the objective
+    # values span the whole grid.
+    meshes = np.meshgrid(*(grids[name] for name in names), indexing="ij", sparse=True)
     values = np.asarray(f({name: mesh for name, mesh in zip(names, meshes)}))
 
     flat_index = int(np.argmax(values))  # first occurrence = lexicographic smallest

@@ -38,8 +38,8 @@ class InterferometerParams:
         if not (0.0 < self.eta <= 1.0):
             raise ValueError(f"eta must lie in (0, 1], got {self.eta!r}")
         a = complex(self.alpha)
-        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
+        if not math.isfinite(math.hypot(a.real, a.imag)):  # abs() raises on overflow
+            raise ValueError(f"alpha must have a finite modulus, got {self.alpha!r}")
         object.__setattr__(self, "alpha", a)
 
     @property
@@ -64,13 +64,22 @@ class OutputAmplitudes:
 class PerformanceMetrics:
     """All derived scalars at one parameter point.
 
-    ``delta_phi`` uses the extended reals: it is ``inf`` when the
-    operating point has no phase sensitivity, and ``rho_intensity`` is
-    then 0.  ``rho_fluctuation`` does not depend on ``|alpha|`` and is
-    evaluated in its continuous form, so at ``delta_phi = inf`` it is 0
-    only where that form vanishes, such as ``phi = 0`` or
-    ``theta2 = 0``.  At ``theta1 = 0`` (no probe light) it takes the
-    removable limit ``2 eta exp(-kappa) |sin(2 theta2) sin(phi)|``.
+    Values follow the extended-real contract of the README.
+    ``delta_phi`` is ``inf`` when the operating point has no phase
+    sensitivity (or its value exceeds the double range), and
+    ``rho_intensity`` is then 0.  ``rho_fluctuation`` does not depend on
+    ``|alpha|`` and is evaluated in its continuous form, so at
+    ``delta_phi = inf`` it is 0 only where that form vanishes, such as
+    ``phi = 0`` or ``theta2 = 0``.  At ``theta1 = 0`` (no probe light)
+    it takes the removable limit
+    ``2 eta exp(-kappa) |sin(2 theta2) sin(phi)|``.
+
+    Overflow rule: ``|alpha|`` enters every formula as a factor, never
+    squared on its own.  The moments ``mean_O`` and ``intensity_probe``
+    scale with ``|alpha|^2`` and become ``+-inf`` (or 0) beyond the
+    double range; ``std_O``, ``std_intensity_probe``, ``delta_phi`` and
+    the ratios scale with at most one power and stay finite.  No field
+    is ever NaN for valid parameters.
     """
 
     mean_O: float
@@ -85,16 +94,3 @@ class PerformanceMetrics:
     def as_dict(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-
-def canonicalize_splitting_angle(theta: float) -> float:
-    """Fold a splitting angle into [0, pi/2].
-
-    The returned angle produces the same intensity splitting fractions
-    (cos^2, sin^2); amplitude signs are not preserved.
-    """
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
-    folded = math.fmod(theta, math.pi)
-    if folded < 0.0:
-        folded += math.pi
-    return min(folded, math.pi - folded)

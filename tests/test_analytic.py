@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -480,3 +481,42 @@ def test_vector_kernels_match_scalar_api():
         assert resolution[i] == phase_resolution(p)
         assert rho_i[i] == intensity_performance_ratio(p)
         assert rho_di[i] == fluctuation_performance_ratio(p)
+
+
+# Cramer-Rao: delta_phi * sqrt(F) >= 1 for the Fisher information F of the
+# two independent Poisson detector counts (Braunstein & Caves, PRL 72,
+# 3439 (1994)), with equality at the balanced working point.  F is taken
+# at the transmission the program carries, the double exp(-kappa): past
+# kappa ~ 708 that double is subnormal and has fewer digits than kappa,
+# a limit of its own that the README states.
+
+
+def fisher_information_mp(theta1, theta2, phi, kappa, eta, alpha_abs):
+    """F = sum_i (d lambda_i/d phi)^2 / lambda_i, lambda_i = eta |out_i|^2, at 50 digits."""
+    with mpmath.workdps(50):
+        t1, t2, phi, eta, alpha = map(mpmath.mpf, (theta1, theta2, phi, eta, alpha_abs))
+        t = mpmath.mpf(float(np.exp(-kappa)))
+        c1, s1, c2, s2 = mpmath.cos(t1), mpmath.sin(t1), mpmath.cos(t2), mpmath.sin(t2)
+        rotor = mpmath.expj(-phi)
+        a3 = alpha * (c1 * c2 - t * s1 * s2 * rotor)
+        b3 = -alpha * (s2 * c1 + t * s1 * c2 * rotor)
+        slope = eta * alpha**2 * t / 2 * mpmath.sin(2 * t1) * mpmath.sin(2 * t2) * mpmath.sin(phi)
+        return sum(slope**2 / (eta * abs(amp) ** 2) for amp in (a3, b3))
+
+
+@given(
+    SPLIT_ANGLES,
+    SPLIT_ANGLES,
+    st.floats(min_value=0.0, max_value=math.pi),
+    st.floats(min_value=0.0, max_value=800.0),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    st.floats(min_value=1e-150, max_value=1e150),
+)
+@settings(max_examples=300)
+def test_cramer_rao_bound_over_extreme_domain(theta1, theta2, phi, kappa, eta, alpha_abs):
+    m = evaluate_metrics(params(theta1, theta2, phi, kappa=kappa, eta=eta, alpha=alpha_abs))
+    assert not any(math.isnan(value) for value in m.as_dict().values())
+    if math.isinf(m.delta_phi):  # no sensitivity, or beyond the double range
+        return
+    fisher = fisher_information_mp(theta1, theta2, phi, kappa, eta, alpha_abs)
+    assert mpmath.mpf(m.delta_phi) * mpmath.sqrt(fisher) >= 1 - 16 * np.finfo(float).eps

@@ -1,10 +1,19 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+import tempfile
 
+import hypothesis.strategies as st
+import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from uil.analytic import evaluate_metrics
+import uil.cli
+from uil.analytic import evaluate_metrics, metrics_values
 from uil.cli import CSV_COLUMNS, main
 from uil.params import InterferometerParams
 
@@ -223,7 +232,10 @@ def test_sweep_transmission_axis_conflicts_with_kappa(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "axis",
-    ["theta1=0:1:1", "bogus=0:1:4", "theta1=0:1", "transmission=0:1:4", "eta=0:1:3"],
+    [
+        "theta1=0:1:1", "bogus=0:1:4", "theta1=0:1", "transmission=0:1:4", "eta=0:1:3",
+        "theta1=0:nan:3", "phi=0:inf:3", "kappa=0:inf:3",
+    ],
 )
 def test_sweep_rejects_bad_axes(capsys, tmp_path, axis):
     code, _, _ = run(capsys, "sweep", "--axis", axis, "--output", str(tmp_path / "x.csv"))
@@ -389,3 +401,189 @@ def test_config_resolved_set_echoed_in_manifest(capsys, tmp_path):
     run(capsys, "metrics", "--config", str(config), "--output", str(path))
     manifest = json.loads((tmp_path / "out.json.manifest.json").read_text())
     assert manifest["parameters"]["kappa"] == 0.5
+
+
+def test_sweep_rejects_kappa_and_transmission_axes_together(capsys, tmp_path):
+    path = tmp_path / "x.csv"
+    code, _, err = run(
+        capsys, "sweep", "--axis", "kappa=0:1:3", "--axis", "transmission=0.5:1:3",
+        "--output", str(path),
+    )
+    assert code == 2
+    assert "distinct" in err
+    assert not path.exists()
+
+
+def test_sweep_calls_the_kernel_once(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return metrics_values(*args, **kwargs)
+
+    monkeypatch.setattr(uil.cli, "metrics_values", counting)
+    code, _, _ = run(capsys, "sweep", "--output", str(tmp_path / "surface.csv"))
+    assert code == 0
+    assert len(calls) == 1
+
+
+SWEEP_AXES = {
+    "theta1": st.floats(-7.0, 7.0),
+    "theta2": st.floats(-7.0, 7.0),
+    "phi": st.floats(-7.0, 7.0),
+    "kappa": st.floats(0.0, 800.0),
+    "transmission": st.floats(0.0, 1.0, exclude_min=True),
+    "eta": st.floats(0.0, 1.0, exclude_min=True),
+    "alpha_abs": st.floats(0.0, 1e150),
+}
+
+
+@st.composite
+def sweep_axes(draw):
+    names = draw(st.lists(st.sampled_from(sorted(SWEEP_AXES)), min_size=1, max_size=2, unique=True))
+    if {"kappa", "transmission"} <= set(names):
+        names.remove("kappa")
+    return [
+        f"{name}={draw(SWEEP_AXES[name])!r}:{draw(SWEEP_AXES[name])!r}:{draw(st.integers(2, 4))}"
+        for name in names
+    ]
+
+
+@given(sweep_axes())
+@settings(max_examples=60)
+def test_sweep_rows_equal_scalar_evaluation_bit_for_bit(axes):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "grid.csv")
+        argv = ["sweep", *(arg for axis in axes for arg in ("--axis", axis)), "--output", path]
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 0
+        with open(path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+    assert rows
+    for row in rows:
+        params = InterferometerParams(
+            theta1=float(row["theta1"]),
+            theta2=float(row["theta2"]),
+            phi=float(row["phi"]),
+            kappa=float(row["kappa"]),
+            eta=float(row["eta"]),
+            alpha=float(row["alpha_abs"]),
+        )
+        for key, value in evaluate_metrics(params).as_dict().items():
+            assert row[key] == repr(value), key
+
+
+# extreme inputs: every reported number is finite, inf or 0 and never NaN
+
+
+def closed_forms_mp(theta1, theta2, phi, kappa, eta=1.0, alpha_abs=1.0):
+    """50-digit reference in the exp(2 kappa) form, independent of the T form."""
+    with mpmath.workdps(50):
+        t1, t2, phi, kappa, eta, alpha = map(mpmath.mpf, (theta1, theta2, phi, kappa, eta, alpha_abs))
+        growth = mpmath.exp(2 * kappa)
+        noise = mpmath.sqrt(mpmath.cos(2 * t1) * (growth - 1) + growth + 1)
+        sensitivity = abs(mpmath.sin(2 * t1) * mpmath.sin(2 * t2) * mpmath.sin(phi))
+        delta_phi = noise / (mpmath.sqrt(2) * alpha * sensitivity * eta)
+        intensity = alpha**2 * mpmath.sin(t1) ** 2
+        return {
+            "delta_phi": delta_phi,
+            "rho_intensity": 1 / (delta_phi * intensity),
+            "rho_fluctuation": 1 / (delta_phi * alpha * abs(mpmath.sin(t1))),
+        }
+
+
+def assert_close_mp(got, want, rel=1e-12):
+    assert isinstance(got, float) and math.isfinite(got)
+    assert abs(mpmath.mpf(got) - want) <= rel * abs(want)
+
+
+@pytest.mark.filterwarnings("error")
+def test_metrics_large_kappa_is_valid_json(capsys):
+    code, out, err = run(capsys, "metrics", "--kappa", "400", "--theta1", "1.2")
+    assert code == 0, err
+    record = json.loads(out, parse_constant=lambda name: pytest.fail(f"bare {name} in JSON"))
+    want = closed_forms_mp(1.2, math.pi / 4, math.pi / 2, 400.0)
+    for key in ("delta_phi", "rho_intensity", "rho_fluctuation"):
+        assert_close_mp(record[key], want[key])
+
+
+def test_metrics_large_kappa_near_vanishing_reference_light(capsys):
+    code, out, _ = run(capsys, "metrics", "--kappa", "20", "--theta1", "1.5707963267948966")
+    assert code == 0
+    record = json.loads(out)
+    want = closed_forms_mp(1.5707963267948966, math.pi / 4, math.pi / 2, 20.0)
+    assert_close_mp(record["delta_phi"], want["delta_phi"])
+    assert_close_mp(record["rho_fluctuation"], want["rho_fluctuation"])
+
+
+@pytest.mark.filterwarnings("error")
+def test_metrics_huge_amplitude_overflows_only_the_moments(capsys):
+    code, out, err = run(capsys, "metrics", "--alpha", "1e200")
+    assert code == 0, err
+    record = json.loads(out)
+    assert record["intensity_probe"] == "inf"
+    assert record["mean_O"] == "inf"
+    want = closed_forms_mp(math.pi / 4, math.pi / 4, math.pi / 2, 0.0, alpha_abs=1e200)
+    for key in ("delta_phi", "rho_intensity", "rho_fluctuation"):
+        assert_close_mp(record[key], want[key])
+
+
+def test_metrics_tiny_amplitude_keeps_intensity_ratio_finite(capsys):
+    code, out, _ = run(capsys, "metrics", "--alpha", "1e-200", "--theta1", "0.3")
+    assert code == 0
+    record = json.loads(out)
+    assert record["intensity_probe"] == 0.0  # |alpha|^2 sin^2 underflows
+    with mpmath.workdps(50):
+        intensity = mpmath.mpf(1e-200) ** 2 * mpmath.sin(mpmath.mpf(0.3)) ** 2
+        want = 1 / (mpmath.mpf(record["delta_phi"]) * intensity)
+    assert_close_mp(record["rho_intensity"], want)
+    want = closed_forms_mp(0.3, math.pi / 4, math.pi / 2, 0.0, alpha_abs=1e-200)
+    assert_close_mp(record["rho_intensity"], want["rho_intensity"])
+
+
+# a NaN never reaches an output
+
+
+def nan_kernel(*args, **kwargs):
+    columns = metrics_values(*args, **kwargs)
+    columns["mean_O"] = np.full_like(columns["mean_O"], np.nan)
+    return columns
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_nan_in_metrics_is_refused(capsys, tmp_path, monkeypatch, fmt):
+    monkeypatch.setattr(uil.cli, "metrics_values", nan_kernel)
+    path = tmp_path / f"point.{fmt}"
+    code, out, err = run(capsys, "metrics", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "NaN" in err or "nan" in err
+    assert run(capsys, "metrics", "--format", fmt, "--output", str(path))[0] == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_nan_in_sweep_is_refused(capsys, tmp_path, monkeypatch, fmt):
+    monkeypatch.setattr(uil.cli, "metrics_values", nan_kernel)
+    path = tmp_path / f"grid.{fmt}"
+    code, _, err = run(capsys, "sweep", "--axis", "theta1=0:1:3", "--format", fmt, "--output", str(path))
+    assert code == 2
+    assert "nan" in err.lower()
+    assert list(tmp_path.iterdir()) == []
+
+
+# --alpha is shorthand for --alpha-re, which wins when both are given
+
+
+@pytest.mark.parametrize("flags, want", [(["--alpha", "0.7"], 0.7), (["--alpha", "0.7", "--alpha-re", "0.4"], 0.4)])
+def test_optimize_alpha_shorthand(capsys, flags, want):
+    code, out, _ = run(capsys, "optimize", "--objective", "rho-di", "--regime", "equal-splitters", *flags)
+    assert code == 0
+    assert json.loads(out)["alpha_abs"] == want
+
+
+@pytest.mark.parametrize("flags, want", [(["--alpha", "0.7"], "0.7"), (["--alpha", "0.7", "--alpha-re", "0.4"], "0.4")])
+def test_verify_alpha_shorthand(capsys, flags, want):
+    code, out, _ = run(capsys, "verify", *flags, "--cutoff", "12", "--samples", "1")
+    assert code == 0
+    assert f"|alpha| = {want}," in out

@@ -3,14 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from uil.analytic import fluctuation_ratio_values, phase_resolution
-from uil.optimize import (
-    ConstraintRegime,
-    NoSensitivityError,
-    optimize,
-    working_point,
-)
-from uil.params import InterferometerParams
+from uil.analytic import fluctuation_ratio_values
+from uil.optimize import ConstraintRegime, optimize
 
 EQUAL_OPT_ANGLE = math.atan(1.0 / math.sqrt(2.0))
 EQUAL_OPT_VALUE = 8.0 * math.sqrt(3.0) / 9.0
@@ -139,27 +133,3 @@ def test_rejects_unknown_objective_and_bad_tol():
     with pytest.raises(ValueError):
         optimize("rho_fluctuation", ConstraintRegime("free"), tol=0.0)
 
-
-# working point
-
-
-def test_working_point_balanced():
-    p = InterferometerParams(math.pi / 4, math.pi / 4, 0.0)
-    assert working_point(p) == math.pi / 2
-
-
-def test_working_point_independent_of_loss():
-    p = InterferometerParams(0.3, 0.9, 0.0, kappa=0.4)
-    phi_star = working_point(p)
-    assert phi_star == math.pi / 2
-    # confirm against a dense scan of the actual resolution
-    phis = np.linspace(0.01, math.pi - 0.01, 4001)
-    values = [
-        phase_resolution(InterferometerParams(0.3, 0.9, phi, kappa=0.4)) for phi in phis
-    ]
-    assert phis[int(np.argmin(values))] == pytest.approx(phi_star, abs=1e-3)
-
-
-def test_working_point_requires_sensitivity():
-    with pytest.raises(NoSensitivityError):
-        working_point(InterferometerParams(0.0, 0.9, 0.0))

@@ -1,14 +1,8 @@
 import math
 
 import pytest
-from hypothesis import given
-import hypothesis.strategies as st
 
-from uil.params import (
-    InterferometerParams,
-    PerformanceMetrics,
-    canonicalize_splitting_angle,
-)
+from uil.params import InterferometerParams, PerformanceMetrics
 
 
 def test_valid_construction_and_transmission():
@@ -31,6 +25,7 @@ def test_alpha_coerced_to_complex():
         {"eta": 1.2},
         {"eta": -0.5},
         {"alpha": complex(math.nan, 0)},
+        {"alpha": complex(1.5e308, 1.5e308)},  # |alpha| overflows
     ],
 )
 def test_invalid_fields_rejected(kwargs):
@@ -60,20 +55,3 @@ def test_metrics_field_order_matches_data_columns():
         "visibility",
     ]
 
-
-def test_canonicalize_examples():
-    assert canonicalize_splitting_angle(0.3) == pytest.approx(0.3, abs=1e-15)
-    assert canonicalize_splitting_angle(-0.3) == pytest.approx(0.3, abs=1e-15)
-    assert canonicalize_splitting_angle(math.pi - 0.3) == pytest.approx(0.3, abs=1e-12)
-    assert canonicalize_splitting_angle(math.pi / 2 + 0.1) == pytest.approx(
-        math.pi / 2 - 0.1, abs=1e-12
-    )
-    with pytest.raises(ValueError):
-        canonicalize_splitting_angle(math.nan)
-
-
-@given(st.floats(min_value=-10.0, max_value=10.0))
-def test_canonicalize_preserves_split_fractions(theta):
-    folded = canonicalize_splitting_angle(theta)
-    assert 0.0 <= folded <= math.pi / 2
-    assert math.sin(folded) ** 2 == pytest.approx(math.sin(theta) ** 2, abs=1e-10)
