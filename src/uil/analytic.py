@@ -194,6 +194,10 @@ def evaluate_metrics(params: InterferometerParams) -> PerformanceMetrics:
 # Vectorized kernels.  The helpers below fix the order of every floating
 # point operation, so the bundle and the single-objective kernels agree
 # bit for bit at every point, whatever the shapes of their inputs.
+# Squares go through np.square: on a NumPy scalar ``x ** 2`` calls libm
+# pow, which is not always correctly rounded.  The reciprocal and the
+# zeroing in _resolution and _intensity work in place (on 0-d arrays for
+# scalar inputs), so an optimizer scan holds fewer grid-sized arrays.
 #
 # 1/delta_phi and rho_fluctuation are products in which every factor
 # after the first is at most 1, except the last, |sin(2 t1)|/N <= 2 or
@@ -212,8 +216,9 @@ def _terms(theta1, theta2, phi, kappa):
 
 def _resolution(t, sin2t1, noise, mixer, eta, alpha_abs):
     sin2t2, sin_phi = mixer
+    sensitivity = np.asarray(alpha_abs * t * eta * sin2t2 * sin_phi * (np.abs(sin2t1) / noise))
     with np.errstate(divide="ignore", over="ignore"):  # no sensitivity: 1/0 = inf
-        return 1.0 / (alpha_abs * t * eta * sin2t2 * sin_phi * (np.abs(sin2t1) / noise))
+        return np.divide(1.0, sensitivity, out=sensitivity)
 
 
 def _fluctuation(t, c1, noise, mixer, eta):
@@ -223,7 +228,9 @@ def _fluctuation(t, c1, noise, mixer, eta):
 
 def _intensity(delta_phi, rho_fluctuation, probe_std):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.where(np.isinf(delta_phi), 0.0, rho_fluctuation / probe_std)
+        ratio = np.asarray(rho_fluctuation / probe_std)
+    ratio[np.isinf(delta_phi)] = 0.0
+    return ratio
 
 
 def metrics_values(theta1, theta2, phi, kappa, eta, alpha_abs) -> dict[str, np.ndarray]:
@@ -240,13 +247,13 @@ def metrics_values(theta1, theta2, phi, kappa, eta, alpha_abs) -> dict[str, np.n
     delta_phi = _resolution(t, sin2t1, noise, mixer, eta, alpha_abs)
     rho_fluctuation = _fluctuation(t, c1, noise, mixer, eta)
     probe_std = alpha_abs * np.abs(s1)
-    imbalance = (t * s1) ** 2 - c1**2
+    imbalance = np.square(t * s1) - np.square(c1)
     phase_term = t * sin2t1 * np.sin(2.0 * theta2) * np.cos(phi)
     # Imax + Imin = 2|alpha|^2 (s2^2 c1^2 + T^2 c2^2 s1^2); written as
     # oscillation + (|s2 c1| - T|c2 s1|)^2 (halved, per unit |alpha|^2)
     # it has no cancellation and is exact at the balanced point.
     oscillation = 2.0 * t * np.abs(s1 * c1 * s2 * c2)
-    total = oscillation + (np.abs(s2 * c1) - t * np.abs(c2 * s1)) ** 2
+    total = oscillation + np.square(np.abs(s2 * c1) - t * np.abs(c2 * s1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         mean = alpha_abs * (np.cos(2.0 * theta2) * imbalance + phase_term) * alpha_abs
         contrast = np.where((total == 0.0) | (alpha_abs == 0.0), 0.0, oscillation / total)
@@ -254,7 +261,7 @@ def metrics_values(theta1, theta2, phi, kappa, eta, alpha_abs) -> dict[str, np.n
             "mean_O": mean,
             "std_O": alpha_abs * noise,
             "delta_phi": delta_phi,
-            "intensity_probe": probe_std**2,
+            "intensity_probe": np.square(probe_std),
             "std_intensity_probe": probe_std,
             "rho_intensity": _intensity(delta_phi, rho_fluctuation, probe_std),
             "rho_fluctuation": rho_fluctuation,

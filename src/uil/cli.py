@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import metrics_values
-from .fock import TruncationError, coherent_state, simulate
+from .fock import DEFAULT_TAIL_TOL, FockCutoff, TruncationError, required_cutoff, simulate
 from .optimize import DEFAULT_TOL, ConstraintRegime, optimize
 from .params import InterferometerParams
 
@@ -354,6 +354,39 @@ def _cmd_optimize(args) -> int:
     return EXIT_OK
 
 
+def _check_verify_cutoff(alpha: complex, cutoff: int, tol: float) -> None:
+    """Refuse a cutoff whose truncation alone could fail ``verify``.
+
+    Dropping the Poisson tail beyond n_max shifts the photon-number
+    means by up to about n_max * tail and their standard deviations by
+    up to about (n_max - |alpha|^2)^2 / (2 |alpha|) * tail.  The larger
+    shift must stay below ``tol``, and the tail within what ``simulate``
+    accepts; a tail below eps, which double precision cannot resolve,
+    is never asked for.  The limit only tightens as n_max grows, so
+    asking ``required_cutoff`` for the limit of each candidate climbs
+    to the smallest cutoff that meets it, which the error names.
+    """
+    FockCutoff(cutoff)  # ValueError -> exit 2
+    mean = abs(alpha) ** 2
+    if mean == 0.0:
+        return
+
+    def tail_limit(n_max: int) -> float:
+        shift_per_tail = max(n_max, (n_max - mean) ** 2 / (2.0 * abs(alpha)))
+        return min(DEFAULT_TAIL_TOL, max(tol / shift_per_tail, np.finfo(float).eps))
+
+    needed = max(cutoff, required_cutoff(alpha))
+    while (fits := required_cutoff(alpha, tail_limit(needed))) > needed:
+        needed = fits
+    if needed > cutoff:
+        raise TruncationError(
+            f"verify at tolerance {tol:.1e} needs the Poisson tail of |alpha|^2 = "
+            f"{mean:.6g} beyond n_max = {cutoff} below {tail_limit(cutoff):.1e}; "
+            f"use n_max >= {needed}",
+            required=needed,
+        )
+
+
 def _cmd_verify(args) -> int:
     config = _load_config(args.config)
     defaults = {
@@ -375,7 +408,7 @@ def _cmd_verify(args) -> int:
     if samples < 1:
         raise UsageError(f"samples must be >= 1, got {samples}")
 
-    coherent_state(alpha, cutoff)  # tail check up front; TruncationError -> exit 4
+    _check_verify_cutoff(alpha, cutoff, tol)  # TruncationError -> exit 4
 
     rng = np.random.default_rng(seed)
     theta1 = rng.uniform(0.0, math.pi / 2, samples)

@@ -28,13 +28,13 @@ from typing import Callable, NamedTuple
 import warnings
 
 import numpy as np
-from scipy.special import pdtrc
 
 from .modes import INPUT_MODE, PROBE_MODE
 from .params import InterferometerParams
 
 DEFAULT_TAIL_TOL = 1e-10
 DEFAULT_EDGE_TOL = 1e-8
+_TAIL_BLOCK = 4096  # Poisson terms summed per numpy call
 
 __all__ = [
     "FockCutoff",
@@ -82,15 +82,57 @@ def as_cutoff(cutoff: FockCutoff | int) -> FockCutoff:
     return cutoff if isinstance(cutoff, FockCutoff) else FockCutoff(int(cutoff))
 
 
+def _poisson_tail(n: int, mean: float) -> float:
+    """P(X > n) for X ~ Poisson(mean), summed from its terms.
+
+    The terms p_k = exp(k log(mean) - mean - lgamma(k + 1)) are summed
+    relative to the first, whose logarithm carries the scale, and away
+    from the mode, so each is smaller than the one before: at or above
+    the mean the tail p_{n+1} + p_{n+2} + ... itself, below it the head
+    p_n + p_{n-1} + ... + p_0, whose complement is then a tail of about
+    1/2 or more.  A small tail is never a difference of nearly equal
+    numbers, and no term over- or underflows before it is negligible.
+    """
+    if mean == 0.0:
+        return 0.0
+    upward = n + 1 >= mean
+    k = n + 1 if upward else n
+    log_first = k * math.log(mean) - mean - math.lgamma(k + 1)
+    term = total = 1.0  # relative to p_k
+    while term > 1e-17 * total and (upward or k > 0):  # a block of terms at a time
+        if upward:
+            ratios = mean / np.arange(k + 1, k + 1 + _TAIL_BLOCK)
+            k += _TAIL_BLOCK
+        else:
+            ratios = np.arange(k, max(k - _TAIL_BLOCK, 0), -1) / mean
+            k = max(k - _TAIL_BLOCK, 0)
+        terms = term * np.cumprod(ratios)
+        total += float(terms.sum())
+        term = float(terms[-1])
+    mass = math.exp(log_first + math.log(total))
+    return mass if upward else 1.0 - mass
+
+
 def required_cutoff(alpha: complex, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
-    """Smallest n_max whose Poisson tail mass is below ``tail_tol``."""
+    """Smallest n_max whose Poisson tail mass is below ``tail_tol``.
+
+    The tail falls with n_max, so the search gallops up from the mean
+    and then bisects.
+    """
     mean = abs(alpha) ** 2
     if mean == 0.0:
         return 1
-    n = max(1, int(mean))
-    while pdtrc(n, mean) >= tail_tol:
-        n += 1
-    return n
+    start = max(1, int(mean))
+    too_small, fits, step = start - 1, start, 1
+    while _poisson_tail(fits, mean) >= tail_tol:
+        too_small, fits, step = fits, fits + step, 2 * step
+    while fits - too_small > 1:
+        middle = (too_small + fits) // 2
+        if _poisson_tail(middle, mean) >= tail_tol:
+            too_small = middle
+        else:
+            fits = middle
+    return fits
 
 
 def coherent_state(
@@ -108,7 +150,7 @@ def coherent_state(
     cutoff = as_cutoff(cutoff)
     alpha = complex(alpha)
     mean = abs(alpha) ** 2
-    tail = float(pdtrc(cutoff.n_max, mean)) if mean > 0.0 else 0.0
+    tail = _poisson_tail(cutoff.n_max, mean)
     if tail >= tail_tol:
         needed = required_cutoff(alpha, tail_tol)
         raise TruncationError(
@@ -134,14 +176,15 @@ class SimulationMoments(NamedTuple):
 class _SplitterSectors(NamedTuple):
     """Splitter generator on a d x d box, diagonalized one sector at a time.
 
-    ``order`` lists the flat plane indices n_a * d + n_b grouped by
-    total photon number N = n_a + n_b and ascending in n_a within a
-    sector; ``untwist`` (i**-n_a) and ``values`` run along it, and each
-    entry of ``blocks`` pairs a sector's rows of ``order`` with the
-    eigenvectors of its real symmetric coupling matrix.
+    ``n_a`` and ``n_b`` list the plane's number states grouped by total
+    photon number N = n_a + n_b and ascending in n_a within a sector;
+    ``untwist`` (i**-n_a) and ``values`` run along them, and each entry
+    of ``blocks`` pairs a sector's slice of them with the eigenvectors
+    of its real symmetric coupling matrix.
     """
 
-    order: np.ndarray
+    n_a: np.ndarray
+    n_b: np.ndarray
     untwist: np.ndarray
     values: np.ndarray
     blocks: tuple[tuple[slice, np.ndarray], ...]
@@ -160,19 +203,20 @@ def _splitter_sectors(dim: int) -> _SplitterSectors:
     symmetric S sharing its couplings, hence
     exp(theta G) = D V exp(-i theta Lambda) V^T D^-1 with S = V Lambda V^T.
     """
-    indices, values, blocks = [], [], []
+    n_a, n_b, values, blocks = [], [], [], []
     start = 0
     for total in range(2 * dim - 1):
-        n_a = np.arange(max(0, total - dim + 1), min(total, dim - 1) + 1)
-        coupling = np.sqrt((n_a[:-1] + 1.0) * (total - n_a[:-1]))
+        sector = np.arange(max(0, total - dim + 1), min(total, dim - 1) + 1)
+        coupling = np.sqrt((sector[:-1] + 1.0) * (total - sector[:-1]))
         evals, evecs = np.linalg.eigh(np.diag(coupling, 1) + np.diag(coupling, -1))
-        indices.append(n_a * dim + (total - n_a))
+        n_a.append(sector)
+        n_b.append(total - sector)
         values.append(evals)
-        blocks.append((slice(start, start + n_a.size), evecs))
-        start += n_a.size
-    order = np.concatenate(indices)
-    untwist = np.array([1.0, -1.0j, -1.0, 1.0j])[(order // dim) % 4]
-    return _SplitterSectors(order, untwist, np.concatenate(values), tuple(blocks))
+        blocks.append((slice(start, start + sector.size), evecs))
+        start += sector.size
+    n_a, n_b = np.concatenate(n_a), np.concatenate(n_b)
+    untwist = np.array([1.0, -1.0j, -1.0, 1.0j])[n_a % 4]
+    return _SplitterSectors(n_a, n_b, untwist, np.concatenate(values), tuple(blocks))
 
 
 def apply_beam_splitter(
@@ -183,23 +227,27 @@ def apply_beam_splitter(
     In the Heisenberg picture U† a U = cos(theta) a + sin(theta) b and
     U† b U = -sin(theta) a + cos(theta) b, i.e. mode amplitudes mix by
     the same 2x2 rotation as in the closed-form model.  Works for any
-    state rank, one photon-number sector of the axis pair at a time;
-    the largest operator used is d x d.
+    state rank, one photon-number sector of the axis pair at a time:
+    each sector is gathered from ``psi`` and scattered into the result,
+    so besides the two states only one sector's slice is held, and the
+    largest operator used is d x d.
     """
     d = psi.shape[axes[0]]
     if psi.shape[axes[1]] != d:
         raise ValueError("both axes of the splitter pair must have equal dimension")
     sectors = _splitter_sectors(d)
-    moved = np.moveaxis(psi, axes, (0, 1))
-    x = moved.reshape(d * d, -1)[sectors.order] * sectors.untwist[:, None]
+    out = np.empty(psi.shape, dtype=complex)
+    source = np.moveaxis(psi, axes, (0, 1))
+    target = np.moveaxis(out, axes, (0, 1))
     rotation = np.exp(-1j * theta * sectors.values)[:, None]
     for rows, vectors in sectors.blocks:
+        n_a, n_b, untwist = sectors.n_a[rows], sectors.n_b[rows], sectors.untwist[rows, None]
+        x = source[n_a, n_b].reshape(n_a.size, -1) * untwist
         # V is real: multiply the real and imaginary parts in one product
-        y = (vectors.T @ x[rows].view(np.float64)).view(complex) * rotation[rows]
-        x[rows] = (vectors @ y.view(np.float64)).view(complex)
-    out = np.empty_like(x)
-    out[sectors.order] = x * sectors.untwist.conj()[:, None]
-    return np.moveaxis(out.reshape(moved.shape), (0, 1), axes)
+        y = (vectors.T @ x.view(np.float64)).view(complex) * rotation[rows]
+        y = (vectors @ y.view(np.float64)).view(complex) * untwist.conj()
+        target[n_a, n_b] = y.reshape(x.shape[:1] + source.shape[2:])
+    return out
 
 
 def loss_channel(
@@ -297,11 +345,10 @@ def simulate(
             stacklevel=2,
         )
 
-    probabilities = np.abs(psi) ** 2
+    # Detector marginal: the ancilla, if any, is traced out first.
+    probabilities = (np.abs(psi) ** 2).sum(axis=tuple(range(2, psi.ndim)))
     numbers = np.arange(d, dtype=float)
     weights = numbers[None, :] - numbers[:, None]  # n_b - n_a
-    while weights.ndim < psi.ndim:
-        weights = weights[..., None]
     mean = float((weights * probabilities).sum())
     second = float((weights**2 * probabilities).sum())
     return SimulationMoments(

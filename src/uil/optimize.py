@@ -25,6 +25,7 @@ DEFAULT_GRID_POINTS = 721  # 0.125 degree spacing over a quarter turn
 DEFAULT_TOL = 1e-8
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _BOUNDARY_PROBES = (1e-4, 1e-6, 1e-8)
+_SLAB_POINTS = 2**20  # objective values per grid-scan call; a 721 x 721 scan is one call
 
 OBJECTIVES = ("rho_fluctuation", "rho_intensity")
 REGIME_KINDS = ("free", "equal_splitters", "fixed_mixer")
@@ -166,6 +167,27 @@ def _golden_max(f1d, lo: float, hi: float, tol: float, seed: tuple[float, float]
     return best_x, best_val
 
 
+def _scan(objective, grids: dict) -> tuple[dict, float]:
+    """Best node of the grid; ties go to the lexicographically smallest.
+
+    The grid is evaluated in slabs along its first coordinate of at most
+    about ``_SLAB_POINTS`` nodes, each on sparse (broadcast) axes, so
+    only one slab's objective values are held at a time.  A later slab
+    wins only with a strictly larger value.
+    """
+    names = list(grids)
+    first, *rest = (grids[name] for name in names)
+    rows = max(1, _SLAB_POINTS // math.prod(axis.size for axis in rest))
+    best_value, best_node = -math.inf, None
+    for start in range(0, first.size, rows):
+        axes = np.meshgrid(first[start:start + rows], *rest, indexing="ij", sparse=True)
+        values = np.asarray(objective(dict(zip(names, axes))))
+        node = np.unravel_index(int(np.argmax(values)), values.shape)
+        if best_node is None or values[node] > best_value:
+            best_value, best_node = float(values[node]), (start + node[0], *node[1:])
+    return {name: float(grids[name][i]) for name, i in zip(names, best_node)}, best_value
+
+
 def _refine(objective: _CountingObjective, coords: dict, value: float, step: dict, tol: float):
     """Cyclic per-coordinate golden-section refinement around a grid point."""
     coords = dict(coords)
@@ -208,20 +230,11 @@ def optimize(
     grids = {
         name: np.linspace(*f.coord_domain(name), per_axis) for name in names
     }
-    # Sparse axes: the kernels broadcast them, so only the objective
-    # values span the whole grid.
-    meshes = np.meshgrid(*(grids[name] for name in names), indexing="ij", sparse=True)
-    values = np.asarray(f({name: mesh for name, mesh in zip(names, meshes)}))
-
-    flat_index = int(np.argmax(values))  # first occurrence = lexicographic smallest
-    multi_index = np.unravel_index(flat_index, values.shape)
-    coords = {name: float(grids[name][i]) for name, i in zip(names, multi_index)}
+    coords, value = _scan(f, grids)
     step = {
         name: float(grids[name][1] - grids[name][0]) for name in names
     }
-    interior_coords, interior_value = _refine(
-        f, coords, float(values[multi_index]), step, tol
-    )
+    interior_coords, interior_value = _refine(f, coords, value, step, tol)
 
     # The supremum may sit at vanishing input splitting.  Probe it with
     # the remaining coordinates re-optimized near the boundary.

@@ -57,7 +57,8 @@ class OutputAmplitudes:
 
     @property
     def total_intensity(self) -> float:
-        return abs(self.a3) ** 2 + abs(self.b3) ** 2
+        a, b = abs(self.a3), abs(self.b3)
+        return a * a + b * b  # ** 2 would raise OverflowError instead of giving inf
 
 
 @dataclass(frozen=True)

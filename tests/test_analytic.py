@@ -16,6 +16,7 @@ from uil.analytic import (
     intensity_performance_ratio,
     intensity_ratio_values,
     mean_difference_signal,
+    metrics_values,
     output_amplitudes,
     phase_resolution,
     phase_resolution_values,
@@ -110,6 +111,11 @@ def test_matches_matrix_product_route(theta1, theta2, phi, alpha):
 def test_lossless_energy_conservation(theta1, theta2, phi, alpha):
     out = output_amplitudes(params(theta1, theta2, phi, alpha=alpha))
     assert out.total_intensity == pytest.approx(abs(alpha) ** 2, abs=1e-12)
+
+
+def test_total_intensity_overflows_to_inf():
+    out = output_amplitudes(params(0.7, 0.7, 1.0, alpha=1e200))
+    assert out.total_intensity == math.inf
 
 
 @given(ANGLES, ANGLES, ANGLES, st.floats(min_value=0.0, max_value=3.0))
@@ -481,6 +487,16 @@ def test_vector_kernels_match_scalar_api():
         assert resolution[i] == phase_resolution(p)
         assert rho_i[i] == intensity_performance_ratio(p)
         assert rho_di[i] == fluctuation_performance_ratio(p)
+
+
+def test_metrics_bundle_squares_agree_between_arrays_and_scalars():
+    # here the scalar square of |s2 c1| - T |c2 s1| = 0.4164007126484729
+    # through libm pow came out one ulp off the array square
+    theta2 = -4.079668380776266
+    columns = metrics_values(math.pi / 4, np.full(4, theta2), math.pi / 2, 1.0, 1.0, 1.0)
+    point = evaluate_metrics(params(math.pi / 4, theta2, math.pi / 2, kappa=1.0))
+    for name, value in point.as_dict().items():
+        assert columns[name][0] == value, name
 
 
 # Cramer-Rao: delta_phi * sqrt(F) >= 1 for the Fisher information F of the

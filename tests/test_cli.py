@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import hypothesis.strategies as st
@@ -300,6 +302,19 @@ def test_optimize_rejects_unknown_objective(capsys):
     assert run(capsys, "optimize", "--objective", "rho-x", "--regime", "free")[0] == 2
 
 
+def test_optimize_reports_flat_boundary_supremum(capsys):
+    # rho_fluctuation is flat to the last ulp near theta1 = 0 here; the
+    # supremum must still be reported on the boundary
+    code, out, _ = run(
+        capsys, "optimize", "--objective", "rho-di", "--regime", "fixed-mixer",
+        "--kappa", "1.6100058474907604", "--eta", "0.8635733553814222",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["boundary_supremum"] is True
+    assert report["theta1"] == 0.0
+
+
 # verify
 
 
@@ -347,6 +362,55 @@ def test_verify_impossible_tolerance_fails(capsys):
     )
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "alpha, cutoff, tol, needed",
+    [("10", "170", "1e-8", 172), ("3", "35", "1e-9", 36), ("3", "10", "1e-8", 34)],
+)
+def test_verify_refuses_cutoff_its_truncation_would_fail(capsys, alpha, cutoff, tol, needed):
+    # 170 = required_cutoff(10), yet its tail shifts the moments by about
+    # 1.4e-8; at |alpha| = 3 and n_max = 35 the shift is about 1.1e-9
+    code, _, err = run(
+        capsys, "verify", "--alpha", alpha, "--cutoff", cutoff, "--samples", "1", "--tol", tol
+    )
+    assert code == 4
+    assert f"use n_max >= {needed}" in err
+
+
+def test_verify_passes_at_the_cutoff_it_names(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--alpha", "3", "--cutoff", "36", "--samples", "30",
+        "--seed", "2", "--tol", "1e-9",
+    )
+    assert code == 0, out
+    assert "PASS" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-c", "import uil.cli"],
+        ["-m", "uil", "metrics"],
+        ["-m", "uil", "verify", "--alpha", "1", "--cutoff", "12", "--samples", "1"],
+    ],
+)
+def test_runtime_never_imports_scipy(argv):
+    src = os.path.dirname(os.path.dirname(uil.cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    imported = [
+        line.rsplit("|", 1)[-1].strip()
+        for line in done.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert "numpy" in imported
+    assert [name for name in imported if name.split(".")[0] == "scipy"] == []
 
 
 # config file precedence

@@ -1,8 +1,10 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
-from scipy import linalg, stats
+from hypothesis import given, settings
+from scipy import linalg, special, stats
 
 from uil.analytic import (
     evaluate_metrics,
@@ -12,6 +14,7 @@ from uil.analytic import (
     std_difference_signal,
 )
 from uil.fock import (
+    _poisson_tail,
     FockCutoff,
     TruncationError,
     TruncationWarning,
@@ -103,6 +106,34 @@ def test_coherent_tail_failure_raises_with_estimate():
 
 def test_required_cutoff_zero_amplitude():
     assert required_cutoff(0.0) == 1
+
+
+@settings(max_examples=400)
+@given(
+    st.floats(min_value=1e-3, max_value=50.0),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_poisson_tail_matches_scipy(alpha_abs, position):
+    # n anywhere from 0 to far beyond the mean, where the tail is tiny
+    mean = alpha_abs**2
+    n = int(position * (mean + 40.0 * math.sqrt(mean) + 60.0))
+    expected = special.pdtrc(n, mean)
+    if expected > 1e-300:
+        assert _poisson_tail(n, mean) == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+def test_required_cutoff_matches_scipy_search():
+    def scipy_cutoff(alpha):
+        # first n >= max(1, floor(mean)) with a tail below 1e-10
+        mean = alpha**2
+        if mean == 0.0:
+            return 1
+        start = max(1, int(mean))
+        n = np.arange(start, start + int(10.0 * math.sqrt(mean)) + 40)
+        return int(n[np.argmax(special.pdtrc(n, mean) < 1e-10)])
+
+    for alpha in np.linspace(0.0, 40.0, 2001):
+        assert required_cutoff(alpha) == scipy_cutoff(alpha), alpha
 
 
 # ladder operators
@@ -421,6 +452,27 @@ def test_simulate_network_output_is_product_coherent_state():
         target = np.outer(coherent_state(out.a3, n_max), coherent_state(out.b3, n_max))
         fidelity = abs(np.vdot(target.ravel(), psi.ravel())) ** 2
         assert fidelity >= 1.0 - 1e-8
+
+
+def test_simulate_moments_match_the_full_lossy_state():
+    # simulate traces the ancilla out before weighting; weighting the
+    # whole rank-3 state must give the same moments
+    p = InterferometerParams(0.7, 0.9, 1.1, kappa=0.4, alpha=2.5)
+    n_max = 34
+    d = n_max + 1
+    psi = np.outer(coherent_state(p.alpha, n_max), vacuum(d))
+    psi = apply_beam_splitter(psi, p.theta1, axes=(0, 1))
+    psi = psi * np.exp(-1j * p.phi * np.arange(d))
+    psi = loss_channel(p.kappa, n_max)(psi, axis=1)
+    psi = apply_beam_splitter(psi, p.theta2, axes=(0, 1))
+    probabilities = np.abs(psi) ** 2
+    numbers = np.arange(d, dtype=float)
+    weights = (numbers[None, :] - numbers[:, None])[:, :, None]  # n_b - n_a
+    mean = float((weights * probabilities).sum())
+    std = math.sqrt(float((weights**2 * probabilities).sum()) - mean**2)
+    result = simulate(p, n_max)
+    assert result.mean_O == pytest.approx(mean, rel=1e-12)
+    assert result.std_O == pytest.approx(std, rel=1e-12)
 
 
 def test_simulate_warns_on_edge_population():

@@ -1,10 +1,22 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 from uil.analytic import fluctuation_ratio_values
-from uil.optimize import ConstraintRegime, optimize
+from uil.optimize import (
+    DEFAULT_GRID_POINTS,
+    OBJECTIVES,
+    REGIME_KINDS,
+    ConstraintRegime,
+    _CountingObjective,
+    _scan,
+    optimize,
+)
+
+# the package re-exports the function optimize under the module's name
+optimize_module = importlib.import_module("uil.optimize")
 
 EQUAL_OPT_ANGLE = math.atan(1.0 / math.sqrt(2.0))
 EQUAL_OPT_VALUE = 8.0 * math.sqrt(3.0) / 9.0
@@ -133,3 +145,48 @@ def test_rejects_unknown_objective_and_bad_tol():
     with pytest.raises(ValueError):
         optimize("rho_fluctuation", ConstraintRegime("free"), tol=0.0)
 
+
+
+# grid scan in slabs
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("kind", REGIME_KINDS)
+def test_slab_scan_matches_full_grid_argmax(monkeypatch, objective, kind):
+    monkeypatch.setattr(optimize_module, "_SLAB_POINTS", 1000)
+    regime = ConstraintRegime(kind, kappa=0.8, phi=None)
+    f = _CountingObjective(objective, regime, eta=0.9, alpha_abs=1.3)
+    grids = {name: np.linspace(*f.coord_domain(name), 41) for name in f.coord_names()}
+    coords, value = _scan(f, grids)
+
+    full = np.meshgrid(*grids.values(), indexing="ij")
+    values = f(dict(zip(grids, full)))
+    best = np.unravel_index(np.argmax(values), values.shape)
+    assert value == values[best]
+    assert coords == {name: grids[name][i] for name, i in zip(grids, best)}
+    assert f.calls == 2 * values.size
+
+
+def test_slab_scan_keeps_the_first_of_tied_maxima(monkeypatch):
+    monkeypatch.setattr(optimize_module, "_SLAB_POINTS", 10)  # two rows of a per slab
+    grids = {"a": np.linspace(0.0, 1.0, 11), "b": np.linspace(0.0, 1.0, 5)}
+    coords, value = _scan(lambda c: np.minimum(c["a"] + c["b"], 0.5), grids)
+    assert (coords, value) == ({"a": 0.0, "b": 0.5}, 0.5)
+    coords, value = _scan(lambda c: np.minimum(c["a"] + 0.0 * c["b"], 0.5), grids)
+    assert (coords, value) == ({"a": 0.5, "b": 0.0}, 0.5)
+
+
+def test_two_coordinate_scan_is_one_kernel_call():
+    f = _CountingObjective("rho_fluctuation", ConstraintRegime("free"), eta=1.0, alpha_abs=1.0)
+    calls = []
+
+    def counted(coords):
+        calls.append(coords)
+        return f(coords)
+
+    grids = {
+        name: np.linspace(*f.coord_domain(name), DEFAULT_GRID_POINTS) for name in f.coord_names()
+    }
+    _scan(counted, grids)
+    assert len(calls) == 1
+    assert f.calls == DEFAULT_GRID_POINTS**2
