@@ -24,17 +24,15 @@ def describe(report) -> str:
     return f"interior maximum {report.value:.6f} at {where} ({degrees:.2f} deg)"
 
 
-def run(kappa: float, tol: float) -> None:
-    print(f"kappa = {kappa}, working point phi = pi/2, tol = {tol}")
+def run(kappa: float) -> None:
+    print(f"kappa = {kappa}, working point phi = pi/2")
     for objective in OBJECTIVES:
         for kind in REGIME_KINDS:
-            report = optimize(objective, ConstraintRegime(kind, kappa=kappa), tol=tol)
+            report = optimize(objective, ConstraintRegime(kind, kappa=kappa))
             print(f"  {objective:16s} {kind:16s} {describe(report)}")
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--kappa", type=float, default=0.0)
-    parser.add_argument("--tol", type=float, default=1e-8)
-    args = parser.parse_args()
-    run(args.kappa, args.tol)
+    run(parser.parse_args().kappa)

@@ -8,12 +8,10 @@ sweeps and verification runs.
 """
 
 from .analytic import (
-    beam_splitter_matrix,
     evaluate_metrics,
     fluctuation_performance_ratio,
     intensity_performance_ratio,
     mean_difference_signal,
-    output_amplitudes,
     phase_resolution,
     probe_arm_stats,
     std_difference_signal,
@@ -28,17 +26,14 @@ from .fock import (
     simulate,
 )
 from .optimize import ConstraintRegime, OptimumReport, optimize
-from .params import InterferometerParams, OutputAmplitudes, PerformanceMetrics
+from .params import InterferometerParams, PerformanceMetrics
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     "InterferometerParams",
-    "OutputAmplitudes",
     "PerformanceMetrics",
-    "beam_splitter_matrix",
-    "output_amplitudes",
     "probe_arm_stats",
     "mean_difference_signal",
     "std_difference_signal",

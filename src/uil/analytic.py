@@ -2,7 +2,7 @@
 
 Every function here is a pure function of an operating point.  The
 conventions (which arm is the probe, where the phase and the loss act)
-come from :mod:`uil.modes`; the truncated Fock-space engine in
+are those of :mod:`uil.modes`; the truncated Fock-space engine in
 :mod:`uil.fock` implements the same network independently and is used by
 the test suite to cross-check every formula in this module.
 
@@ -18,10 +18,9 @@ and the noise ``N = sqrt(c1^2 + T^2 s1^2)``:
 
 :func:`metrics_values` evaluates all of them over broadcast arrays, and
 the scalar functions, which take an
-:class:`~uil.params.InterferometerParams`, wrap it.  The ``*_values``
-kernels compute one objective each, with the same arithmetic, for the
-optimizer.  No formula squares ``|alpha|`` on its own, so a moment
-beyond the double range becomes ``inf`` while the ratios stay finite.
+:class:`~uil.params.InterferometerParams`, wrap it.  No formula squares
+``|alpha|`` on its own, so a moment beyond the double range becomes
+``inf`` while the ratios stay finite.
 """
 
 from __future__ import annotations
@@ -30,12 +29,9 @@ import math
 
 import numpy as np
 
-from .modes import INPUT_MODE, mirror_factors
-from .params import InterferometerParams, OutputAmplitudes, PerformanceMetrics
+from .params import InterferometerParams, PerformanceMetrics
 
 __all__ = [
-    "beam_splitter_matrix",
-    "output_amplitudes",
     "probe_arm_stats",
     "mean_difference_signal",
     "difference_signal_phase_gradient",
@@ -46,44 +42,7 @@ __all__ = [
     "visibility",
     "evaluate_metrics",
     "metrics_values",
-    "phase_resolution_values",
-    "intensity_ratio_values",
-    "fluctuation_ratio_values",
 ]
-
-
-def beam_splitter_matrix(theta: float) -> np.ndarray:
-    """Return the 2x2 rotation mixing the two path amplitudes.
-
-    ``[[cos, sin], [-sin, cos]]``; orthogonal with determinant 1, and
-    ``cos(theta)**2`` / ``sin(theta)**2`` are the transmitted/reflected
-    intensity fractions.
-    """
-    if not math.isfinite(theta):
-        raise ValueError(f"mixing angle must be finite, got {theta!r}")
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [-s, c]])
-
-
-def output_amplitudes(params: InterferometerParams) -> OutputAmplitudes:
-    """Coherent amplitudes at the two detectors.
-
-    Splitter, probe-arm phase/attenuation, mixer, applied to the input
-    amplitude vector (coherent drive in one port, vacuum in the other):
-
-        a3 = cos(t2)*(cos(t1)*alpha) + e^(-i*phi-kappa)*sin(t2)*(-sin(t1)*alpha)
-        b3 = -sin(t2)*(cos(t1)*alpha) + e^(-i*phi-kappa)*cos(t2)*(-sin(t1)*alpha)
-
-    With kappa = 0 the map is unitary and |a3|^2 + |b3|^2 = |alpha|^2.
-    This matrix route is independent of the closed forms below, which
-    the tests check against it.
-    """
-    vec = np.zeros(2, dtype=complex)
-    vec[INPUT_MODE] = params.alpha
-    vec = beam_splitter_matrix(params.theta1) @ vec
-    vec = mirror_factors(params.phi, params.kappa) * vec
-    vec = beam_splitter_matrix(params.theta2) @ vec
-    return OutputAmplitudes(a3=complex(vec[0]), b3=complex(vec[1]))
 
 
 def probe_arm_stats(params: InterferometerParams) -> tuple[float, float]:
@@ -191,70 +150,38 @@ def evaluate_metrics(params: InterferometerParams) -> PerformanceMetrics:
     return PerformanceMetrics(**{name: float(value) for name, value in columns.items()})
 
 
-# Vectorized kernels.  The helpers below fix the order of every floating
-# point operation, so the bundle and the single-objective kernels agree
-# bit for bit at every point, whatever the shapes of their inputs.
-# Squares go through np.square: on a NumPy scalar ``x ** 2`` calls libm
-# pow, which is not always correctly rounded.  The reciprocal and the
-# zeroing in _resolution and _intensity work in place (on 0-d arrays for
-# scalar inputs), so an optimizer scan holds fewer grid-sized arrays.
-#
-# 1/delta_phi and rho_fluctuation are products in which every factor
-# after the first is at most 1, except the last, |sin(2 t1)|/N <= 2 or
-# |c1|/N <= 1.  An intermediate can thus only underflow where the result
-# itself is at the edge of the double range.
-
-
-def _terms(theta1, theta2, phi, kappa):
-    """T, cos(t1), sin(t1), sin(2 t1), the noise N, and (|sin(2 t2)|, |sin(phi)|)."""
-    theta1 = np.asarray(theta1, dtype=float)
-    t = np.exp(-np.asarray(kappa, dtype=float))
-    c1, s1 = np.cos(theta1), np.sin(theta1)
-    mixer = np.abs(np.sin(2.0 * np.asarray(theta2, dtype=float))), np.abs(np.sin(phi))
-    return t, c1, s1, np.sin(2.0 * theta1), np.hypot(c1, t * s1), mixer
-
-
-def _resolution(t, sin2t1, noise, mixer, eta, alpha_abs):
-    sin2t2, sin_phi = mixer
-    sensitivity = np.asarray(alpha_abs * t * eta * sin2t2 * sin_phi * (np.abs(sin2t1) / noise))
-    with np.errstate(divide="ignore", over="ignore"):  # no sensitivity: 1/0 = inf
-        return np.divide(1.0, sensitivity, out=sensitivity)
-
-
-def _fluctuation(t, c1, noise, mixer, eta):
-    sin2t2, sin_phi = mixer
-    return 2.0 * eta * t * sin2t2 * sin_phi * (np.abs(c1) / noise)
-
-
-def _intensity(delta_phi, rho_fluctuation, probe_std):
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = np.asarray(rho_fluctuation / probe_std)
-    ratio[np.isinf(delta_phi)] = 0.0
-    return ratio
-
-
 def metrics_values(theta1, theta2, phi, kappa, eta, alpha_abs) -> dict[str, np.ndarray]:
     """Every :class:`~uil.params.PerformanceMetrics` field over broadcast inputs.
 
     Returns the eight columns, in field order, as arrays of the inputs'
-    broadcast shape.
+    broadcast shape.  Squares go through np.square: on a NumPy scalar
+    ``x ** 2`` calls libm pow, which is not always correctly rounded.
+    The sensitivity 1/delta_phi and rho_fluctuation are products in
+    which every factor after the first is at most 1, except the last,
+    |sin(2 t1)|/N <= 2 or |c1|/N <= 1, so an intermediate can only
+    underflow where the result itself is at the edge of the double range.
     """
     theta1, theta2, phi, kappa, eta, alpha_abs = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (theta1, theta2, phi, kappa, eta, alpha_abs))
     )
-    t, c1, s1, sin2t1, noise, mixer = _terms(theta1, theta2, phi, kappa)
+    t = np.exp(-kappa)
+    c1, s1 = np.cos(theta1), np.sin(theta1)
     c2, s2 = np.cos(theta2), np.sin(theta2)
-    delta_phi = _resolution(t, sin2t1, noise, mixer, eta, alpha_abs)
-    rho_fluctuation = _fluctuation(t, c1, noise, mixer, eta)
+    sin2t1, sin2t2 = np.sin(2.0 * theta1), np.sin(2.0 * theta2)
+    noise = np.hypot(c1, t * s1)
+    mixer, sin_phi = np.abs(sin2t2), np.abs(np.sin(phi))
+    sensitivity = alpha_abs * t * eta * mixer * sin_phi * (np.abs(sin2t1) / noise)
+    rho_fluctuation = 2.0 * eta * t * mixer * sin_phi * (np.abs(c1) / noise)
     probe_std = alpha_abs * np.abs(s1)
     imbalance = np.square(t * s1) - np.square(c1)
-    phase_term = t * sin2t1 * np.sin(2.0 * theta2) * np.cos(phi)
+    phase_term = t * sin2t1 * sin2t2 * np.cos(phi)
     # Imax + Imin = 2|alpha|^2 (s2^2 c1^2 + T^2 c2^2 s1^2); written as
     # oscillation + (|s2 c1| - T|c2 s1|)^2 (halved, per unit |alpha|^2)
     # it has no cancellation and is exact at the balanced point.
     oscillation = 2.0 * t * np.abs(s1 * c1 * s2 * c2)
     total = oscillation + np.square(np.abs(s2 * c1) - t * np.abs(c2 * s1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        delta_phi = 1.0 / sensitivity  # no sensitivity: 1/0 = inf
         mean = alpha_abs * (np.cos(2.0 * theta2) * imbalance + phase_term) * alpha_abs
         contrast = np.where((total == 0.0) | (alpha_abs == 0.0), 0.0, oscillation / total)
         return {
@@ -263,27 +190,7 @@ def metrics_values(theta1, theta2, phi, kappa, eta, alpha_abs) -> dict[str, np.n
             "delta_phi": delta_phi,
             "intensity_probe": np.square(probe_std),
             "std_intensity_probe": probe_std,
-            "rho_intensity": _intensity(delta_phi, rho_fluctuation, probe_std),
+            "rho_intensity": np.where(np.isinf(delta_phi), 0.0, rho_fluctuation / probe_std),
             "rho_fluctuation": rho_fluctuation,
             "visibility": contrast,
         }
-
-
-def phase_resolution_values(theta1, theta2, phi, kappa, eta=1.0, alpha_abs=1.0):
-    """Broadcasting version of :func:`phase_resolution`."""
-    t, _, _, sin2t1, noise, mixer = _terms(theta1, theta2, phi, kappa)
-    return _resolution(t, sin2t1, noise, mixer, eta, alpha_abs)
-
-
-def intensity_ratio_values(theta1, theta2, phi, kappa, eta=1.0, alpha_abs=1.0):
-    """Broadcasting version of :func:`intensity_performance_ratio`."""
-    t, c1, s1, sin2t1, noise, mixer = _terms(theta1, theta2, phi, kappa)
-    delta_phi = _resolution(t, sin2t1, noise, mixer, eta, alpha_abs)
-    rho_fluctuation = _fluctuation(t, c1, noise, mixer, eta)
-    return _intensity(delta_phi, rho_fluctuation, alpha_abs * np.abs(s1))
-
-
-def fluctuation_ratio_values(theta1, theta2, phi, kappa, eta=1.0):
-    """Broadcasting version of :func:`fluctuation_performance_ratio`."""
-    t, c1, _, _, noise, mixer = _terms(theta1, theta2, phi, kappa)
-    return _fluctuation(t, c1, noise, mixer, eta)

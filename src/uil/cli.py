@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``metrics`` (one operating point), ``sweep`` (parameter
-grids to CSV/JSON with a run manifest), ``optimize`` (angle search
-under a constraint regime) and ``verify`` (closed forms against the
-Fock-space engine on random operating points).
+grids to CSV/JSON with a run manifest), ``optimize`` (the closed-form
+optimum angles under a constraint regime) and ``verify`` (closed forms
+against the Fock-space engine on random operating points).
 
 Exit codes: 0 success, 2 bad usage or flag values, 3 I/O failure,
 4 Fock truncation failure.  Data files are byte-deterministic for
@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .analytic import metrics_values
 from .fock import DEFAULT_TAIL_TOL, FockCutoff, TruncationError, required_cutoff, simulate
-from .optimize import DEFAULT_TOL, ConstraintRegime, optimize
+from .optimize import ConstraintRegime, optimize
 from .params import InterferometerParams
 
 EXIT_OK = 0
@@ -330,10 +330,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_optimize(args) -> int:
     config = _load_config(args.config)
-    defaults = {**PARAM_DEFAULTS, "tol": DEFAULT_TOL}
-    resolved = _resolve(args, config, defaults)
-    if resolved["tol"] <= 0.0:
-        raise UsageError(f"tol must be positive, got {resolved['tol']}")
+    resolved = _resolve(args, config, PARAM_DEFAULTS)
     try:
         regime = ConstraintRegime(
             kind=_REGIME_FLAGS[args.regime],
@@ -345,7 +342,6 @@ def _cmd_optimize(args) -> int:
     report = optimize(
         _OBJECTIVE_FLAGS[args.objective],
         regime,
-        tol=resolved["tol"],
         alpha=complex(resolved["alpha_re"], resolved["alpha_im"]),
         eta=resolved["eta"],
     )
@@ -367,6 +363,7 @@ def _check_verify_cutoff(alpha: complex, cutoff: int, tol: float) -> None:
     to the smallest cutoff that meets it, which the error names.
     """
     FockCutoff(cutoff)  # ValueError -> exit 2
+    needed = max(cutoff, required_cutoff(alpha))  # ValueError where |alpha|^2 overflows
     mean = abs(alpha) ** 2
     if mean == 0.0:
         return
@@ -375,7 +372,6 @@ def _check_verify_cutoff(alpha: complex, cutoff: int, tol: float) -> None:
         shift_per_tail = max(n_max, (n_max - mean) ** 2 / (2.0 * abs(alpha)))
         return min(DEFAULT_TAIL_TOL, max(tol / shift_per_tail, np.finfo(float).eps))
 
-    needed = max(cutoff, required_cutoff(alpha))
     while (fits := required_cutoff(alpha, tail_limit(needed))) > needed:
         needed = fits
     if needed > cutoff:
@@ -495,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="maximize a performance ratio over splitting angles")
     p.add_argument("--objective", choices=sorted(_OBJECTIVE_FLAGS), required=True)
     p.add_argument("--regime", choices=sorted(_REGIME_FLAGS), required=True)
-    p.add_argument("--tol", type=float, help="angular bracket tolerance (default 1e-8)")
     p.add_argument("--free-phi", action="store_true", help="optimize the operating phase too")
     _add_param_flags(p)
     _add_io_flags(p)

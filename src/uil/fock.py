@@ -113,13 +113,21 @@ def _poisson_tail(n: int, mean: float) -> float:
     return mass if upward else 1.0 - mass
 
 
+def _photon_mean(alpha: complex) -> float:
+    """|alpha|^2; a ValueError where it exceeds the double range."""
+    try:
+        return abs(complex(alpha)) ** 2
+    except OverflowError:
+        raise ValueError(f"|alpha|^2 exceeds the double range, got alpha = {alpha!r}") from None
+
+
 def required_cutoff(alpha: complex, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     """Smallest n_max whose Poisson tail mass is below ``tail_tol``.
 
     The tail falls with n_max, so the search gallops up from the mean
     and then bisects.
     """
-    mean = abs(alpha) ** 2
+    mean = _photon_mean(alpha)
     if mean == 0.0:
         return 1
     start = max(1, int(mean))
@@ -149,7 +157,7 @@ def coherent_state(
     """
     cutoff = as_cutoff(cutoff)
     alpha = complex(alpha)
-    mean = abs(alpha) ** 2
+    mean = _photon_mean(alpha)
     tail = _poisson_tail(cutoff.n_max, mean)
     if tail >= tail_tol:
         needed = required_cutoff(alpha, tail_tol)

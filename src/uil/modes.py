@@ -4,26 +4,11 @@ The two interferometer paths are represented as a length-2 amplitude
 vector.  Slot 0 is the reference arm (fixed mirror), slot 1 is the probe
 arm (movable mirror).  The coherent drive enters port 0; the other input
 port is vacuum.  The phase delay and the attenuation both act on the
-probe slot.  Everything downstream imports these indices from here so
-the analytic formulas and the simulator cannot disagree about which arm
-carries the mirror.
+probe slot.  The Fock-space engine and the tests' amplitude-matrix
+cross-check import these indices from here, so they cannot disagree
+about which arm carries the mirror.
 """
-
-from __future__ import annotations
-
-import numpy as np
 
 REFERENCE_MODE = 0
 PROBE_MODE = 1
 INPUT_MODE = 0
-
-
-def mirror_factors(phi: float, kappa: float) -> np.ndarray:
-    """Per-mode multipliers applied between the two splitters.
-
-    The reference arm is untouched; the probe arm picks up the phase
-    delay ``exp(-i*phi)`` and the amplitude attenuation ``exp(-kappa)``.
-    """
-    factors = np.ones(2, dtype=complex)
-    factors[PROBE_MODE] = np.exp(-1j * phi - kappa)
-    return factors

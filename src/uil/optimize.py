@@ -1,15 +1,38 @@
-"""Splitting-angle optimization for the performance ratios.
+"""Splitting-angle optimization for the performance ratios, in closed form.
 
 Three constraint regimes are supported: fully free splitting angles,
 one shared splitter angle (the Michelson-style reuse case), and a
-balanced output mixer with only the input splitter free.  The search is
-a coarse grid scan followed by golden-section refinement, which is
-deterministic and immune to the |sin| kinks of the objectives.
+balanced output mixer with only the input splitter free.  The operating
+phase is either held fixed or left free.
 
-The interesting suprema of these ratios often sit on the boundary of
-vanishing probe illumination.  Those are never reported as interior
-maxima: the report carries an explicit boundary flag with the limit
-value, and an unbounded flag when the objective diverges there.
+Every regime's optimum is a formula.  With ``T = exp(-kappa)`` and
+``u = tan(theta1)^2`` (theta1 in the quarter turn), the ratios are
+
+    rho_fluctuation = 2 eta T |sin(2 theta2) sin(phi)| / sqrt(1 + T^2 u)
+    rho_intensity   = rho_fluctuation / (|alpha| sin(theta1))
+
+Both carry the factor ``eta T |sin(2 theta2) sin(phi)|``, so a free
+phase is exactly pi/2 and a free output mixer exactly pi/4.  What is
+left of rho_fluctuation only falls as u grows.  Hence:
+
+- With a free or balanced mixer, rho_fluctuation is largest at
+  theta1 = 0, where its removable limit ``2 eta T |sin(phi)|`` is
+  attained; rho_intensity grows like ``1/theta1`` there, without bound.
+- With equal splitters, ``sin(2 theta) = 2 sqrt(u) / (1 + u)`` joins
+  in, and rho_fluctuation^2 is proportional to
+  ``u / ((1 + u)^2 (1 + T^2 u))``.  Its logarithmic derivative
+  vanishes where ``1 - u - 2 T^2 u^2 = 0``, the only interior maximum:
+  ``tan^2 theta* = 2 / (1 + sqrt(1 + 8 T^2))``.  Without loss this is
+  arctan(1/sqrt(2)), with value 8 sqrt(3) / 9.
+- With equal splitters, rho_intensity is
+  ``4 eta T |sin(phi)| / (|alpha| sqrt((1 + u)(1 + T^2 u)))``, which
+  falls with u: its supremum ``4 eta T |sin(phi)| / |alpha|`` is the
+  theta1 -> 0 limit, which no angle attains.
+
+The report's value comes from one :func:`~uil.analytic.metrics_values`
+call at the reported angles, so ``uil optimize`` and ``uil metrics``
+agree bit for bit wherever the supremum is attained; the two suprema
+that are not attained are reported as their limits.
 """
 
 from __future__ import annotations
@@ -19,13 +42,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .analytic import fluctuation_ratio_values, intensity_ratio_values
-
-DEFAULT_GRID_POINTS = 721  # 0.125 degree spacing over a quarter turn
-DEFAULT_TOL = 1e-8
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_BOUNDARY_PROBES = (1e-4, 1e-6, 1e-8)
-_SLAB_POINTS = 2**20  # objective values per grid-scan call; a 721 x 721 scan is one call
+from .analytic import metrics_values
+from .params import InterferometerParams
 
 OBJECTIVES = ("rho_fluctuation", "rho_intensity")
 REGIME_KINDS = ("free", "equal_splitters", "fixed_mixer")
@@ -36,8 +54,6 @@ __all__ = [
     "optimize",
     "OBJECTIVES",
     "REGIME_KINDS",
-    "DEFAULT_GRID_POINTS",
-    "DEFAULT_TOL",
 ]
 
 
@@ -62,12 +78,17 @@ class ConstraintRegime:
 
 @dataclass(frozen=True)
 class OptimumReport:
-    """Outcome of one optimization run.
+    """Outcome of one optimization.
 
     ``boundary_supremum`` marks a supremum approached at vanishing input
-    splitting (reported with theta1 = 0 and the limit value);
-    ``unbounded`` additionally marks objectives that grow without bound
-    there.  The achieved value is never below any evaluated point.
+    splitting, reported at theta1 = 0; ``unbounded`` additionally marks
+    an objective that grows without bound there (value ``inf``).
+
+    Where the objective is identically 0 (``sin(phi) = 0`` with phi
+    fixed, ``T = exp(-kappa) = 0``, or rho_intensity at ``|alpha| = 0``)
+    the report is the regime's boundary point: value 0.0,
+    ``boundary_supremum`` true, ``unbounded`` false, theta1 = 0, and
+    theta2 = pi/4 (0 with equal splitters).
     """
 
     objective: str
@@ -80,7 +101,6 @@ class OptimumReport:
     phi: float
     value: float
     n_evaluations: int
-    bracket_tol: float
     boundary_supremum: bool = False
     unbounded: bool = False
 
@@ -88,202 +108,47 @@ class OptimumReport:
         return asdict(self)
 
 
-class _CountingObjective:
-    """Ratio evaluator over free coordinates, with an evaluation counter."""
-
-    def __init__(self, objective: str, regime: ConstraintRegime, eta: float, alpha_abs: float):
-        if objective not in OBJECTIVES:
-            raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-        self.objective = objective
-        self.regime = regime
-        self.eta = eta
-        self.alpha_abs = alpha_abs
-        self.calls = 0
-
-    def coord_names(self) -> list[str]:
-        names = {
-            "equal_splitters": ["theta"],
-            "fixed_mixer": ["theta1"],
-            "free": ["theta1", "theta2"],
-        }[self.regime.kind]
-        if self.regime.phi is None:
-            names = names + ["phi"]
-        return names
-
-    def coord_domain(self, name: str) -> tuple[float, float]:
-        return (0.0, math.pi) if name == "phi" else (0.0, math.pi / 2.0)
-
-    def angles_from_coords(self, coords: dict) -> tuple:
-        if self.regime.kind == "equal_splitters":
-            theta1 = theta2 = coords["theta"]
-        elif self.regime.kind == "fixed_mixer":
-            theta1, theta2 = coords["theta1"], math.pi / 4.0
-        else:
-            theta1, theta2 = coords["theta1"], coords["theta2"]
-        phi = coords["phi"] if self.regime.phi is None else self.regime.phi
-        return theta1, theta2, phi
-
-    def __call__(self, coords: dict):
-        theta1, theta2, phi = self.angles_from_coords(coords)
-        self.calls += int(np.broadcast(theta1, theta2, phi).size)
-        if self.objective == "rho_fluctuation":
-            return fluctuation_ratio_values(theta1, theta2, phi, self.regime.kappa, self.eta)
-        return intensity_ratio_values(
-            theta1, theta2, phi, self.regime.kappa, self.eta, self.alpha_abs
-        )
-
-
-def _golden_max(f1d, lo: float, hi: float, tol: float, seed: tuple[float, float]):
-    """Golden-section maximization on [lo, hi] down to bracket width tol.
-
-    Returns the best (x, value) ever evaluated, seeded with a known
-    point so refinement can only improve on the grid scan.  Ties keep
-    the smaller coordinate.
-    """
-    best_x, best_val = seed
-
-    def consider(x: float, val: float) -> None:
-        nonlocal best_x, best_val
-        if val > best_val or (val == best_val and x < best_x):
-            best_x, best_val = x, val
-
-    span = hi - lo
-    c = hi - _INV_GOLDEN * span
-    d = lo + _INV_GOLDEN * span
-    fc, fd = f1d(c), f1d(d)
-    consider(c, fc)
-    consider(d, fd)
-    while hi - lo > tol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_GOLDEN * (hi - lo)
-            fc = f1d(c)
-            consider(c, fc)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_GOLDEN * (hi - lo)
-            fd = f1d(d)
-            consider(d, fd)
-    return best_x, best_val
-
-
-def _scan(objective, grids: dict) -> tuple[dict, float]:
-    """Best node of the grid; ties go to the lexicographically smallest.
-
-    The grid is evaluated in slabs along its first coordinate of at most
-    about ``_SLAB_POINTS`` nodes, each on sparse (broadcast) axes, so
-    only one slab's objective values are held at a time.  A later slab
-    wins only with a strictly larger value.
-    """
-    names = list(grids)
-    first, *rest = (grids[name] for name in names)
-    rows = max(1, _SLAB_POINTS // math.prod(axis.size for axis in rest))
-    best_value, best_node = -math.inf, None
-    for start in range(0, first.size, rows):
-        axes = np.meshgrid(first[start:start + rows], *rest, indexing="ij", sparse=True)
-        values = np.asarray(objective(dict(zip(names, axes))))
-        node = np.unravel_index(int(np.argmax(values)), values.shape)
-        if best_node is None or values[node] > best_value:
-            best_value, best_node = float(values[node]), (start + node[0], *node[1:])
-    return {name: float(grids[name][i]) for name, i in zip(names, best_node)}, best_value
-
-
-def _refine(objective: _CountingObjective, coords: dict, value: float, step: dict, tol: float):
-    """Cyclic per-coordinate golden-section refinement around a grid point."""
-    coords = dict(coords)
-    for _ in range(3):
-        for name in objective.coord_names():
-            lo_dom, hi_dom = objective.coord_domain(name)
-            lo = max(lo_dom, coords[name] - step[name])
-            hi = min(hi_dom, coords[name] + step[name])
-
-            def f1d(x, _name=name):
-                probe = dict(coords)
-                probe[_name] = x
-                return float(objective(probe))
-
-            coords[name], value = _golden_max(f1d, lo, hi, tol, (coords[name], value))
-    return coords, value
+def _equal_splitter_angle(t: float) -> float:
+    """Stationary angle of rho_fluctuation at theta1 = theta2."""
+    return math.atan(math.sqrt(2.0 / (1.0 + math.sqrt(1.0 + 8.0 * t * t))))
 
 
 def optimize(
     objective: str,
     regime: ConstraintRegime,
-    tol: float = DEFAULT_TOL,
-    grid_points: int = DEFAULT_GRID_POINTS,
     alpha: complex = 1.0 + 0.0j,
     eta: float = 1.0,
 ) -> OptimumReport:
-    """Maximize a performance ratio over the regime's free coordinates.
+    """Maximize a performance ratio over the regime's free angles."""
+    if objective not in OBJECTIVES:
+        raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+    phi = math.pi / 2 if regime.phi is None else regime.phi
+    alpha_abs = abs(InterferometerParams(0.0, 0.0, phi, regime.kappa, eta, alpha).alpha)
+    t = float(np.exp(-regime.kappa))
+    intensity = objective == "rho_intensity"
+    equal = regime.kind == "equal_splitters"
+    zero = t == 0.0 or math.sin(phi) == 0.0 or (intensity and alpha_abs == 0.0)
 
-    Coarse scan on ``grid_points`` nodes per free coordinate, then
-    golden-section refinement of the winning bracket until its width is
-    below ``tol``.  Deterministic for fixed inputs; ties resolve to the
-    lexicographically smallest coordinates.  When three coordinates are
-    free the scan resolution is reduced (refinement restores precision).
-    """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    f = _CountingObjective(objective, regime, eta, abs(alpha))
-    names = f.coord_names()
-    per_axis = grid_points if len(names) <= 2 else min(grid_points, 181)
-    grids = {
-        name: np.linspace(*f.coord_domain(name), per_axis) for name in names
-    }
-    coords, value = _scan(f, grids)
-    step = {
-        name: float(grids[name][1] - grids[name][0]) for name in names
-    }
-    interior_coords, interior_value = _refine(f, coords, value, step, tol)
-
-    # The supremum may sit at vanishing input splitting.  Probe it with
-    # the remaining coordinates re-optimized near the boundary.
-    probe_name = names[0]  # theta or theta1
-    boundary_coords = dict(interior_coords)
-    probe_values = []
-    for probe in _BOUNDARY_PROBES:
-        boundary_coords[probe_name] = probe
-        if len(names) > 1:
-            frozen = dict(step)
-            frozen[probe_name] = 0.0
-            boundary_coords, _ = _refine(
-                f, boundary_coords, float(f(boundary_coords)), frozen, tol
-            )
-        probe_values.append(float(f(boundary_coords)))
-
-    diverging = all(
-        later > 10.0 * earlier for earlier, later in zip(probe_values, probe_values[1:])
-    ) and probe_values[-1] > 0.0
-    limit_value = probe_values[-1]
-    hugging_boundary = interior_coords[probe_name] <= tol
-
-    boundary = False
-    unbounded = False
-    if diverging:
-        boundary = unbounded = True
+    interior = equal and not intensity and not zero
+    theta1 = _equal_splitter_angle(t) if interior else 0.0
+    theta2 = theta1 if equal else math.pi / 4
+    value = float(metrics_values(theta1, theta2, phi, regime.kappa, eta, alpha_abs)[objective])
+    unbounded = intensity and not equal and not zero
+    if unbounded:
         value = math.inf
-        coords = dict(boundary_coords, **{probe_name: 0.0})
-    elif limit_value > interior_value or hugging_boundary:
-        boundary = True
-        value = max(limit_value, interior_value)
-        coords = dict(boundary_coords, **{probe_name: 0.0})
-    else:
-        value = interior_value
-        coords = interior_coords
-
-    theta1, theta2, phi = f.angles_from_coords(coords)
+    elif intensity and not zero:
+        value = 4.0 * eta * t * abs(math.sin(phi)) / alpha_abs
     return OptimumReport(
         objective=objective,
         regime=regime.kind,
         kappa=regime.kappa,
         eta=eta,
-        alpha_abs=abs(alpha),
-        theta1=float(theta1),
-        theta2=float(theta2),
-        phi=float(phi),
-        value=float(value),
-        n_evaluations=f.calls,
-        bracket_tol=tol,
-        boundary_supremum=boundary,
+        alpha_abs=alpha_abs,
+        theta1=theta1,
+        theta2=theta2,
+        phi=phi,
+        value=value,
+        n_evaluations=1,
+        boundary_supremum=not interior,
         unbounded=unbounded,
     )

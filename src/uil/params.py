@@ -49,19 +49,6 @@ class InterferometerParams:
 
 
 @dataclass(frozen=True)
-class OutputAmplitudes:
-    """Coherent amplitudes leaving the interferometer toward the detectors."""
-
-    a3: complex
-    b3: complex
-
-    @property
-    def total_intensity(self) -> float:
-        a, b = abs(self.a3), abs(self.b3)
-        return a * a + b * b  # ** 2 would raise OverflowError instead of giving inf
-
-
-@dataclass(frozen=True)
 class PerformanceMetrics:
     """All derived scalars at one parameter point.
 

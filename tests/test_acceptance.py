@@ -59,7 +59,7 @@ def test_criterion_02_balanced_ratios():
 
 def test_criterion_03_equal_splitter_optimum():
     start = time.perf_counter()
-    result = optimize("rho_fluctuation", ConstraintRegime("equal_splitters"), tol=1e-8)
+    result = optimize("rho_fluctuation", ConstraintRegime("equal_splitters"))
     target_angle = math.atan(1.0 / math.sqrt(2.0))
     target_value = 8.0 * math.sqrt(3.0) / 9.0
     assert abs(result.theta1 - target_angle) < 1e-6

@@ -8,24 +8,22 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from uil.analytic import (
-    beam_splitter_matrix,
     difference_signal_phase_gradient,
     evaluate_metrics,
     fluctuation_performance_ratio,
-    fluctuation_ratio_values,
     intensity_performance_ratio,
-    intensity_ratio_values,
     mean_difference_signal,
     metrics_values,
-    output_amplitudes,
     phase_resolution,
-    phase_resolution_values,
     probe_arm_stats,
     std_difference_signal,
     visibility,
 )
 from uil.modes import PROBE_MODE
 from uil.params import InterferometerParams
+
+from matrix_amplitudes import beam_splitter_matrix, output_amplitudes
+from numeric_optimum import fluctuation_ratio_values, intensity_ratio_values
 
 ANGLES = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
 SPLIT_ANGLES = st.floats(min_value=0.0, max_value=math.pi / 2)
@@ -474,17 +472,17 @@ def test_metrics_invariant_under_full_turn(theta1, theta2, phi):
 
 
 def test_vector_kernels_match_scalar_api():
+    # the optimum search's objective kernels (tests/numeric_optimum.py)
+    # must agree with the bundle bit for bit, theta1 = 0 included
     rng = np.random.default_rng(23)
-    theta1 = rng.uniform(0.0, math.pi / 2, 64)
+    theta1 = np.append(rng.uniform(0.0, math.pi / 2, 63), 0.0)
     theta2 = rng.uniform(0.0, math.pi / 2, 64)
     phi = rng.uniform(0.0, 2 * math.pi, 64)
     kappa = rng.uniform(0.0, 1.0, 64)
-    resolution = phase_resolution_values(theta1, theta2, phi, kappa, 0.7, 1.3)
     rho_i = intensity_ratio_values(theta1, theta2, phi, kappa, 0.7, 1.3)
     rho_di = fluctuation_ratio_values(theta1, theta2, phi, kappa, 0.7)
     for i in range(64):
         p = params(theta1[i], theta2[i], phi[i], kappa=kappa[i], eta=0.7, alpha=1.3)
-        assert resolution[i] == phase_resolution(p)
         assert rho_i[i] == intensity_performance_ratio(p)
         assert rho_di[i] == fluctuation_performance_ratio(p)
 

@@ -280,22 +280,23 @@ def test_optimize_fixed_mixer_boundary(capsys):
 
 
 def test_optimize_unbounded_intensity_still_succeeds(capsys):
-    code, out, _ = run(capsys, "optimize", "--objective", "rho-i", "--regime", "free")
-    assert code == 0
-    report = json.loads(out)
-    assert report["unbounded"] is True
-    assert report["value"] == "inf"
+    # at kappa = 740, T is subnormal but positive: still unbounded
+    for flags in ([], ["--kappa", "740"], ["--regime", "fixed-mixer", "--kappa", "740"]):
+        code, out, _ = run(capsys, "optimize", "--objective", "rho-i", "--regime", "free", *flags)
+        assert code == 0
+        report = json.loads(out)
+        assert report["unbounded"] is True
+        assert report["value"] == "inf"
 
 
 def test_optimize_free_phi_flag(capsys):
     code, out, _ = run(
         capsys,
         "optimize", "--objective", "rho-di", "--regime", "equal-splitters", "--free-phi",
-        "--tol", "1e-6",
     )
     assert code == 0
     report = json.loads(out)
-    assert report["phi"] == pytest.approx(math.pi / 2, abs=1e-4)
+    assert report["phi"] == math.pi / 2
 
 
 def test_optimize_rejects_unknown_objective(capsys):
@@ -303,16 +304,31 @@ def test_optimize_rejects_unknown_objective(capsys):
 
 
 def test_optimize_reports_flat_boundary_supremum(capsys):
-    # rho_fluctuation is flat to the last ulp near theta1 = 0 here; the
+    # each objective is flat to the last ulp near theta1 = 0 here; the
     # supremum must still be reported on the boundary
-    code, out, _ = run(
-        capsys, "optimize", "--objective", "rho-di", "--regime", "fixed-mixer",
-        "--kappa", "1.6100058474907604", "--eta", "0.8635733553814222",
-    )
-    assert code == 0
-    report = json.loads(out)
-    assert report["boundary_supremum"] is True
-    assert report["theta1"] == 0.0
+    for flags in (
+        ["--objective", "rho-di", "--regime", "fixed-mixer",
+         "--kappa", "1.6100058474907604", "--eta", "0.8635733553814222"],
+        ["--objective", "rho-i", "--regime", "equal-splitters",
+         "--kappa", "2.6643549619775397", "--eta", "0.45810859989212704",
+         "--alpha", "0.6362977057552655", "--phi", "1.725380260817939"],
+    ):
+        code, out, _ = run(capsys, "optimize", *flags)
+        assert code == 0
+        report = json.loads(out)
+        assert report["boundary_supremum"] is True
+        assert report["theta1"] == 0.0
+
+
+def test_optimize_refuses_tolerance_and_bad_operating_points(capsys, tmp_path):
+    # the optimum is a formula, with no tolerance to set
+    config = tmp_path / "run.cfg"
+    config.write_text("tol = 1e-8\n")
+    base = ["optimize", "--objective", "rho-di", "--regime", "equal-splitters"]
+    for flags in (["--tol", "1e-17"], ["--config", str(config)], ["--eta", "0"], ["--phi", "nan"]):
+        code, _, err = run(capsys, *base, *flags)
+        assert code == 2, flags
+        assert err
 
 
 # verify
@@ -353,6 +369,12 @@ def test_verify_explicit_cutoff_beats_env(capsys, monkeypatch):
     )
     assert code == 0
     assert "n_max = 15" in out
+
+
+def test_verify_refuses_an_amplitude_whose_square_overflows(capsys):
+    code, _, err = run(capsys, "verify", "--alpha", "1e200", "--samples", "1")
+    assert code == 2
+    assert "double range" in err
 
 
 def test_verify_impossible_tolerance_fails(capsys):

@@ -9,7 +9,6 @@ from scipy import linalg, special, stats
 from uil.analytic import (
     evaluate_metrics,
     mean_difference_signal,
-    output_amplitudes,
     probe_arm_stats,
     std_difference_signal,
 )
@@ -38,6 +37,7 @@ from dense_fock import (
     phase_unitary,
     splitter_generator,
 )
+from matrix_amplitudes import output_amplitudes
 
 
 def vacuum(dim):
@@ -106,6 +106,14 @@ def test_coherent_tail_failure_raises_with_estimate():
 
 def test_required_cutoff_zero_amplitude():
     assert required_cutoff(0.0) == 1
+
+
+@pytest.mark.parametrize("alpha", [1e200, complex(1.5e308, 1.5e308)])
+def test_overflowing_mean_photon_number_is_a_value_error(alpha):
+    with pytest.raises(ValueError, match="double range"):
+        required_cutoff(alpha)
+    with pytest.raises(ValueError, match="double range"):
+        coherent_state(alpha, 10)
 
 
 @settings(max_examples=400)

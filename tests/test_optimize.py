@@ -1,25 +1,42 @@
-import importlib
+import importlib.util
 import math
+from pathlib import Path
 
+import hypothesis.strategies as st
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from uil.analytic import fluctuation_ratio_values
+from uil.analytic import metrics_values
 from uil.optimize import (
-    DEFAULT_GRID_POINTS,
     OBJECTIVES,
     REGIME_KINDS,
     ConstraintRegime,
-    _CountingObjective,
-    _scan,
     optimize,
 )
 
-# the package re-exports the function optimize under the module's name
-optimize_module = importlib.import_module("uil.optimize")
+import numeric_optimum
+from numeric_optimum import (
+    DEFAULT_GRID_POINTS,
+    CountingObjective,
+    fluctuation_ratio_values,
+    scan,
+    search_optimum,
+)
 
 EQUAL_OPT_ANGLE = math.atan(1.0 / math.sqrt(2.0))
 EQUAL_OPT_VALUE = 8.0 * math.sqrt(3.0) / 9.0
+SUBNORMAL_KAPPA = 740.0  # T = exp(-740) ~ 4e-322, below the normal double range
+
+
+def bench_reference():
+    """The benchmark's own closed forms and golden-section optimum."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_regime_validation():
@@ -38,23 +55,21 @@ def test_stationary_angle_identities():
 
 
 def test_equal_splitters_fluctuation_optimum():
-    report = optimize("rho_fluctuation", ConstraintRegime("equal_splitters"), tol=1e-8)
+    report = optimize("rho_fluctuation", ConstraintRegime("equal_splitters"))
     assert not report.boundary_supremum and not report.unbounded
     assert report.theta1 == report.theta2
-    assert abs(report.theta1 - EQUAL_OPT_ANGLE) < 1e-6
-    assert abs(report.value - EQUAL_OPT_VALUE) < 1e-9
+    assert abs(report.theta1 - EQUAL_OPT_ANGLE) < 1e-15
+    assert abs(report.value - EQUAL_OPT_VALUE) < 1e-15
     assert 1.088 <= report.value / math.sqrt(2.0) <= 1.090
     assert report.phi == math.pi / 2
-    assert report.n_evaluations > 0
+    assert report.n_evaluations == 1
 
 
 def test_equal_splitters_with_free_phase():
-    report = optimize(
-        "rho_fluctuation", ConstraintRegime("equal_splitters", phi=None), tol=1e-8
-    )
-    assert abs(report.theta1 - EQUAL_OPT_ANGLE) < 1e-6
-    assert abs(report.phi - math.pi / 2) < 1e-6
-    assert abs(report.value - EQUAL_OPT_VALUE) < 1e-8
+    report = optimize("rho_fluctuation", ConstraintRegime("equal_splitters", phi=None))
+    assert abs(report.theta1 - EQUAL_OPT_ANGLE) < 1e-15
+    assert report.phi == math.pi / 2
+    assert abs(report.value - EQUAL_OPT_VALUE) < 1e-15
     # coarse independent 2-D scan agrees on the argmax location
     thetas = np.linspace(0.0, math.pi / 2, 301)
     phis = np.linspace(0.0, math.pi, 301)
@@ -66,12 +81,26 @@ def test_equal_splitters_with_free_phase():
     assert abs(phis[j] - report.phi) < 0.01
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.1, 0.5, 1.0, 1.7, 3.0])
+def test_equal_splitter_angle_matches_bench_golden_optimum(kappa):
+    report = optimize("rho_fluctuation", ConstraintRegime("equal_splitters", kappa=kappa), eta=0.8)
+    mpmath.mp.dps = 50
+    t = mpmath.exp(-mpmath.mpf(kappa))
+    stationary = mpmath.atan(mpmath.sqrt(2 / (1 + mpmath.sqrt(1 + 8 * t * t))))
+    assert abs(report.theta1 - float(stationary)) <= 1e-15
+    # the peak is flat to rounding within about 1e-8, so a golden-section
+    # search stops that far off it: 1.2e-8 at kappa = 3
+    theta, value = bench_reference().equal_splitter_fluctuation_optimum(kappa, 0.8)
+    assert abs(report.theta1 - theta) < 2e-8
+    assert report.value == pytest.approx(value, rel=1e-15)
+
+
 def test_fixed_mixer_reports_boundary_not_interior():
-    report = optimize("rho_fluctuation", ConstraintRegime("fixed_mixer"), tol=1e-8)
+    report = optimize("rho_fluctuation", ConstraintRegime("fixed_mixer"))
     assert report.boundary_supremum and not report.unbounded
     assert report.theta1 == 0.0
     assert report.theta2 == math.pi / 4
-    assert report.value == pytest.approx(2.0, abs=1e-12)
+    assert report.value == 2.0
 
 
 def test_fixed_mixer_objective_strictly_decreasing():
@@ -81,30 +110,35 @@ def test_fixed_mixer_objective_strictly_decreasing():
 
 
 def test_free_regime_boundary_supremum():
-    report = optimize("rho_fluctuation", ConstraintRegime("free"), tol=1e-8)
-    assert report.boundary_supremum
-    assert report.theta1 == 0.0
-    assert report.theta2 == pytest.approx(math.pi / 4, abs=1e-6)
-    assert report.value == pytest.approx(2.0, abs=1e-12)
+    for kappa in (0.0, SUBNORMAL_KAPPA):
+        report = optimize("rho_fluctuation", ConstraintRegime("free", kappa=kappa, phi=None))
+        assert report.boundary_supremum and not report.unbounded
+        assert report.theta1 == 0.0
+        assert report.theta2 == math.pi / 4
+        assert report.value == 2.0 * math.exp(-kappa)
 
 
 def test_free_intensity_objective_is_unbounded():
-    report = optimize("rho_intensity", ConstraintRegime("free"), tol=1e-6)
-    assert report.unbounded and report.boundary_supremum
-    assert report.value == math.inf
-    assert report.theta1 == 0.0
+    for kind in ("free", "fixed_mixer"):
+        for kappa in (0.0, SUBNORMAL_KAPPA):
+            report = optimize("rho_intensity", ConstraintRegime(kind, kappa=kappa))
+            assert report.unbounded and report.boundary_supremum
+            assert report.value == math.inf
+            assert (report.theta1, report.theta2) == (0.0, math.pi / 4)
 
 
 def test_equal_splitters_intensity_boundary_limit():
-    report = optimize("rho_intensity", ConstraintRegime("equal_splitters"), tol=1e-8)
-    assert report.boundary_supremum and not report.unbounded
-    assert report.value == pytest.approx(4.0, rel=1e-9)
+    for alpha in (1.0, 2.0, 0.3):
+        report = optimize("rho_intensity", ConstraintRegime("equal_splitters"), alpha=alpha)
+        assert report.boundary_supremum and not report.unbounded
+        assert (report.theta1, report.theta2) == (0.0, 0.0)
+        assert report.value == pytest.approx(4.0 / alpha, rel=1e-15)
 
 
 def test_optimized_value_non_increasing_in_loss():
     for kind in ("equal_splitters", "fixed_mixer"):
         values = [
-            optimize("rho_fluctuation", ConstraintRegime(kind, kappa=k), tol=1e-7).value
+            optimize("rho_fluctuation", ConstraintRegime(kind, kappa=k)).value
             for k in (0.0, 0.25, 0.5, 1.0)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
@@ -112,52 +146,120 @@ def test_optimized_value_non_increasing_in_loss():
 
 def test_lossy_equal_splitters_beats_grid():
     regime = ConstraintRegime("equal_splitters", kappa=0.3)
-    report = optimize("rho_fluctuation", regime, tol=1e-8)
+    report = optimize("rho_fluctuation", regime)
     thetas = np.linspace(0.0, math.pi / 2, 2000)
     grid_best = np.max(fluctuation_ratio_values(thetas, thetas, math.pi / 2, 0.3))
     assert report.value >= grid_best - 1e-12
 
 
 def test_halving_tolerance_never_loses_value():
+    # the search oracle's refinement only improves as its bracket shrinks
     for tol in (1e-4, 1e-6):
         regime = ConstraintRegime("equal_splitters", kappa=0.1)
-        coarse = optimize("rho_fluctuation", regime, tol=tol).value
-        fine = optimize("rho_fluctuation", regime, tol=tol / 2).value
+        coarse = search_optimum("rho_fluctuation", regime, tol=tol).value
+        fine = search_optimum("rho_fluctuation", regime, tol=tol / 2).value
         assert fine >= coarse - tol
 
 
 def test_determinism():
-    first = optimize("rho_fluctuation", ConstraintRegime("equal_splitters"), tol=1e-8)
-    second = optimize("rho_fluctuation", ConstraintRegime("equal_splitters"), tol=1e-8)
+    first = optimize("rho_fluctuation", ConstraintRegime("equal_splitters"))
+    second = optimize("rho_fluctuation", ConstraintRegime("equal_splitters"))
     assert first == second
 
 
 def test_report_serializes():
-    report = optimize("rho_fluctuation", ConstraintRegime("fixed_mixer"), tol=1e-6)
+    report = optimize("rho_fluctuation", ConstraintRegime("fixed_mixer"))
     d = report.to_dict()
     assert d["regime"] == "fixed_mixer"
     assert d["boundary_supremum"] is True
+    assert "bracket_tol" not in d
 
 
 def test_rejects_unknown_objective_and_bad_tol():
     with pytest.raises(ValueError):
         optimize("rho_visibility", ConstraintRegime("free"))
+    with pytest.raises(TypeError):  # the closed forms take no tolerance
+        optimize("rho_fluctuation", ConstraintRegime("free"), tol=1e-8)
+    with pytest.raises(ValueError):  # the search oracle's bracket could never shrink to 0
+        search_optimum("rho_fluctuation", ConstraintRegime("free"), tol=0.0)
+
+
+@pytest.mark.parametrize("eta, alpha", [(0.0, 1.0), (1.5, 1.0), (math.nan, 1.0), (1.0, complex(1.5e308, 1.5e308))])
+def test_rejects_invalid_operating_point(eta, alpha):
     with pytest.raises(ValueError):
-        optimize("rho_fluctuation", ConstraintRegime("free"), tol=0.0)
+        optimize("rho_intensity", ConstraintRegime("free"), alpha=alpha, eta=eta)
 
 
+# the report's value
 
-# grid scan in slabs
+
+@pytest.mark.parametrize("kind", REGIME_KINDS)
+@pytest.mark.parametrize("phi", [math.pi / 2, 0.7, None])
+def test_attained_value_is_the_metrics_bundle_bit_for_bit(kind, phi):
+    regime = ConstraintRegime(kind, kappa=0.4, phi=phi)
+    report = optimize("rho_fluctuation", regime, alpha=2.0, eta=0.9)
+    columns = metrics_values(report.theta1, report.theta2, report.phi, 0.4, 0.9, 2.0)
+    assert report.value == float(columns["rho_fluctuation"])
+    assert report.n_evaluations == 1
+
+
+ZERO_CASES = [  # sin(phi) = 0 with phi fixed, T = 0, rho_intensity at |alpha| = 0
+    *((objective, kappa, phi, 1.5) for objective in OBJECTIVES
+      for kappa, phi in [(0.3, 0.0), (0.3, -0.0), (800.0, 1.1), (800.0, None)]),
+    ("rho_intensity", 0.3, None, 0.0),
+]
+
+
+@pytest.mark.parametrize("kind", REGIME_KINDS)
+@pytest.mark.parametrize("objective, kappa, phi, alpha", ZERO_CASES)
+def test_identically_zero_objective_report(objective, kind, kappa, phi, alpha):
+    report = optimize(objective, ConstraintRegime(kind, kappa=kappa, phi=phi), alpha=alpha)
+    assert report.value == 0.0
+    assert report.boundary_supremum and not report.unbounded
+    assert report.theta1 == 0.0
+    assert report.theta2 == (0.0 if kind == "equal_splitters" else math.pi / 4)
+
+
+# against the search oracle (tests/numeric_optimum.py)
+
+
+@settings(max_examples=40)
+@given(
+    objective=st.sampled_from(OBJECTIVES),
+    kind=st.sampled_from(REGIME_KINDS),
+    kappa=st.floats(min_value=0.0, max_value=3.0),
+    eta=st.floats(min_value=0.3, max_value=1.0),
+    alpha=st.floats(min_value=0.3, max_value=3.0),
+    phi=st.one_of(st.none(), st.floats(min_value=0.0, max_value=2 * math.pi)),
+)
+def test_closed_form_matches_numeric_oracle(objective, kind, kappa, eta, alpha, phi):
+    regime = ConstraintRegime(kind, kappa=kappa, phi=phi)
+    report = optimize(objective, regime, alpha=alpha, eta=eta)
+    oracle = search_optimum(objective, regime, alpha=alpha, eta=eta)
+    if oracle.value == math.inf:
+        assert report.value == math.inf
+    else:
+        assert report.value >= oracle.value - 1e-15 * oracle.value
+    if oracle.theta1 <= 1e-6 and not oracle.boundary_supremum:
+        return  # the search's flat-boundary misreport: no verdict to compare
+    assert report.boundary_supremum == oracle.boundary_supremum
+    assert report.unbounded == oracle.unbounded
+    if not report.boundary_supremum:
+        for name in ("theta1", "theta2", "phi"):
+            assert abs(getattr(report, name) - getattr(oracle, name)) <= 1e-6, name
+
+
+# the search oracle's grid scan in slabs
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
 @pytest.mark.parametrize("kind", REGIME_KINDS)
 def test_slab_scan_matches_full_grid_argmax(monkeypatch, objective, kind):
-    monkeypatch.setattr(optimize_module, "_SLAB_POINTS", 1000)
+    monkeypatch.setattr(numeric_optimum, "SLAB_POINTS", 1000)
     regime = ConstraintRegime(kind, kappa=0.8, phi=None)
-    f = _CountingObjective(objective, regime, eta=0.9, alpha_abs=1.3)
+    f = CountingObjective(objective, regime, eta=0.9, alpha_abs=1.3)
     grids = {name: np.linspace(*f.coord_domain(name), 41) for name in f.coord_names()}
-    coords, value = _scan(f, grids)
+    coords, value = scan(f, grids)
 
     full = np.meshgrid(*grids.values(), indexing="ij")
     values = f(dict(zip(grids, full)))
@@ -168,16 +270,16 @@ def test_slab_scan_matches_full_grid_argmax(monkeypatch, objective, kind):
 
 
 def test_slab_scan_keeps_the_first_of_tied_maxima(monkeypatch):
-    monkeypatch.setattr(optimize_module, "_SLAB_POINTS", 10)  # two rows of a per slab
+    monkeypatch.setattr(numeric_optimum, "SLAB_POINTS", 10)  # two rows of a per slab
     grids = {"a": np.linspace(0.0, 1.0, 11), "b": np.linspace(0.0, 1.0, 5)}
-    coords, value = _scan(lambda c: np.minimum(c["a"] + c["b"], 0.5), grids)
+    coords, value = scan(lambda c: np.minimum(c["a"] + c["b"], 0.5), grids)
     assert (coords, value) == ({"a": 0.0, "b": 0.5}, 0.5)
-    coords, value = _scan(lambda c: np.minimum(c["a"] + 0.0 * c["b"], 0.5), grids)
+    coords, value = scan(lambda c: np.minimum(c["a"] + 0.0 * c["b"], 0.5), grids)
     assert (coords, value) == ({"a": 0.5, "b": 0.0}, 0.5)
 
 
 def test_two_coordinate_scan_is_one_kernel_call():
-    f = _CountingObjective("rho_fluctuation", ConstraintRegime("free"), eta=1.0, alpha_abs=1.0)
+    f = CountingObjective("rho_fluctuation", ConstraintRegime("free"), eta=1.0, alpha_abs=1.0)
     calls = []
 
     def counted(coords):
@@ -187,6 +289,6 @@ def test_two_coordinate_scan_is_one_kernel_call():
     grids = {
         name: np.linspace(*f.coord_domain(name), DEFAULT_GRID_POINTS) for name in f.coord_names()
     }
-    _scan(counted, grids)
+    scan(counted, grids)
     assert len(calls) == 1
     assert f.calls == DEFAULT_GRID_POINTS**2
