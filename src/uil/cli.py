@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import metrics_values
-from .fock import DEFAULT_TAIL_TOL, FockCutoff, TruncationError, required_cutoff, simulate
+from .fock import DEFAULT_TAIL_TOL, FockCutoff, TruncationError, photon_mean, required_cutoff, simulate
 from .optimize import ConstraintRegime, optimize
 from .params import InterferometerParams
 
@@ -188,35 +188,91 @@ def _point_inputs(params: InterferometerParams) -> dict[str, float]:
 
 
 def _columns(inputs: dict) -> dict[str, np.ndarray]:
-    """Every CSV column over the broadcast inputs, from one kernel call."""
+    """Every CSV column over the broadcast inputs, from one kernel call.
+
+    A NaN in any column raises ValueError here, before any file is opened.
+    """
     metrics = metrics_values(*(inputs[name] for name in KERNEL_INPUTS))
     shape = metrics["mean_O"].shape
     columns = {name: np.broadcast_to(value, shape) for name, value in inputs.items()}
     columns["transmission"] = np.exp(-columns["kappa"])
     columns.update(metrics)
+    if any(np.isnan(column).any() for column in columns.values()):
+        raise ValueError("NaN in a computed column, nothing written")
     return {name: columns[name].ravel() for name in CSV_COLUMNS}
 
 
-def _rows(columns: dict[str, np.ndarray]):
-    return zip(*(columns[name].tolist() for name in CSV_COLUMNS))
+# Rows formatted, hashed and written per step, so memory does not grow
+# with the rendered text.
+RENDER_BLOCK_ROWS = 2048
 
 
-def _render_csv(columns: dict[str, np.ndarray]) -> str:
-    """CSV text with each number in its shortest round-trip form; NaN raises ValueError."""
-    if any(np.isnan(column).any() for column in columns.values()):
-        raise ValueError("NaN in a computed column, nothing written")
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(",".join(map(repr, row)) for row in _rows(columns))
-    return "\n".join(lines) + "\n"
+def _value_strings(values: np.ndarray, quote_inf: bool, distinct: bool) -> tuple[np.ndarray, bool]:
+    """``repr`` of each value as an object array, and whether most values differ.
+
+    Unless ``distinct`` says so already, each distinct bit pattern (so
+    -0.0 and 0.0 stay apart) is formatted once and gathered back through
+    the inverse index.  ``quote_inf`` writes infinities as the JSON
+    strings "inf"/"-inf".
+    """
+    inverse = None
+    if not distinct:
+        keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        values = keys.view(np.float64)
+        distinct = 2 * keys.size > inverse.size
+    # one C loop formats the whole list; no float repr contains ", "
+    strings = np.array(repr(values.tolist())[1:-1].split(", "), dtype=object)
+    if quote_inf:
+        infinite = np.isinf(values)
+        strings[infinite] = ['"%s"' % text for text in strings[infinite]]
+    return (strings if inverse is None else strings[inverse]), distinct
 
 
-def _records(columns: dict[str, np.ndarray]) -> list[dict[str, float]]:
-    return [dict(zip(CSV_COLUMNS, row)) for row in _rows(columns)]
+def _template(fmt: str) -> tuple[str, list[str], str]:
+    """A data file's fixed text: before its first value, after each value
+    of a row, and after its last value.
+
+    The JSON parts reproduce ``json.dumps(records, indent=2)`` with its
+    closing newline.
+    """
+    if fmt == "csv":
+        return ",".join(CSV_COLUMNS) + "\n", [","] * (len(CSV_COLUMNS) - 1) + ["\n"], "\n"
+    keys = [f"\n    {json.dumps(name)}: " for name in CSV_COLUMNS]
+    after = [f",{key}" for key in keys[1:]] + ["\n  },\n  {" + keys[0]]
+    return "[\n  {" + keys[0], after, "\n  }\n]\n"
 
 
-def _write_data_file(path: str, data: str, command: str, parameters: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(data)
+def _render_blocks(columns: dict[str, np.ndarray], fmt: str):
+    """The data file's text, RENDER_BLOCK_ROWS rows at a time.
+
+    Each block fills the format's fixed template with the per-column
+    strings.  A column that is mostly distinct in one block skips the
+    ``unique`` step in the blocks after it.
+    """
+    head, after, tail = _template(fmt)
+    rows = columns[CSV_COLUMNS[0]].size
+    distinct = dict.fromkeys(CSV_COLUMNS, False)
+    yield head
+    for start in range(0, rows, RENDER_BLOCK_ROWS):
+        block = slice(start, min(start + RENDER_BLOCK_ROWS, rows))
+        cells = np.empty((block.stop - start, 2 * len(CSV_COLUMNS)), dtype=object)
+        cells[:, 1::2] = after
+        for j, name in enumerate(CSV_COLUMNS):
+            strings, distinct[name] = _value_strings(columns[name][block], fmt == "json", distinct[name])
+            cells[:, 2 * j] = strings
+        if block.stop == rows:
+            cells[-1, -1] = tail
+        yield "".join(cells.ravel().tolist())
+
+
+def _write_data_file(path: str, blocks, command: str, parameters: dict) -> None:
+    """Write the text blocks to ``path``, hashing them as they go, then its manifest."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as handle:
+        for block in blocks:
+            data = block.encode("utf-8")
+            digest.update(data)
+            handle.write(data)
     manifest = {
         "tool": "uil",
         "version": __version__,
@@ -224,7 +280,7 @@ def _write_data_file(path: str, data: str, command: str, parameters: dict) -> No
         "created": datetime.now(timezone.utc).isoformat(),
         "parameters": parameters,
         "output": os.path.basename(path),
-        "sha256": hashlib.sha256(data.encode("utf-8")).hexdigest(),
+        "sha256": digest.hexdigest(),
     }
     with open(path + ".manifest.json", "w", encoding="utf-8") as handle:
         handle.write(_json_dumps(manifest) + "\n")
@@ -232,7 +288,7 @@ def _write_data_file(path: str, data: str, command: str, parameters: dict) -> No
 
 def _emit(data: str, args, command: str, parameters: dict) -> None:
     if args.output:
-        _write_data_file(args.output, data, command, parameters)
+        _write_data_file(args.output, [data], command, parameters)
     else:
         sys.stdout.write(data if data.endswith("\n") else data + "\n")
 
@@ -245,7 +301,10 @@ def _cmd_metrics(args) -> int:
     resolved = _resolve(args, config, PARAM_DEFAULTS)
     columns = _columns(_point_inputs(_build_params(resolved)))
     fmt = args.format or "json"
-    data = _render_csv(columns) if fmt == "csv" else _json_dumps(_records(columns)[0]) + "\n"
+    if fmt == "csv":
+        data = "".join(_render_blocks(columns, fmt))
+    else:
+        data = _json_dumps({name: float(columns[name][0]) for name in CSV_COLUMNS}) + "\n"
     _emit(data, args, "metrics", {**resolved, "format": fmt})
     return EXIT_OK
 
@@ -321,10 +380,9 @@ def _cmd_sweep(args) -> int:
     fixed = _point_inputs(_build_params(resolved))
     columns = _columns(_sweep_inputs(axes, fixed))
     fmt = args.format or "csv"
-    data = _render_csv(columns) if fmt == "csv" else _json_dumps(_records(columns)) + "\n"
     rows = columns["theta1"].size
     parameters = {**resolved, "axes": axis_specs, "format": fmt, "rows": rows}
-    _write_data_file(args.output, data, "sweep", parameters)
+    _write_data_file(args.output, _render_blocks(columns, fmt), "sweep", parameters)
     return EXIT_OK
 
 
@@ -350,8 +408,21 @@ def _cmd_optimize(args) -> int:
     return EXIT_OK
 
 
+def _physical_memory_bytes() -> int | None:
+    """Installed memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or the names are unknown
+        return None
+
+
 def _check_verify_cutoff(alpha: complex, cutoff: int, tol: float) -> None:
     """Refuse a cutoff whose truncation alone could fail ``verify``.
+
+    Two refusals come first, in O(1) work: a cutoff whose lossy state
+    (16 d^3 bytes, d = n_max + 1) exceeds physical memory, and a drive
+    with |alpha|^2 > n_max, which leaves about half the Poisson weight or
+    more beyond the cutoff.
 
     Dropping the Poisson tail beyond n_max shifts the photon-number
     means by up to about n_max * tail and their standard deviations by
@@ -363,10 +434,21 @@ def _check_verify_cutoff(alpha: complex, cutoff: int, tol: float) -> None:
     to the smallest cutoff that meets it, which the error names.
     """
     FockCutoff(cutoff)  # ValueError -> exit 2
-    needed = max(cutoff, required_cutoff(alpha))  # ValueError where |alpha|^2 overflows
-    mean = abs(alpha) ** 2
+    state_bytes, memory = 16 * (cutoff + 1) ** 3, _physical_memory_bytes()
+    if memory is not None and state_bytes > memory:
+        raise TruncationError(
+            f"n_max = {cutoff} needs {state_bytes} bytes for the lossy state, "
+            f"more than the {memory} bytes of physical memory"
+        )
+    mean = photon_mean(alpha)  # ValueError where |alpha|^2 overflows
+    if mean > cutoff:
+        raise TruncationError(
+            f"|alpha|^2 = {mean:.6g} exceeds n_max = {cutoff}, which leaves about half the "
+            f"Poisson weight or more beyond the cutoff; n_max must exceed |alpha|^2"
+        )
     if mean == 0.0:
         return
+    needed = max(cutoff, required_cutoff(alpha))
 
     def tail_limit(n_max: int) -> float:
         shift_per_tail = max(n_max, (n_max - mean) ** 2 / (2.0 * abs(alpha)))

@@ -42,6 +42,7 @@ __all__ = [
     "TruncationWarning",
     "SimulationMoments",
     "coherent_state",
+    "photon_mean",
     "required_cutoff",
     "loss_channel",
     "apply_beam_splitter",
@@ -113,7 +114,7 @@ def _poisson_tail(n: int, mean: float) -> float:
     return mass if upward else 1.0 - mass
 
 
-def _photon_mean(alpha: complex) -> float:
+def photon_mean(alpha: complex) -> float:
     """|alpha|^2; a ValueError where it exceeds the double range."""
     try:
         return abs(complex(alpha)) ** 2
@@ -127,7 +128,7 @@ def required_cutoff(alpha: complex, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     The tail falls with n_max, so the search gallops up from the mean
     and then bisects.
     """
-    mean = _photon_mean(alpha)
+    mean = photon_mean(alpha)
     if mean == 0.0:
         return 1
     start = max(1, int(mean))
@@ -157,7 +158,7 @@ def coherent_state(
     """
     cutoff = as_cutoff(cutoff)
     alpha = complex(alpha)
-    mean = _photon_mean(alpha)
+    mean = photon_mean(alpha)
     tail = _poisson_tail(cutoff.n_max, mean)
     if tail >= tail_tol:
         needed = required_cutoff(alpha, tail_tol)

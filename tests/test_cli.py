@@ -12,11 +12,12 @@ import hypothesis.strategies as st
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 
 import uil.cli
+from render_oracle import render_csv, render_json
 from uil.analytic import evaluate_metrics, metrics_values
-from uil.cli import CSV_COLUMNS, main
+from uil.cli import CSV_COLUMNS, RENDER_BLOCK_ROWS, main
 from uil.params import InterferometerParams
 
 BALANCED = ["--theta1", repr(math.pi / 4), "--theta2", repr(math.pi / 4), "--phi", repr(math.pi / 2)]
@@ -191,6 +192,17 @@ def test_sweep_manifest_checksum_matches_file(capsys, tmp_path):
     manifest = json.loads((tmp_path / "grid.csv.manifest.json").read_text())
     assert manifest["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
     assert manifest["parameters"]["axes"] == ["eta=0.5:1:3"]
+    # grids of more than one block are hashed as they stream out
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"big.{fmt}"
+        code, _, _ = run(
+            capsys, "sweep", "--axis", "theta1=0:1.5:50", "--axis", "kappa=0:2:50",
+            "--format", fmt, "--output", str(path),
+        )
+        assert code == 0
+        manifest = json.loads((tmp_path / f"big.{fmt}.manifest.json").read_text())
+        assert manifest["parameters"]["rows"] == 2500 > RENDER_BLOCK_ROWS
+        assert manifest["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_sweep_json_format_serializes_infinities(capsys, tmp_path):
@@ -256,6 +268,13 @@ def test_sweep_unwritable_path_is_io_error(capsys, tmp_path):
         "--output", str(tmp_path / "no-such-dir" / "x.csv"),
     )
     assert code == 3
+    for fmt in ("csv", "json"):  # also where the output would take several blocks
+        code, _, _ = run(
+            capsys, "sweep", "--axis", "theta1=0:1:50", "--axis", "kappa=0:2:50", "--format", fmt,
+            "--output", str(tmp_path / "no-such-dir" / f"x.{fmt}"),
+        )
+        assert code == 3
+    assert list(tmp_path.iterdir()) == []
 
 
 # optimize
@@ -409,6 +428,30 @@ def test_verify_passes_at_the_cutoff_it_names(capsys):
     assert "PASS" in out
 
 
+def test_verify_refuses_a_drive_beyond_the_cutoff_at_once():
+    # |alpha|^2 = 1e20 > n_max = 40: refused before the Poisson-tail search,
+    # whose work grows with |alpha|
+    src = os.path.dirname(os.path.dirname(uil.cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "uil", "verify", "--alpha", "1e10", "--samples", "1"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert done.returncode == 4
+    assert "n_max must exceed |alpha|^2" in done.stderr
+
+
+def test_verify_refuses_a_cutoff_beyond_physical_memory(capsys):
+    # 16 * 100001^3 bytes, about 1.6e16: refused before anything is allocated
+    code, out, err = run(capsys, "verify", "--cutoff", "100000", "--samples", "1")
+    assert code == 4
+    assert out == ""
+    assert f"needs {16 * 100001**3} bytes" in err
+    assert "physical memory" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -557,6 +600,55 @@ def test_sweep_rows_equal_scalar_evaluation_bit_for_bit(axes):
         )
         for key, value in evaluate_metrics(params).as_dict().items():
             assert row[key] == repr(value), key
+
+
+# the streamed renderer against the row-by-row oracle
+
+SPECIAL_VALUES = [math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 2.2250738585072014e-308 / 3, 1e-310]
+
+
+@st.composite
+def random_columns(draw, rows):
+    """Columns of every kind a grid holds, from constant to all distinct.
+
+    Values are drawn as raw bit patterns (NaN excluded), so every
+    exponent and the subnormals appear, and special values are mixed in.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    palette = np.array(draw(st.lists(
+        st.sampled_from(SPECIAL_VALUES) | st.floats(allow_nan=False), min_size=1, max_size=6
+    )))
+    columns = {}
+    for name in CSV_COLUMNS:
+        kind = draw(st.sampled_from(["repeats", "distinct", "distinct then repeats"]))
+        column = rng.integers(0, 2**64, rows, dtype=np.uint64).view(np.float64)
+        repeats = palette[rng.integers(0, palette.size, rows)]
+        if kind == "repeats":
+            column = repeats
+        elif kind == "distinct then repeats":
+            column[rows // 2:] = repeats[rows // 2:]
+        column = np.where(np.isnan(column), repeats, column)
+        sprinkled = rng.random(rows) < 0.01
+        column[sprinkled] = rng.choice(SPECIAL_VALUES, int(sprinkled.sum()))
+        columns[name] = column
+    every = min(rows, len(SPECIAL_VALUES))  # each special value, once, in one column
+    columns[draw(st.sampled_from(CSV_COLUMNS))][rng.choice(rows, every, replace=False)] = SPECIAL_VALUES[:every]
+    return columns
+
+
+@pytest.mark.parametrize(
+    "rows", [1, RENDER_BLOCK_ROWS - 1, RENDER_BLOCK_ROWS, RENDER_BLOCK_ROWS + 1]
+)
+@given(data=st.data())
+@settings(max_examples=6, phases=[Phase.explicit, Phase.reuse, Phase.generate])  # a draw takes ~0.3 s: no shrinking
+def test_streamed_render_matches_row_oracle_byte_for_byte(rows, data):
+    columns = data.draw(random_columns(rows))
+    for fmt, oracle in (("csv", render_csv), ("json", render_json)):
+        got, want = "".join(uil.cli._render_blocks(columns, fmt)), oracle(columns, CSV_COLUMNS)
+        if got != want:  # name the first difference; a diff of the whole text takes minutes
+            at = len(os.path.commonprefix([got, want]))
+            near = slice(max(at - 60, 0), at + 60)
+            pytest.fail(f"{fmt} differs at {at}: {got[near]!r} != {want[near]!r}")
 
 
 # extreme inputs: every reported number is finite, inf or 0 and never NaN
