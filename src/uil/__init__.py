@@ -7,24 +7,8 @@ for the splitting angles under practical constraints, and a CLI for
 sweeps and verification runs.
 """
 
-from .analytic import (
-    evaluate_metrics,
-    fluctuation_performance_ratio,
-    intensity_performance_ratio,
-    mean_difference_signal,
-    phase_resolution,
-    probe_arm_stats,
-    std_difference_signal,
-    visibility,
-)
-from .fock import (
-    FockCutoff,
-    TruncationError,
-    TruncationWarning,
-    coherent_state,
-    loss_channel,
-    simulate,
-)
+from .analytic import evaluate_metrics
+from .fock import TruncationError, TruncationWarning, coherent_state, simulate
 from .optimize import ConstraintRegime, OptimumReport, optimize
 from .params import InterferometerParams, PerformanceMetrics
 
@@ -34,19 +18,10 @@ __all__ = [
     "__version__",
     "InterferometerParams",
     "PerformanceMetrics",
-    "probe_arm_stats",
-    "mean_difference_signal",
-    "std_difference_signal",
-    "phase_resolution",
-    "intensity_performance_ratio",
-    "fluctuation_performance_ratio",
-    "visibility",
     "evaluate_metrics",
-    "FockCutoff",
     "TruncationError",
     "TruncationWarning",
     "coherent_state",
-    "loss_channel",
     "simulate",
     "ConstraintRegime",
     "OptimumReport",

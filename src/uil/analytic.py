@@ -16,11 +16,14 @@ and the noise ``N = sqrt(c1^2 + T^2 s1^2)``:
     rho_fluctuation = 2 eta T |c1 sin2t2 sin(phi)| / N
     rho_intensity   = rho_fluctuation / (|alpha| |s1|)
 
-:func:`metrics_values` evaluates all of them over broadcast arrays, and
-the scalar functions, which take an
-:class:`~uil.params.InterferometerParams`, wrap it.  No formula squares
-``|alpha|`` on its own, so a moment beyond the double range becomes
-``inf`` while the ratios stay finite.
+:func:`metrics_values` evaluates all of them, with the probe-arm
+moments and the visibility, over broadcast arrays.
+:func:`evaluate_metrics` bundles them at one
+:class:`~uil.params.InterferometerParams` as a
+:class:`~uil.params.PerformanceMetrics`, whose docstring says what each
+field means; read one with ``evaluate_metrics(params).delta_phi`` and so
+on.  No formula squares ``|alpha|`` on its own, so a moment beyond the
+double range becomes ``inf`` while the ratios stay finite.
 """
 
 from __future__ import annotations
@@ -32,42 +35,14 @@ import numpy as np
 from .params import InterferometerParams, PerformanceMetrics
 
 __all__ = [
-    "probe_arm_stats",
-    "mean_difference_signal",
     "difference_signal_phase_gradient",
-    "std_difference_signal",
-    "phase_resolution",
-    "intensity_performance_ratio",
-    "fluctuation_performance_ratio",
-    "visibility",
     "evaluate_metrics",
     "metrics_values",
 ]
 
 
-def probe_arm_stats(params: InterferometerParams) -> tuple[float, float]:
-    """Mean photon number and its standard deviation in the probe arm.
-
-    Evaluated between the first splitter and the mirror, so independent
-    of ``phi``, ``kappa`` and ``theta2``.  Coherent light is Poissonian:
-    the fluctuation is the square root of the intensity.
-    """
-    metrics = evaluate_metrics(params)
-    return metrics.intensity_probe, metrics.std_intensity_probe
-
-
-def mean_difference_signal(params: InterferometerParams) -> float:
-    """Expected photon-number difference between the two detectors.
-
-        |alpha|^2 [cos(2 t2) (T^2 sin(t1)^2 - cos(t1)^2) + T sin(2 t1) sin(2 t2) cos(phi)]
-
-    which is |b3|^2 - |a3|^2 of the attenuated output amplitudes.
-    """
-    return evaluate_metrics(params).mean_O
-
-
 def difference_signal_phase_gradient(params: InterferometerParams) -> float:
-    """d<difference signal>/d(phi), used by :func:`phase_resolution`."""
+    """d(mean_O)/d(phi); ``delta_phi`` is std_O / (eta |gradient|)."""
     alpha_abs = abs(params.alpha)
     return (
         -alpha_abs
@@ -77,69 +52,6 @@ def difference_signal_phase_gradient(params: InterferometerParams) -> float:
         * math.sin(params.phi)
         * alpha_abs
     )
-
-
-def std_difference_signal(params: InterferometerParams) -> float:
-    """Standard deviation of the detector difference signal.
-
-    The output state is a product of coherent beams, so the variance is
-    the sum of the two output intensities (independent Poisson counts),
-    |alpha|^2 (cos(t1)^2 + T^2 sin(t1)^2).  Lossless this equals |alpha|
-    for any angles.
-    """
-    return evaluate_metrics(params).std_O
-
-
-def phase_resolution(params: InterferometerParams) -> float:
-    """Smallest resolvable phase shift (noise over signal gradient).
-
-        sqrt(cos(t1)^2 + T^2 sin(t1)^2) / (eta |alpha| T |sin(2 t1) sin(2 t2) sin(phi)|)
-
-    At kappa = 0 the numerator is 1 and this reduces to
-    1 / |alpha sin(2 t1) sin(2 t2) sin(phi)|.  Detector efficiency
-    inflates the resolvable angle by 1/eta, which makes both
-    performance ratios scale linearly with eta.
-
-    Returns ``inf`` when the operating point has no phase sensitivity
-    (any of the sine factors, T or |alpha| vanishing); that is not an
-    error, callers must handle it.
-    """
-    return evaluate_metrics(params).delta_phi
-
-
-def intensity_performance_ratio(params: InterferometerParams) -> float:
-    """Inverse of (phase resolution x probe intensity).
-
-    Extended-real contract: 0 when the resolution is infinite, ``inf``
-    in the formally unbounded regime of zero probe intensity at finite
-    resolution.  Lossless closed form:
-    |sin(2 t1) sin(2 t2) sin(phi)| / (|alpha| sin(t1)^2).
-    """
-    return evaluate_metrics(params).rho_intensity
-
-
-def fluctuation_performance_ratio(params: InterferometerParams) -> float:
-    """Inverse of (phase resolution x probe intensity fluctuation).
-
-    Independent of |alpha| and equal to
-    |sin(2 t1) sin(2 t2) sin(phi)| / |sin(t1)| when lossless.  The
-    sin(2 t1)/sin(t1) kink at theta1 = 0 is removable (equal to
-    2 cos(t1)), and the implementation uses that continuous form, so
-    the theta1 -> 0 homodyne-like limit evaluates to its limit value
-    rather than 0/0.  Scales linearly with detector efficiency.
-    """
-    return evaluate_metrics(params).rho_fluctuation
-
-
-def visibility(params: InterferometerParams) -> float:
-    """Fringe contrast (Imax - Imin)/(Imax + Imin) of one detector.
-
-    The detected intensity is harmonic in the swept phase, so the
-    extrema are analytic; ``params.phi`` is ignored.  Written so that a
-    balanced lossless interferometer gives exactly 1, and zero input
-    gives 0.
-    """
-    return evaluate_metrics(params).visibility
 
 
 def evaluate_metrics(params: InterferometerParams) -> PerformanceMetrics:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import metrics_values
-from .fock import DEFAULT_TAIL_TOL, FockCutoff, TruncationError, photon_mean, required_cutoff, simulate
+from .fock import TAIL_TOL, TruncationError, check_cutoff, photon_mean, required_cutoff, simulate
 from .optimize import ConstraintRegime, optimize
 from .params import InterferometerParams
 
@@ -38,7 +38,6 @@ EXIT_IO = 3
 EXIT_TRUNCATION = 4
 
 DEFAULT_VERIFY_CUTOFF = 40
-CUTOFF_ENV_VAR = "UIL_DEFAULT_CUTOFF"
 
 CSV_COLUMNS = (
     "theta1",
@@ -419,10 +418,12 @@ def _physical_memory_bytes() -> int | None:
 def _check_verify_cutoff(alpha: complex, cutoff: int, tol: float) -> None:
     """Refuse a cutoff whose truncation alone could fail ``verify``.
 
-    Two refusals come first, in O(1) work: a cutoff whose lossy state
-    (16 d^3 bytes, d = n_max + 1) exceeds physical memory, and a drive
-    with |alpha|^2 > n_max, which leaves about half the Poisson weight or
-    more beyond the cutoff.
+    Two refusals come first, in O(1) work: a cutoff whose simulation
+    exceeds physical memory, and a drive with |alpha|^2 > n_max, which
+    leaves about half the Poisson weight or more beyond the cutoff.
+    ``simulate`` peaks at two to three lossy states of 16 d^3 bytes each
+    (d = n_max + 1): a splitter holds its input and its output, and
+    numpy's temporaries come on top, so the bound is three states.
 
     Dropping the Poisson tail beyond n_max shifts the photon-number
     means by up to about n_max * tail and their standard deviations by
@@ -433,12 +434,12 @@ def _check_verify_cutoff(alpha: complex, cutoff: int, tol: float) -> None:
     asking ``required_cutoff`` for the limit of each candidate climbs
     to the smallest cutoff that meets it, which the error names.
     """
-    FockCutoff(cutoff)  # ValueError -> exit 2
-    state_bytes, memory = 16 * (cutoff + 1) ** 3, _physical_memory_bytes()
-    if memory is not None and state_bytes > memory:
+    check_cutoff(cutoff)  # ValueError -> exit 2
+    needed_bytes, memory = 3 * 16 * (cutoff + 1) ** 3, _physical_memory_bytes()
+    if memory is not None and needed_bytes > memory:
         raise TruncationError(
-            f"n_max = {cutoff} needs {state_bytes} bytes for the lossy state, "
-            f"more than the {memory} bytes of physical memory"
+            f"n_max = {cutoff} needs about {needed_bytes} bytes, three lossy states "
+            f"of 16 (n_max + 1)^3 bytes, more than the {memory} bytes of physical memory"
         )
     mean = photon_mean(alpha)  # ValueError where |alpha|^2 overflows
     if mean > cutoff:
@@ -452,7 +453,7 @@ def _check_verify_cutoff(alpha: complex, cutoff: int, tol: float) -> None:
 
     def tail_limit(n_max: int) -> float:
         shift_per_tail = max(n_max, (n_max - mean) ** 2 / (2.0 * abs(alpha)))
-        return min(DEFAULT_TAIL_TOL, max(tol / shift_per_tail, np.finfo(float).eps))
+        return min(TAIL_TOL, max(tol / shift_per_tail, np.finfo(float).eps))
 
     while (fits := required_cutoff(alpha, tail_limit(needed))) > needed:
         needed = fits
@@ -473,7 +474,7 @@ def _cmd_verify(args) -> int:
         "samples": 50,
         "seed": 0,
         "tol": 1e-8,
-        "cutoff": int(os.environ.get(CUTOFF_ENV_VAR, DEFAULT_VERIFY_CUTOFF)),
+        "cutoff": DEFAULT_VERIFY_CUTOFF,
     }
     resolved = _resolve(args, config, defaults)
     alpha = complex(resolved["alpha_re"], resolved["alpha_im"])
@@ -582,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, help="shorthand for --alpha-re")
     p.add_argument("--alpha-re", type=float, dest="alpha_re")
     p.add_argument("--alpha-im", type=float, dest="alpha_im")
-    p.add_argument("--cutoff", type=int, help=f"Fock cutoff n_max (default {DEFAULT_VERIFY_CUTOFF}, env {CUTOFF_ENV_VAR})")
+    p.add_argument("--cutoff", type=int, help=f"Fock cutoff n_max (default {DEFAULT_VERIFY_CUTOFF})")
     p.add_argument("--samples", type=int, help="number of random operating points (default 50)")
     p.add_argument("--seed", type=int, help="random seed (default 0)")
     p.add_argument("--tol", type=float, help="max allowed |analytic - simulator| (default 1e-8)")

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from numbers import Integral
+from typing import NamedTuple
 import warnings
 
 import numpy as np
@@ -32,22 +32,19 @@ import numpy as np
 from .modes import INPUT_MODE, PROBE_MODE
 from .params import InterferometerParams
 
-DEFAULT_TAIL_TOL = 1e-10
-DEFAULT_EDGE_TOL = 1e-8
+TAIL_TOL = 1e-10  # Poisson weight a coherent state may leave beyond n_max
+EDGE_TOL = 1e-8  # edge population at which simulate warns
 _TAIL_BLOCK = 4096  # Poisson terms summed per numpy call
 
 __all__ = [
-    "FockCutoff",
     "TruncationError",
     "TruncationWarning",
     "SimulationMoments",
+    "check_cutoff",
     "coherent_state",
     "photon_mean",
     "required_cutoff",
-    "loss_channel",
     "apply_beam_splitter",
-    "mode_number_moments",
-    "edge_mass",
     "simulate",
 ]
 
@@ -64,23 +61,11 @@ class TruncationWarning(UserWarning):
     """Emitted when basis-edge population makes results untrustworthy."""
 
 
-@dataclass(frozen=True)
-class FockCutoff:
-    """Highest retained photon number per mode."""
-
-    n_max: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.n_max, int) or self.n_max < 1:
-            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.n_max + 1
-
-
-def as_cutoff(cutoff: FockCutoff | int) -> FockCutoff:
-    return cutoff if isinstance(cutoff, FockCutoff) else FockCutoff(int(cutoff))
+def check_cutoff(n_max) -> int:
+    """The highest retained photon number per mode, checked: an integer >= 1."""
+    if not isinstance(n_max, Integral) or n_max < 1:
+        raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
+    return int(n_max)
 
 
 def _poisson_tail(n: int, mean: float) -> float:
@@ -122,7 +107,7 @@ def photon_mean(alpha: complex) -> float:
         raise ValueError(f"|alpha|^2 exceeds the double range, got alpha = {alpha!r}") from None
 
 
-def required_cutoff(alpha: complex, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
+def required_cutoff(alpha: complex, tail_tol: float = TAIL_TOL) -> int:
     """Smallest n_max whose Poisson tail mass is below ``tail_tol``.
 
     The tail falls with n_max, so the search gallops up from the mean
@@ -144,33 +129,29 @@ def required_cutoff(alpha: complex, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     return fits
 
 
-def coherent_state(
-    alpha: complex,
-    cutoff: FockCutoff | int,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> np.ndarray:
-    """Number-basis amplitudes of a coherent state, truncated at the cutoff.
+def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
+    """Number-basis amplitudes |0> .. |n_max> of a coherent state.
 
     Coefficients are exp(-|alpha|^2/2) * alpha^n / sqrt(n!), computed by
     the stable recurrence and deliberately *not* renormalized: the norm
     deficit is the truncation error.  Raises :class:`TruncationError`
-    when the Poisson weight beyond n_max reaches ``tail_tol``.
+    when the Poisson weight beyond n_max reaches ``TAIL_TOL``.
     """
-    cutoff = as_cutoff(cutoff)
+    n_max = check_cutoff(n_max)
     alpha = complex(alpha)
     mean = photon_mean(alpha)
-    tail = _poisson_tail(cutoff.n_max, mean)
-    if tail >= tail_tol:
-        needed = required_cutoff(alpha, tail_tol)
+    tail = _poisson_tail(n_max, mean)
+    if tail >= TAIL_TOL:
+        needed = required_cutoff(alpha)
         raise TruncationError(
             f"coherent state with |alpha|^2 = {mean:.6g} keeps tail mass "
-            f"{tail:.3e} beyond n_max = {cutoff.n_max} (tolerance {tail_tol:.1e}); "
+            f"{tail:.3e} beyond n_max = {n_max} (tolerance {TAIL_TOL:.1e}); "
             f"use n_max >= {needed}",
             required=needed,
         )
-    amplitudes = np.zeros(cutoff.dim, dtype=complex)
+    amplitudes = np.zeros(n_max + 1, dtype=complex)
     amplitudes[0] = math.exp(-0.5 * mean)
-    for n in range(1, cutoff.dim):
+    for n in range(1, n_max + 1):
         amplitudes[n] = amplitudes[n - 1] * alpha / math.sqrt(n)
     return amplitudes
 
@@ -259,45 +240,6 @@ def apply_beam_splitter(
     return out
 
 
-def loss_channel(
-    kappa: float, cutoff: FockCutoff | int
-) -> Callable[[np.ndarray, int], np.ndarray]:
-    """Attenuation channel of amplitude transmission exp(-kappa).
-
-    Returns a transformer ``channel(psi, axis)`` that appends a vacuum
-    ancilla axis and couples it to ``axis`` through a beam splitter of
-    transmission cos(theta) = exp(-kappa).  Expectation values on the
-    original modes then realize the attenuated (trace-preserving,
-    completely positive) dynamics exactly, for any input state.
-    """
-    if not (math.isfinite(kappa) and kappa >= 0.0):
-        raise ValueError(f"kappa must be finite and >= 0, got {kappa!r}")
-    cutoff = as_cutoff(cutoff)
-    theta_loss = math.acos(math.exp(-kappa))
-
-    def channel(psi: np.ndarray, axis: int = -1) -> np.ndarray:
-        psi = np.asarray(psi, dtype=complex)
-        axis = axis % psi.ndim
-        with_ancilla = np.zeros(psi.shape + (cutoff.dim,), dtype=complex)
-        with_ancilla[..., 0] = psi
-        if theta_loss == 0.0:
-            return with_ancilla
-        return apply_beam_splitter(with_ancilla, theta_loss, axes=(axis, psi.ndim))
-
-    return channel
-
-
-def mode_number_moments(psi: np.ndarray, axis: int) -> tuple[float, float]:
-    """Mean and standard deviation of the photon number on one axis."""
-    probabilities = np.abs(psi) ** 2
-    other_axes = tuple(i for i in range(psi.ndim) if i != axis)
-    marginal = probabilities.sum(axis=other_axes)
-    numbers = np.arange(marginal.size, dtype=float)
-    mean = float(numbers @ marginal)
-    second = float((numbers**2) @ marginal)
-    return mean, math.sqrt(max(second - mean**2, 0.0))
-
-
 def edge_mass(psi: np.ndarray) -> float:
     """Probability mass with any retained mode at its highest number state.
 
@@ -311,25 +253,22 @@ def edge_mass(psi: np.ndarray) -> float:
     )
 
 
-def simulate(
-    params: InterferometerParams,
-    cutoff: FockCutoff | int,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    edge_tol: float = DEFAULT_EDGE_TOL,
-) -> SimulationMoments:
+def simulate(params: InterferometerParams, n_max: int) -> SimulationMoments:
     """Propagate the input state through the full network and measure.
 
     Pipeline: splitter(theta1), probe-arm statistics, probe phase,
-    attenuation via the vacuum-ancilla dilation when kappa > 0,
-    splitter(theta2), then mean and standard deviation of the detector
-    difference signal n_b - n_a.
+    attenuation when kappa > 0, splitter(theta2), then mean and standard
+    deviation of the detector difference signal n_b - n_a.  The
+    attenuation appends a vacuum ancilla axis and couples the probe to it
+    through a splitter of transmission cos(theta) = exp(-kappa); the
+    moments of the original modes then follow the attenuated (trace
+    preserving, completely positive) dynamics exactly, for any state.
 
     Emits :class:`TruncationWarning` (with the measured edge mass) when
     population reaches the basis edge.
     """
-    cutoff = as_cutoff(cutoff)
-    d = cutoff.dim
-    drive = coherent_state(params.alpha, cutoff, tail_tol=tail_tol)
+    drive = coherent_state(params.alpha, n_max)
+    d = drive.size
     vacuum = np.zeros(d, dtype=complex)
     vacuum[0] = 1.0
     inputs = [vacuum, vacuum]
@@ -337,26 +276,33 @@ def simulate(
     psi = np.outer(inputs[0], inputs[1])
 
     psi = apply_beam_splitter(psi, params.theta1, axes=(0, 1))
-    probe_intensity, probe_std = mode_number_moments(psi, axis=PROBE_MODE)
+    numbers = np.arange(d, dtype=float)
+    marginal = (np.abs(psi) ** 2).sum(axis=1 - PROBE_MODE)
+    probe_intensity = float(numbers @ marginal)
+    probe_second = float((numbers**2) @ marginal)
 
     phases = np.exp(-1j * params.phi * np.arange(d))
     psi = psi * (phases if PROBE_MODE == 1 else phases[:, None])
     if params.kappa > 0.0:
-        psi = loss_channel(params.kappa, cutoff)(psi, axis=PROBE_MODE)
+        # one name for the rank-3 state, so each splitter frees its input
+        unattenuated, psi = psi, np.zeros(psi.shape + (d,), dtype=complex)
+        psi[..., 0] = unattenuated
+        theta_loss = math.acos(math.exp(-params.kappa))
+        if theta_loss > 0.0:
+            psi = apply_beam_splitter(psi, theta_loss, axes=(PROBE_MODE, 2))
     psi = apply_beam_splitter(psi, params.theta2, axes=(0, 1))
 
     leaked = edge_mass(psi)
-    if leaked >= edge_tol:
+    if leaked >= EDGE_TOL:
         warnings.warn(
-            f"edge population {leaked:.3e} exceeds {edge_tol:.1e}; "
-            f"increase the cutoff (n_max = {cutoff.n_max})",
+            f"edge population {leaked:.3e} exceeds {EDGE_TOL:.1e}; "
+            f"increase the cutoff (n_max = {d - 1})",
             TruncationWarning,
             stacklevel=2,
         )
 
     # Detector marginal: the ancilla, if any, is traced out first.
     probabilities = (np.abs(psi) ** 2).sum(axis=tuple(range(2, psi.ndim)))
-    numbers = np.arange(d, dtype=float)
     weights = numbers[None, :] - numbers[:, None]  # n_b - n_a
     mean = float((weights * probabilities).sum())
     second = float((weights**2 * probabilities).sum())
@@ -364,5 +310,5 @@ def simulate(
         mean_O=mean,
         std_O=math.sqrt(max(second - mean**2, 0.0)),
         probe_intensity=probe_intensity,
-        probe_std=probe_std,
+        probe_std=math.sqrt(max(probe_second - probe_intensity**2, 0.0)),
     )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,25 @@ class InterferometerParams:
 class PerformanceMetrics:
     """All derived scalars at one parameter point.
 
+    ``mean_O`` and ``std_O`` are the moments of the detector difference
+    n_b - n_a.  The output is a product of coherent beams, so the
+    variance is the sum of the two output intensities, and ``std_O`` is
+    ``|alpha|`` at any angles when lossless.  ``intensity_probe`` and
+    ``std_intensity_probe`` are the (Poissonian) photon-number moments
+    of the probe arm before the mirror, so independent of ``theta2``,
+    ``phi`` and ``kappa``.  ``delta_phi`` is noise over signal gradient,
+    scaled by ``1/eta``.  ``rho_intensity`` and ``rho_fluctuation`` are
+    the inverse of ``delta_phi`` times ``intensity_probe`` and times
+    ``std_intensity_probe``.  ``visibility`` is the fringe contrast
+    (Imax - Imin) / (Imax + Imin) of one detector as the phase is swept,
+    so it ignores ``phi``; it is exactly 1 balanced and lossless, and 0
+    at zero input.
+
     Values follow the extended-real contract of the README.
     ``delta_phi`` is ``inf`` when the operating point has no phase
     sensitivity (or its value exceeds the double range), and
-    ``rho_intensity`` is then 0.  ``rho_fluctuation`` does not depend on
+    ``rho_intensity`` is then 0; it is ``inf`` where the probe intensity
+    vanishes at finite resolution.  ``rho_fluctuation`` does not depend on
     ``|alpha|`` and is evaluated in its continuous form, so at
     ``delta_phi = inf`` it is 0 only where that form vanishes, such as
     ``phi = 0`` or ``theta2 = 0``.  At ``theta1 = 0`` (no probe light)
@@ -78,7 +93,4 @@ class PerformanceMetrics:
     rho_intensity: float
     rho_fluctuation: float
     visibility: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 

@@ -14,26 +14,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from uil.fock import FockCutoff, as_cutoff, edge_mass
+from uil.fock import edge_mass
 from uil.modes import PROBE_MODE
 
 
-def mode_operators(cutoff: FockCutoff | int) -> tuple[np.ndarray, np.ndarray]:
+def mode_operators(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Single-mode annihilation and creation matrices (a|n> = sqrt(n)|n-1>)."""
-    d = as_cutoff(cutoff).dim
+    d = n_max + 1
     lowering = np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1).astype(complex)
     return lowering, lowering.conj().T
 
 
-def number_operator(cutoff: FockCutoff | int) -> np.ndarray:
-    d = as_cutoff(cutoff).dim
+def number_operator(n_max: int) -> np.ndarray:
+    d = n_max + 1
     return np.diag(np.arange(d, dtype=float)).astype(complex)
 
 
-def splitter_generator(cutoff: FockCutoff | int) -> np.ndarray:
+def splitter_generator(n_max: int) -> np.ndarray:
     """Dense anti-Hermitian splitter generator a†b - ab† on the box."""
-    d = as_cutoff(cutoff).dim
-    lowering, _ = mode_operators(cutoff)
+    d = n_max + 1
+    lowering, _ = mode_operators(n_max)
     eye = np.eye(d, dtype=complex)
     mode_a = np.kron(lowering, eye)
     mode_b = np.kron(eye, lowering)
@@ -77,36 +77,35 @@ class TwoModeState:
     """
 
     amplitudes: np.ndarray
-    cutoff: FockCutoff
+    n_max: int
 
     def __post_init__(self) -> None:
-        if self.amplitudes.shape != (self.cutoff.dim**2,):
+        if self.amplitudes.shape != ((self.n_max + 1) ** 2,):
             raise ValueError(
-                f"amplitude vector must have length {self.cutoff.dim**2}, "
+                f"amplitude vector must have length {(self.n_max + 1) ** 2}, "
                 f"got shape {self.amplitudes.shape}"
             )
 
     @classmethod
     def from_single_modes(
-        cls, mode_a: np.ndarray, mode_b: np.ndarray, cutoff: FockCutoff | int
+        cls, mode_a: np.ndarray, mode_b: np.ndarray, n_max: int
     ) -> "TwoModeState":
-        cutoff = as_cutoff(cutoff)
-        if mode_a.shape != (cutoff.dim,) or mode_b.shape != (cutoff.dim,):
+        if mode_a.shape != (n_max + 1,) or mode_b.shape != (n_max + 1,):
             raise ValueError("single-mode vectors do not match the cutoff dimension")
-        return cls(np.outer(mode_a, mode_b).ravel(), cutoff)
+        return cls(np.outer(mode_a, mode_b).ravel(), n_max)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
     def as_matrix(self) -> np.ndarray:
-        d = self.cutoff.dim
+        d = self.n_max + 1
         return self.amplitudes.reshape(d, d)
 
     def edge_mass(self) -> float:
         return edge_mass(self.as_matrix())
 
     def apply(self, unitary: np.ndarray) -> "TwoModeState":
-        return TwoModeState(unitary @ self.amplitudes, self.cutoff)
+        return TwoModeState(unitary @ self.amplitudes, self.n_max)
 
     def expectation(self, operator: np.ndarray) -> complex:
         return complex(self.amplitudes.conj() @ (operator @ self.amplitudes))
@@ -118,7 +117,7 @@ def _splitter_eigensystem(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(1j * splitter_generator(n_max))
 
 
-def beam_splitter_unitary(theta: float, cutoff: FockCutoff | int) -> np.ndarray:
+def beam_splitter_unitary(theta: float, n_max: int) -> np.ndarray:
     """Dense two-mode splitter unitary exp(theta * (a†b - ab†)).
 
     In the Heisenberg picture U† a U = cos(theta) a + sin(theta) b and
@@ -127,27 +126,27 @@ def beam_splitter_unitary(theta: float, cutoff: FockCutoff | int) -> np.ndarray:
     """
     if not math.isfinite(theta):
         raise ValueError(f"mixing angle must be finite, got {theta!r}")
-    evals, evecs = _splitter_eigensystem(as_cutoff(cutoff).n_max)
+    evals, evecs = _splitter_eigensystem(n_max)
     return (evecs * np.exp(-1j * theta * evals)) @ evecs.conj().T
 
 
 def phase_unitary(
-    phi: float, cutoff: FockCutoff | int, mode: int = PROBE_MODE
+    phi: float, n_max: int, mode: int = PROBE_MODE
 ) -> np.ndarray:
     """Dense two-mode unitary exp(-i*phi*n) on one mode (probe by default).
 
     Diagonal in the number basis; sends a coherent amplitude beta to
     exp(-i*phi)*beta.
     """
-    d = as_cutoff(cutoff).dim
+    d = n_max + 1
     numbers = np.arange(d, dtype=float)
     occupation = {0: np.repeat(numbers, d), 1: np.tile(numbers, d)}[mode]
     return np.diag(np.exp(-1j * phi * occupation))
 
 
-def difference_observable(cutoff: FockCutoff | int) -> np.ndarray:
+def difference_observable(n_max: int) -> np.ndarray:
     """Dense photon-number difference n_b - n_a on the two-mode basis."""
-    d = as_cutoff(cutoff).dim
-    number = number_operator(cutoff)
+    d = n_max + 1
+    number = number_operator(n_max)
     eye = np.eye(d, dtype=complex)
     return np.kron(eye, number) - np.kron(number, eye)

@@ -12,13 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from uil.analytic import (
-    difference_signal_phase_gradient,
-    fluctuation_performance_ratio,
-    intensity_performance_ratio,
-    mean_difference_signal,
-    phase_resolution,
-)
+from uil.analytic import difference_signal_phase_gradient, evaluate_metrics
 from uil.cli import main
 from uil.fock import simulate
 from uil.optimize import ConstraintRegime, optimize
@@ -38,7 +32,7 @@ def report(line):
 def test_criterion_01_balanced_resolution():
     start = time.perf_counter()
     for alpha in (0.5, 1.0, 2.0):
-        resolution = phase_resolution(balanced(alpha))
+        resolution = evaluate_metrics(balanced(alpha)).delta_phi
         assert abs(resolution - 1.0 / alpha) <= 1e-12 * (1.0 / alpha)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -48,9 +42,9 @@ def test_criterion_01_balanced_resolution():
 def test_criterion_02_balanced_ratios():
     start = time.perf_counter()
     for alpha in (0.5, 1.0, 2.0):
-        rho_i = intensity_performance_ratio(balanced(alpha))
+        rho_i = evaluate_metrics(balanced(alpha)).rho_intensity
         assert abs(rho_i - 2.0 / alpha) <= 1e-12 * (2.0 / alpha)
-    rho_di = fluctuation_performance_ratio(balanced())
+    rho_di = evaluate_metrics(balanced()).rho_fluctuation
     assert abs(rho_di - math.sqrt(2.0)) <= 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -75,11 +69,11 @@ def test_criterion_03_equal_splitter_optimum():
 
 def test_criterion_04_homodyne_like_limit():
     near_zero = InterferometerParams(1e-4, math.pi / 4, HALF_PI)
-    assert abs(fluctuation_performance_ratio(near_zero) - 2.0) < 1e-7
+    assert abs(evaluate_metrics(near_zero).rho_fluctuation - 2.0) < 1e-7
     for theta1 in np.linspace(1e-3, 0.2, 50):
-        value = fluctuation_performance_ratio(
+        value = evaluate_metrics(
             InterferometerParams(theta1, math.pi / 4, HALF_PI)
-        )
+        ).rho_fluctuation
         assert abs(value - (2.0 - theta1**2)) < theta1**4
     report("ACCEPTANCE 04 homodyne-like limit 2 and small-angle expansion: PASS")
 
@@ -90,9 +84,9 @@ def test_criterion_05_loss_reduction_identity():
         theta1, theta2 = rng.uniform(0.0, HALF_PI, 2)
         phi = rng.uniform(0.0, 2 * math.pi)
         alpha = rng.uniform(0.1, 2.0)
-        lossy_form = phase_resolution(
+        lossy_form = evaluate_metrics(
             InterferometerParams(theta1, theta2, phi, kappa=0.0, alpha=alpha)
-        )
+        ).delta_phi
         sensitivity = abs(
             alpha * math.sin(2 * theta1) * math.sin(2 * theta2) * math.sin(phi)
         )
@@ -102,9 +96,9 @@ def test_criterion_05_loss_reduction_identity():
         else:
             assert abs(lossy_form - lossless_form) <= 1e-12 * lossless_form
     for theta1 in rng.uniform(0.0, HALF_PI, 1000):
-        value = fluctuation_performance_ratio(
+        value = evaluate_metrics(
             InterferometerParams(theta1, math.pi / 4, HALF_PI, kappa=0.0)
-        )
+        ).rho_fluctuation
         assert abs(value - 2.0 * math.cos(theta1)) <= 1e-12
     report("ACCEPTANCE 05 lossy formulas reduce to lossless forms at kappa=0: PASS")
 
@@ -148,7 +142,7 @@ def test_criterion_07_gradient_check():
             continue
         up = InterferometerParams(p.theta1, p.theta2, p.phi + step, kappa=p.kappa, alpha=p.alpha)
         down = InterferometerParams(p.theta1, p.theta2, p.phi - step, kappa=p.kappa, alpha=p.alpha)
-        numeric = (mean_difference_signal(up) - mean_difference_signal(down)) / (2 * step)
+        numeric = (evaluate_metrics(up).mean_O - evaluate_metrics(down).mean_O) / (2 * step)
         assert abs(numeric - analytic) <= 1e-6 * abs(analytic)
         checked += 1
     assert checked >= 95
@@ -209,12 +203,12 @@ def test_criterion_09_detector_efficiency_scaling():
         InterferometerParams(1.1, 0.3, 2.0, kappa=0.1, alpha=1.7),
     ]
     for p in points:
-        unit = fluctuation_performance_ratio(p)
+        unit = evaluate_metrics(p).rho_fluctuation
         for eta in (0.25, 0.5, 0.9):
             dimmed = InterferometerParams(
                 p.theta1, p.theta2, p.phi, kappa=p.kappa, eta=eta, alpha=p.alpha
             )
-            assert abs(fluctuation_performance_ratio(dimmed) - eta * unit) <= 1e-12
+            assert abs(evaluate_metrics(dimmed).rho_fluctuation - eta * unit) <= 1e-12
     report("ACCEPTANCE 09 detector efficiency scales the ratio linearly: PASS")
 
 

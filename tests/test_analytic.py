@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import mpmath
@@ -7,18 +8,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from uil.analytic import (
-    difference_signal_phase_gradient,
-    evaluate_metrics,
-    fluctuation_performance_ratio,
-    intensity_performance_ratio,
-    mean_difference_signal,
-    metrics_values,
-    phase_resolution,
-    probe_arm_stats,
-    std_difference_signal,
-    visibility,
-)
+from uil.analytic import difference_signal_phase_gradient, evaluate_metrics, metrics_values
 from uil.modes import PROBE_MODE
 from uil.params import InterferometerParams
 
@@ -125,28 +115,33 @@ def test_lossy_energy_never_grows(theta1, theta2, phi, kappa):
 # probe arm statistics
 
 
+def probe_stats(p):
+    m = evaluate_metrics(p)
+    return m.intensity_probe, m.std_intensity_probe
+
+
 def test_probe_stats_balanced_amplitude_two():
-    intensity, std = probe_arm_stats(params(math.pi / 4, 0.1, 0.2, alpha=2.0))
+    intensity, std = probe_stats(params(math.pi / 4, 0.1, 0.2, alpha=2.0))
     assert intensity == pytest.approx(2.0, abs=1e-12)
     assert std == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
 def test_probe_stats_transparent_splitter():
-    assert probe_arm_stats(params(0.0, 0.9, 0.2, alpha=1.7)) == (0.0, 0.0)
+    assert probe_stats(params(0.0, 0.9, 0.2, alpha=1.7)) == (0.0, 0.0)
 
 
 def test_probe_stats_one_third_split():
     # sin(arctan(1/sqrt(2)))^2 = 1/3
     theta = math.atan(1.0 / math.sqrt(2.0))
-    intensity, std = probe_arm_stats(params(theta, 0.5, 0.1))
+    intensity, std = probe_stats(params(theta, 0.5, 0.1))
     assert intensity == pytest.approx(1.0 / 3.0, abs=1e-14)
     assert std == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-14)
 
 
 @given(SPLIT_ANGLES, ANGLES, ANGLES, st.floats(min_value=0.0, max_value=2.0))
 def test_probe_stats_ignore_downstream_settings(theta1, theta2, phi, kappa):
-    baseline = probe_arm_stats(params(theta1, 0.1, 0.0))
-    assert probe_arm_stats(params(theta1, theta2, phi, kappa=kappa)) == baseline
+    baseline = probe_stats(params(theta1, 0.1, 0.0))
+    assert probe_stats(params(theta1, theta2, phi, kappa=kappa)) == baseline
 
 
 # difference signal
@@ -156,20 +151,20 @@ def test_mean_balanced_is_cosine():
     for phi, expected in [(0.0, 1.0), (math.pi / 3, 0.5), (math.pi / 2, 0.0)]:
         for alpha in (1.0, 1.5 + 0.5j):
             p = params(math.pi / 4, math.pi / 4, phi, alpha=alpha)
-            assert mean_difference_signal(p) == pytest.approx(
+            assert evaluate_metrics(p).mean_O == pytest.approx(
                 abs(alpha) ** 2 * expected, abs=1e-12
             )
 
 
 def test_mean_vacuum_input_is_zero():
-    assert mean_difference_signal(params(0.4, 1.1, 0.7, alpha=0.0)) == 0.0
+    assert evaluate_metrics(params(0.4, 1.1, 0.7, alpha=0.0)).mean_O == 0.0
 
 
 def test_mean_transparent_splitter_phase_independent():
     for phi in (0.0, 0.8, 2.2):
         p = params(0.0, 0.9, phi, alpha=1.3)
         expected = -abs(1.3) ** 2 * math.cos(2 * 0.9)
-        assert mean_difference_signal(p) == pytest.approx(expected, abs=1e-12)
+        assert evaluate_metrics(p).mean_O == pytest.approx(expected, abs=1e-12)
 
 
 @given(ANGLES, ANGLES, ANGLES, st.floats(min_value=0.0, max_value=1.5))
@@ -177,20 +172,20 @@ def test_mean_equals_output_intensity_difference(theta1, theta2, phi, kappa):
     p = params(theta1, theta2, phi, kappa=kappa, alpha=1.2)
     out = output_amplitudes(p)
     expected = abs(out.b3) ** 2 - abs(out.a3) ** 2
-    assert mean_difference_signal(p) == pytest.approx(expected, abs=1e-12)
+    assert evaluate_metrics(p).mean_O == pytest.approx(expected, abs=1e-12)
 
 
 @given(ANGLES, ANGLES, ANGLES)
 def test_mean_even_in_phase(theta1, theta2, phi):
     p_plus = params(theta1, theta2, phi)
     p_minus = params(theta1, theta2, -phi)
-    assert mean_difference_signal(p_plus) == mean_difference_signal(p_minus)
+    assert evaluate_metrics(p_plus).mean_O == evaluate_metrics(p_minus).mean_O
 
 
 def test_std_is_alpha_when_lossless():
     for theta1, theta2, phi in [(0.3, 1.2, 0.4), (1.0, 0.1, 2.0)]:
         p = params(theta1, theta2, phi, alpha=1.7 - 0.2j)
-        assert std_difference_signal(p) == pytest.approx(abs(p.alpha), abs=1e-12)
+        assert evaluate_metrics(p).std_O == pytest.approx(abs(p.alpha), abs=1e-12)
 
 
 def test_std_with_loss_closed_form():
@@ -198,7 +193,7 @@ def test_std_with_loss_closed_form():
     expected = abs(p.alpha) * math.sqrt(
         math.cos(0.8) ** 2 + math.exp(-1.2) * math.sin(0.8) ** 2
     )
-    assert std_difference_signal(p) == pytest.approx(expected, abs=1e-12)
+    assert evaluate_metrics(p).std_O == pytest.approx(expected, abs=1e-12)
 
 
 # phase resolution
@@ -207,7 +202,7 @@ def test_std_with_loss_closed_form():
 def test_resolution_balanced_working_point():
     for alpha in (0.5, 1.0, 2.0):
         p = params(math.pi / 4, math.pi / 4, math.pi / 2, alpha=alpha)
-        assert phase_resolution(p) == pytest.approx(1.0 / alpha, rel=1e-14)
+        assert evaluate_metrics(p).delta_phi == pytest.approx(1.0 / alpha, rel=1e-14)
 
 
 def test_resolution_reduces_to_lossless_form():
@@ -219,12 +214,12 @@ def test_resolution_reduces_to_lossless_form():
         lossless = 1.0 / abs(
             p.alpha * math.sin(2 * theta1) * math.sin(2 * theta2) * math.sin(phi)
         )
-        assert phase_resolution(p) == pytest.approx(lossless, rel=1e-12)
+        assert evaluate_metrics(p).delta_phi == pytest.approx(lossless, rel=1e-12)
 
 
 def test_resolution_balanced_with_loss_frozen_value():
     p = params(math.pi / 4, math.pi / 4, math.pi / 2, kappa=0.5)
-    assert phase_resolution(p) == pytest.approx(math.sqrt((math.e + 1.0) / 2.0), rel=1e-13)
+    assert evaluate_metrics(p).delta_phi == pytest.approx(math.sqrt((math.e + 1.0) / 2.0), rel=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -237,7 +232,7 @@ def test_resolution_balanced_with_loss_frozen_value():
     ],
 )
 def test_resolution_returns_infinity_without_sensitivity(p):
-    assert phase_resolution(p) == math.inf
+    assert evaluate_metrics(p).delta_phi == math.inf
 
 
 def test_resolution_is_noise_over_gradient():
@@ -250,8 +245,8 @@ def test_resolution_is_noise_over_gradient():
             kappa=rng.uniform(0.0, 1.0),
             alpha=rng.uniform(0.3, 2.0),
         )
-        expected = std_difference_signal(p) / abs(difference_signal_phase_gradient(p))
-        assert phase_resolution(p) == pytest.approx(expected, rel=1e-12)
+        m = evaluate_metrics(p)
+        assert m.delta_phi == pytest.approx(m.std_O / abs(difference_signal_phase_gradient(p)), rel=1e-12)
 
 
 def test_gradient_matches_finite_differences():
@@ -262,8 +257,8 @@ def test_gradient_matches_finite_differences():
         phi = rng.uniform(0.0, 2 * math.pi)
         kappa = rng.uniform(0.0, 1.0)
         alpha = rng.uniform(0.3, 2.0)
-        plus = mean_difference_signal(params(theta1, theta2, phi + step, kappa=kappa, alpha=alpha))
-        minus = mean_difference_signal(params(theta1, theta2, phi - step, kappa=kappa, alpha=alpha))
+        plus = evaluate_metrics(params(theta1, theta2, phi + step, kappa=kappa, alpha=alpha)).mean_O
+        minus = evaluate_metrics(params(theta1, theta2, phi - step, kappa=kappa, alpha=alpha)).mean_O
         fd = (plus - minus) / (2.0 * step)
         grad = difference_signal_phase_gradient(params(theta1, theta2, phi, kappa=kappa, alpha=alpha))
         if grad != 0.0:
@@ -274,24 +269,24 @@ def test_resolution_scales_inversely_with_efficiency():
     base = params(0.5, 0.6, 1.0, kappa=0.2)
     for eta in (0.25, 0.5, 0.9):
         dimmed = params(0.5, 0.6, 1.0, kappa=0.2, eta=eta)
-        assert phase_resolution(dimmed) == pytest.approx(
-            phase_resolution(base) / eta, rel=1e-14
+        assert evaluate_metrics(dimmed).delta_phi == pytest.approx(
+            evaluate_metrics(base).delta_phi / eta, rel=1e-14
         )
 
 
 def test_working_point_minimizes_resolution_over_phase():
     phis = np.linspace(0.01, math.pi - 0.01, 2001)
     for kappa in (0.0, 0.4):
-        values = [phase_resolution(params(0.5, 0.8, phi, kappa=kappa)) for phi in phis]
+        values = [evaluate_metrics(params(0.5, 0.8, phi, kappa=kappa)).delta_phi for phi in phis]
         assert phis[int(np.argmin(values))] == pytest.approx(math.pi / 2, abs=2e-3)
 
 
 def test_balanced_angles_give_best_resolution():
     rng = np.random.default_rng(3)
-    best = phase_resolution(params(math.pi / 4, math.pi / 4, math.pi / 2))
+    best = evaluate_metrics(params(math.pi / 4, math.pi / 4, math.pi / 2)).delta_phi
     for _ in range(200):
         theta1, theta2 = rng.uniform(0.0, math.pi / 2, 2)
-        assert best <= phase_resolution(params(theta1, theta2, math.pi / 2)) + 1e-15
+        assert best <= evaluate_metrics(params(theta1, theta2, math.pi / 2)).delta_phi + 1e-15
 
 
 # performance ratios
@@ -300,45 +295,45 @@ def test_balanced_angles_give_best_resolution():
 def test_intensity_ratio_balanced():
     for alpha in (0.5, 1.0, 2.0):
         p = params(math.pi / 4, math.pi / 4, math.pi / 2, alpha=alpha)
-        assert intensity_performance_ratio(p) == pytest.approx(2.0 / alpha, rel=1e-14)
+        assert evaluate_metrics(p).rho_intensity == pytest.approx(2.0 / alpha, rel=1e-14)
 
 
 def test_intensity_ratio_grows_as_power_drops():
     p_large = params(0.6, 0.7, 1.0, alpha=1.0)
     p_small = params(0.6, 0.7, 1.0, alpha=0.01)
-    assert intensity_performance_ratio(p_small) == pytest.approx(
-        100.0 * intensity_performance_ratio(p_large), rel=1e-12
+    assert evaluate_metrics(p_small).rho_intensity == pytest.approx(
+        100.0 * evaluate_metrics(p_large).rho_intensity, rel=1e-12
     )
 
 
 def test_intensity_ratio_unbalanced_frozen_value():
     p = params(math.pi / 3, math.pi / 4, math.pi / 2)
-    assert intensity_performance_ratio(p) == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-13)
+    assert evaluate_metrics(p).rho_intensity == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-13)
 
 
 def test_intensity_ratio_zero_when_resolution_infinite():
-    assert intensity_performance_ratio(params(0.0, 0.7, 1.0)) == 0.0
-    assert intensity_performance_ratio(params(0.3, 0.7, 0.0)) == 0.0
+    assert evaluate_metrics(params(0.0, 0.7, 1.0)).rho_intensity == 0.0
+    assert evaluate_metrics(params(0.3, 0.7, 0.0)).rho_intensity == 0.0
 
 
 def test_fluctuation_ratio_balanced_is_sqrt_two():
     p = params(math.pi / 4, math.pi / 4, math.pi / 2)
-    assert fluctuation_performance_ratio(p) == pytest.approx(math.sqrt(2.0), rel=1e-13)
+    assert evaluate_metrics(p).rho_fluctuation == pytest.approx(math.sqrt(2.0), rel=1e-13)
 
 
 def test_fluctuation_ratio_equal_splitter_optimum():
     theta = math.atan(1.0 / math.sqrt(2.0))
     p = params(theta, theta, math.pi / 2)
-    assert fluctuation_performance_ratio(p) == pytest.approx(
+    assert evaluate_metrics(p).rho_fluctuation == pytest.approx(
         8.0 * math.sqrt(3.0) / 9.0, rel=1e-13
     )
 
 
 def test_fluctuation_ratio_homodyne_limit():
-    assert fluctuation_performance_ratio(params(0.0, math.pi / 4, math.pi / 2)) == pytest.approx(
+    assert evaluate_metrics(params(0.0, math.pi / 4, math.pi / 2)).rho_fluctuation == pytest.approx(
         2.0, abs=1e-15
     )
-    assert fluctuation_performance_ratio(params(1e-4, math.pi / 4, math.pi / 2)) == pytest.approx(
+    assert evaluate_metrics(params(1e-4, math.pi / 4, math.pi / 2)).rho_fluctuation == pytest.approx(
         2.0, abs=1e-7
     )
 
@@ -346,7 +341,7 @@ def test_fluctuation_ratio_homodyne_limit():
 def test_fluctuation_ratio_small_angle_expansion():
     for theta1 in np.linspace(0.01, 0.2, 25):
         for theta2, phi in [(math.pi / 4, math.pi / 2), (0.6, 1.1)]:
-            value = fluctuation_performance_ratio(params(theta1, theta2, phi))
+            value = evaluate_metrics(params(theta1, theta2, phi)).rho_fluctuation
             expansion = (2.0 - theta1**2) * math.sin(2 * theta2) * math.sin(phi)
             assert abs(value - expansion) < theta1**4
 
@@ -359,8 +354,8 @@ def test_fluctuation_ratio_small_angle_expansion():
     st.floats(min_value=0.1, max_value=2.0),
 )
 def test_fluctuation_ratio_independent_of_amplitude(theta1, theta2, phi, a1, a2):
-    first = fluctuation_performance_ratio(params(theta1, theta2, phi, alpha=a1))
-    second = fluctuation_performance_ratio(params(theta1, theta2, phi, alpha=a2))
+    first = evaluate_metrics(params(theta1, theta2, phi, alpha=a1)).rho_fluctuation
+    second = evaluate_metrics(params(theta1, theta2, phi, alpha=a2)).rho_fluctuation
     assert first == pytest.approx(second, abs=1e-12)
 
 
@@ -375,45 +370,45 @@ def test_fluctuation_ratio_is_inverse_resolution_times_noise():
             eta=rng.uniform(0.2, 1.0),
             alpha=rng.uniform(0.3, 2.0),
         )
-        _, std_intensity = probe_arm_stats(p)
-        expected = 1.0 / (phase_resolution(p) * std_intensity)
-        assert fluctuation_performance_ratio(p) == pytest.approx(expected, rel=1e-12)
+        m = evaluate_metrics(p)
+        expected = 1.0 / (m.delta_phi * m.std_intensity_probe)
+        assert m.rho_fluctuation == pytest.approx(expected, rel=1e-12)
 
 
 def test_fluctuation_ratio_lossy_reduction_to_two_cosine():
     for theta1 in np.linspace(0.0, math.pi / 2, 91):
         p = params(theta1, math.pi / 4, math.pi / 2)
-        assert fluctuation_performance_ratio(p) == pytest.approx(
+        assert evaluate_metrics(p).rho_fluctuation == pytest.approx(
             2.0 * math.cos(theta1), abs=1e-14
         )
 
 
 def test_fluctuation_ratio_scales_with_efficiency():
     p = params(0.5, 0.7, 1.2, kappa=0.3)
-    base = fluctuation_performance_ratio(p)
+    base = evaluate_metrics(p).rho_fluctuation
     for eta in (0.25, 0.5, 0.9):
         dimmed = params(0.5, 0.7, 1.2, kappa=0.3, eta=eta)
-        assert fluctuation_performance_ratio(dimmed) == pytest.approx(eta * base, rel=1e-13)
+        assert evaluate_metrics(dimmed).rho_fluctuation == pytest.approx(eta * base, rel=1e-13)
 
 
 # visibility
 
 
 def test_visibility_balanced_lossless_is_exactly_one():
-    assert visibility(params(math.pi / 4, math.pi / 4, 0.3)) == 1.0
+    assert evaluate_metrics(params(math.pi / 4, math.pi / 4, 0.3)).visibility == 1.0
 
 
 def test_visibility_no_probe_light():
-    assert visibility(params(0.0, math.pi / 4, 0.3)) == 0.0
+    assert evaluate_metrics(params(0.0, math.pi / 4, 0.3)).visibility == 0.0
 
 
 def test_visibility_zero_input():
-    assert visibility(params(0.5, 0.5, 0.3, alpha=0.0)) == 0.0
+    assert evaluate_metrics(params(0.5, 0.5, 0.3, alpha=0.0)).visibility == 0.0
 
 
 def test_visibility_eighth_turn_frozen_value():
     p = params(math.pi / 8, math.pi / 4, 0.0)
-    assert visibility(p) == pytest.approx(math.sin(math.pi / 4), rel=1e-14)
+    assert evaluate_metrics(p).visibility == pytest.approx(math.sin(math.pi / 4), rel=1e-14)
 
 
 def grid_visibility(p, n=20001):
@@ -435,13 +430,13 @@ def test_visibility_matches_phase_scan():
             0.0,
             kappa=rng.uniform(0.0, 1.0),
         )
-        assert visibility(p) == pytest.approx(grid_visibility(p), abs=1e-7)
+        assert evaluate_metrics(p).visibility == pytest.approx(grid_visibility(p), abs=1e-7)
 
 
 @given(SPLIT_ANGLES, SPLIT_ANGLES, st.floats(min_value=0.0, max_value=2.0))
 @settings(max_examples=200)
 def test_visibility_bounded(theta1, theta2, kappa):
-    v = visibility(params(theta1, theta2, 0.1, kappa=kappa))
+    v = evaluate_metrics(params(theta1, theta2, 0.1, kappa=kappa)).visibility
     assert 0.0 <= v <= 1.0
 
 
@@ -449,12 +444,10 @@ def test_visibility_bounded(theta1, theta2, kappa):
 
 
 def test_metrics_bundle_consistency():
+    # every field of the bundle is the kernel's column at the point
     p = params(0.5, 0.6, 1.0, kappa=0.2, eta=0.8, alpha=1.1)
-    m = evaluate_metrics(p)
-    assert m.mean_O == mean_difference_signal(p)
-    assert m.delta_phi == phase_resolution(p)
-    assert m.rho_fluctuation == fluctuation_performance_ratio(p)
-    assert m.visibility == visibility(p)
+    columns = metrics_values(p.theta1, p.theta2, p.phi, p.kappa, p.eta, abs(p.alpha))
+    assert dataclasses.asdict(evaluate_metrics(p)) == {k: float(v) for k, v in columns.items()}
 
 
 @given(
@@ -467,7 +460,7 @@ def test_metrics_invariant_under_full_turn(theta1, theta2, phi):
     # one-ulp wobble of the shifted argument beyond reconstruction.
     before = evaluate_metrics(params(theta1, theta2, phi, kappa=0.1))
     after = evaluate_metrics(params(theta1, theta2, phi + 2 * math.pi, kappa=0.1))
-    for name, value in before.as_dict().items():
+    for name, value in dataclasses.asdict(before).items():
         assert getattr(after, name) == pytest.approx(value, rel=1e-12)
 
 
@@ -483,8 +476,8 @@ def test_vector_kernels_match_scalar_api():
     rho_di = fluctuation_ratio_values(theta1, theta2, phi, kappa, 0.7)
     for i in range(64):
         p = params(theta1[i], theta2[i], phi[i], kappa=kappa[i], eta=0.7, alpha=1.3)
-        assert rho_i[i] == intensity_performance_ratio(p)
-        assert rho_di[i] == fluctuation_performance_ratio(p)
+        assert rho_i[i] == evaluate_metrics(p).rho_intensity
+        assert rho_di[i] == evaluate_metrics(p).rho_fluctuation
 
 
 def test_metrics_bundle_squares_agree_between_arrays_and_scalars():
@@ -493,7 +486,7 @@ def test_metrics_bundle_squares_agree_between_arrays_and_scalars():
     theta2 = -4.079668380776266
     columns = metrics_values(math.pi / 4, np.full(4, theta2), math.pi / 2, 1.0, 1.0, 1.0)
     point = evaluate_metrics(params(math.pi / 4, theta2, math.pi / 2, kappa=1.0))
-    for name, value in point.as_dict().items():
+    for name, value in dataclasses.asdict(point).items():
         assert columns[name][0] == value, name
 
 
@@ -529,7 +522,7 @@ def fisher_information_mp(theta1, theta2, phi, kappa, eta, alpha_abs):
 @settings(max_examples=300)
 def test_cramer_rao_bound_over_extreme_domain(theta1, theta2, phi, kappa, eta, alpha_abs):
     m = evaluate_metrics(params(theta1, theta2, phi, kappa=kappa, eta=eta, alpha=alpha_abs))
-    assert not any(math.isnan(value) for value in m.as_dict().values())
+    assert not any(math.isnan(value) for value in dataclasses.asdict(m).values())
     if math.isinf(m.delta_phi):  # no sensitivity, or beyond the double range
         return
     fisher = fisher_information_mp(theta1, theta2, phi, kappa, eta, alpha_abs)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -149,7 +150,7 @@ def test_sweep_small_grid_csv_roundtrip(capsys, tmp_path):
             eta=float(row["eta"]),
             alpha=float(row["alpha_abs"]),
         )
-        recomputed = evaluate_metrics(params).as_dict()
+        recomputed = dataclasses.asdict(evaluate_metrics(params))
         for key, value in recomputed.items():
             assert float(row[key]) == pytest.approx(value, abs=1e-12, rel=1e-12)
         assert float(row["transmission"]) == pytest.approx(math.exp(-0.2), rel=1e-15)
@@ -374,20 +375,33 @@ def test_verify_truncation_exit_code(capsys):
     assert "n_max" in err
 
 
-def test_verify_env_default_cutoff(capsys, monkeypatch):
-    monkeypatch.setenv("UIL_DEFAULT_CUTOFF", "13")
-    code, out, _ = run(capsys, "verify", "--alpha", "0.5", "--samples", "2", "--seed", "1")
+def test_verify_config_default_cutoff(capsys, tmp_path):
+    code, out, _ = run(capsys, "verify", "--samples", "1")
+    assert code == 0
+    assert "cutoff n_max = 40" in out
+    config = tmp_path / "run.cfg"
+    config.write_text("cutoff = 13\n")
+    code, out, _ = run(capsys, "verify", "--config", str(config), "--alpha", "0.5", "--samples", "2", "--seed", "1")
     assert code == 0
     assert "n_max = 13" in out
 
 
-def test_verify_explicit_cutoff_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("UIL_DEFAULT_CUTOFF", "13")
+def test_verify_explicit_cutoff_beats_config(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("cutoff = 13\n")
     code, out, _ = run(
-        capsys, "verify", "--alpha", "0.5", "--cutoff", "15", "--samples", "2"
+        capsys, "verify", "--config", str(config), "--alpha", "0.5", "--cutoff", "15", "--samples", "2"
     )
     assert code == 0
     assert "n_max = 15" in out
+
+
+def test_verify_rejects_a_cutoff_below_one(capsys):
+    for cutoff in ("0", "-3"):
+        code, out, err = run(capsys, "verify", "--cutoff", cutoff, "--samples", "1")
+        assert code == 2, cutoff
+        assert out == ""
+        assert "n_max must be an integer >= 1" in err
 
 
 def test_verify_refuses_an_amplitude_whose_square_overflows(capsys):
@@ -444,11 +458,22 @@ def test_verify_refuses_a_drive_beyond_the_cutoff_at_once():
 
 
 def test_verify_refuses_a_cutoff_beyond_physical_memory(capsys):
-    # 16 * 100001^3 bytes, about 1.6e16: refused before anything is allocated
+    # three lossy states of 16 * 100001^3 bytes, about 4.8e16: refused
+    # before anything is allocated
     code, out, err = run(capsys, "verify", "--cutoff", "100000", "--samples", "1")
     assert code == 4
     assert out == ""
-    assert f"needs {16 * 100001**3} bytes" in err
+    assert f"needs about {48 * 100001**3} bytes, three lossy states" in err
+    assert "physical memory" in err
+
+
+def test_verify_memory_bound_counts_three_lossy_states(capsys, monkeypatch):
+    # simulate peaks at two to three lossy states, so a memory that holds
+    # one state of 16 * 21^3 bytes, but not three, is refused
+    monkeypatch.setattr(uil.cli, "_physical_memory_bytes", lambda: 2 * 16 * 21**3)
+    code, out, err = run(capsys, "verify", "--cutoff", "20", "--samples", "1")
+    assert code == 4
+    assert out == ""
     assert "physical memory" in err
 
 
@@ -598,7 +623,7 @@ def test_sweep_rows_equal_scalar_evaluation_bit_for_bit(axes):
             eta=float(row["eta"]),
             alpha=float(row["alpha_abs"]),
         )
-        for key, value in evaluate_metrics(params).as_dict().items():
+        for key, value in dataclasses.asdict(evaluate_metrics(params)).items():
             assert row[key] == repr(value), key
 
 

@@ -6,22 +6,14 @@ import pytest
 from hypothesis import given, settings
 from scipy import linalg, special, stats
 
-from uil.analytic import (
-    evaluate_metrics,
-    mean_difference_signal,
-    probe_arm_stats,
-    std_difference_signal,
-)
+from uil.analytic import evaluate_metrics
 from uil.fock import (
     _poisson_tail,
-    FockCutoff,
     TruncationError,
     TruncationWarning,
     apply_beam_splitter,
     coherent_state,
     edge_mass,
-    loss_channel,
-    mode_number_moments,
     required_cutoff,
     simulate,
 )
@@ -46,14 +38,33 @@ def vacuum(dim):
     return vec
 
 
+def number_moments(psi, axis):
+    """Mean and standard deviation of the photon number on one axis."""
+    marginal = (np.abs(np.moveaxis(psi, axis, 0)) ** 2).reshape(psi.shape[axis], -1).sum(axis=1)
+    numbers = np.arange(marginal.size)
+    mean = numbers @ marginal
+    return mean, math.sqrt(max(numbers**2 @ marginal - mean**2, 0.0))
+
+
+def attenuate(psi, kappa, axis):
+    """Loss as simulate applies it: a vacuum ancilla axis appended and
+    coupled to ``axis`` by a splitter of transmission exp(-kappa)."""
+    with_ancilla = np.zeros(psi.shape + (psi.shape[axis],), dtype=complex)
+    with_ancilla[..., 0] = psi
+    return apply_beam_splitter(with_ancilla, math.acos(math.exp(-kappa)), axes=(axis, psi.ndim))
+
+
 # cutoff and coherent states
 
 
 def test_cutoff_validation():
-    assert FockCutoff(5).dim == 6
+    assert coherent_state(0.1, np.int64(5)).shape == (6,)
+    p = InterferometerParams(0.3, 0.4, 0.5, kappa=0.2, alpha=0.5)
     for bad in (0, -1, 2.5):
-        with pytest.raises(ValueError):
-            FockCutoff(bad)
+        with pytest.raises(ValueError, match="n_max must be an integer >= 1"):
+            coherent_state(0.5, bad)
+        with pytest.raises(ValueError, match="n_max must be an integer >= 1"):
+            simulate(p, bad)
 
 
 def test_vacuum_coherent_state_is_exact():
@@ -84,7 +95,7 @@ def test_coherent_mean_photon_number():
 
 def test_coherent_variance_is_mean():
     state = coherent_state(2.0, 40)
-    mean, std = mode_number_moments(state, axis=0)
+    mean, std = number_moments(state, axis=0)
     assert std**2 == pytest.approx(4.0, abs=1e-8)
     assert mean == pytest.approx(4.0, abs=1e-8)
 
@@ -294,37 +305,32 @@ def test_phase_unitary_acts_on_requested_mode():
 
 
 def test_loss_identity_channel():
-    channel = loss_channel(0.0, 12)
-    state = coherent_state(0.7, 12)
-    dilated = channel(state, axis=0)
-    np.testing.assert_allclose(dilated[:, 0], state)
-    assert np.max(np.abs(dilated[:, 1:])) == 0.0
+    # exp(-1e-20) rounds to 1: simulate appends the ancilla but applies
+    # no splitter, and must reproduce the lossless moments
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        angles = rng.uniform(-3.0, 3.0, 3)
+        lossless = simulate(InterferometerParams(*angles, alpha=0.7), 12)
+        unsplit = simulate(InterferometerParams(*angles, kappa=1e-20, alpha=0.7), 12)
+        np.testing.assert_allclose(unsplit, lossless, rtol=1e-14, atol=1e-15)
 
 
 def test_loss_attenuates_mean_photon_number():
-    channel = loss_channel(math.log(2.0), 20)
-    dilated = channel(coherent_state(1.0, 20), axis=0)
-    mean, _ = mode_number_moments(dilated, axis=0)
+    dilated = attenuate(coherent_state(1.0, 20), math.log(2.0), axis=0)
+    mean, _ = number_moments(dilated, axis=0)
     assert mean == pytest.approx(0.25, abs=1e-10)
 
 
 def test_loss_keeps_vacuum():
-    channel = loss_channel(0.8, 6)
-    dilated = channel(vacuum(7), axis=0)
+    dilated = attenuate(vacuum(7), 0.8, axis=0)
     assert abs(dilated[0, 0]) == pytest.approx(1.0, abs=1e-14)
     assert np.sum(np.abs(dilated) ** 2) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_loss_preserves_norm():
-    channel = loss_channel(0.5, 18)
     state = coherent_state(1.5, 18)
-    dilated = channel(state, axis=0)
+    dilated = attenuate(state, 0.5, axis=0)
     assert np.linalg.norm(dilated) == pytest.approx(np.linalg.norm(state), abs=1e-13)
-
-
-def test_loss_rejects_negative_kappa():
-    with pytest.raises(ValueError):
-        loss_channel(-0.1, 5)
 
 
 # state and operator containers
@@ -332,7 +338,7 @@ def test_loss_rejects_negative_kappa():
 
 def test_two_mode_state_shape_checked():
     with pytest.raises(ValueError):
-        TwoModeState(np.zeros(7, dtype=complex), FockCutoff(2))
+        TwoModeState(np.zeros(7, dtype=complex), 2)
 
 
 def test_edge_mass_flags_edge_population():
@@ -471,7 +477,7 @@ def test_simulate_moments_match_the_full_lossy_state():
     psi = np.outer(coherent_state(p.alpha, n_max), vacuum(d))
     psi = apply_beam_splitter(psi, p.theta1, axes=(0, 1))
     psi = psi * np.exp(-1j * p.phi * np.arange(d))
-    psi = loss_channel(p.kappa, n_max)(psi, axis=1)
+    psi = attenuate(psi, p.kappa, axis=1)
     psi = apply_beam_splitter(psi, p.theta2, axes=(0, 1))
     probabilities = np.abs(psi) ** 2
     numbers = np.arange(d, dtype=float)
@@ -484,9 +490,10 @@ def test_simulate_moments_match_the_full_lossy_state():
 
 
 def test_simulate_warns_on_edge_population():
-    p = InterferometerParams(0.4, 0.9, 0.5, alpha=1.0)
-    with pytest.warns(TruncationWarning):
-        simulate(p, 20, edge_tol=0.0)
+    # edge mass about 1.4e-5 at n_max = 1, above the 1e-8 threshold
+    p = InterferometerParams(0.0, 0.0, 0.0, alpha=0.00375)
+    with pytest.warns(TruncationWarning, match="edge population 1.4"):
+        simulate(p, 1)
 
 
 def test_simulate_rejects_undersized_cutoff():
@@ -507,9 +514,9 @@ def test_relabeled_network_gives_identical_physics():
     drive = coherent_state(p.alpha, n_max)
     psi = np.outer(vacuum(d), drive)  # drive now enters the second slot
     psi = apply_beam_splitter(psi, -p.theta1, axes=(0, 1))
-    probe_intensity, probe_std = mode_number_moments(psi, axis=0)
+    probe_intensity, probe_std = number_moments(psi, axis=0)
     psi = psi * np.exp(-1j * p.phi * np.arange(d))[:, None]  # phase on first slot
-    psi = loss_channel(p.kappa, n_max)(psi, axis=0)
+    psi = attenuate(psi, p.kappa, axis=0)
     psi = apply_beam_splitter(psi, -p.theta2, axes=(0, 1))
     probabilities = np.abs(psi) ** 2
     numbers = np.arange(d, dtype=float)
@@ -543,13 +550,13 @@ def test_cross_check_lossy_resolution_against_simulator():
 def test_probe_stats_match_closed_form_after_first_splitter():
     p = InterferometerParams(0.4, 1.2, 2.0, alpha=1.5)
     result = simulate(p, 25)
-    intensity, std = probe_arm_stats(p)
-    assert result.probe_intensity == pytest.approx(intensity, abs=1e-10)
-    assert result.probe_std == pytest.approx(std, abs=1e-10)
+    metrics = evaluate_metrics(p)
+    assert result.probe_intensity == pytest.approx(metrics.intensity_probe, abs=1e-10)
+    assert result.probe_std == pytest.approx(metrics.std_intensity_probe, abs=1e-10)
 
 
 def test_analytic_signal_and_noise_against_simulator_lossless():
     p = InterferometerParams(1.1, 0.35, 0.9, alpha=0.8 + 0.6j)
     result = simulate(p, 25)
-    assert result.mean_O == pytest.approx(mean_difference_signal(p), abs=1e-10)
-    assert result.std_O == pytest.approx(std_difference_signal(p), abs=1e-10)
+    assert result.mean_O == pytest.approx(evaluate_metrics(p).mean_O, abs=1e-10)
+    assert result.std_O == pytest.approx(evaluate_metrics(p).std_O, abs=1e-10)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -43,7 +44,7 @@ def test_nonfinite_angles_rejected(field, bad):
 
 
 def test_metrics_field_order_matches_data_columns():
-    names = list(PerformanceMetrics(0, 0, 0, 0, 0, 0, 0, 0).as_dict())
+    names = list(dataclasses.asdict(PerformanceMetrics(0, 0, 0, 0, 0, 0, 0, 0)))
     assert names == [
         "mean_O",
         "std_O",
