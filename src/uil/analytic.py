@@ -28,30 +28,14 @@ double range becomes ``inf`` while the ratios stay finite.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .params import InterferometerParams, PerformanceMetrics
 
 __all__ = [
-    "difference_signal_phase_gradient",
     "evaluate_metrics",
     "metrics_values",
 ]
-
-
-def difference_signal_phase_gradient(params: InterferometerParams) -> float:
-    """d(mean_O)/d(phi); ``delta_phi`` is std_O / (eta |gradient|)."""
-    alpha_abs = abs(params.alpha)
-    return (
-        -alpha_abs
-        * math.exp(-params.kappa)
-        * math.sin(2.0 * params.theta1)
-        * math.sin(2.0 * params.theta2)
-        * math.sin(params.phi)
-        * alpha_abs
-    )
 
 
 def evaluate_metrics(params: InterferometerParams) -> PerformanceMetrics:
@@ -102,7 +86,11 @@ def metrics_values(theta1, theta2, phi, kappa, eta, alpha_abs) -> dict[str, np.n
             "delta_phi": delta_phi,
             "intensity_probe": np.square(probe_std),
             "std_intensity_probe": probe_std,
-            "rho_intensity": np.where(np.isinf(delta_phi), 0.0, rho_fluctuation / probe_std),
+            "rho_intensity": np.where(
+                (rho_fluctuation == 0.0) | (sin2t1 == 0.0) | (alpha_abs == 0.0),
+                0.0,
+                rho_fluctuation / probe_std,
+            ),
             "rho_fluctuation": rho_fluctuation,
             "visibility": contrast,
         }

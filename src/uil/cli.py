@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -402,7 +403,7 @@ def _cmd_optimize(args) -> int:
         alpha=complex(resolved["alpha_re"], resolved["alpha_im"]),
         eta=resolved["eta"],
     )
-    data = _json_dumps(report.to_dict()) + "\n"
+    data = _json_dumps(asdict(report)) + "\n"
     _emit(data, args, "optimize", {**resolved, "objective": args.objective, "regime": args.regime})
     return EXIT_OK
 

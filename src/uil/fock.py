@@ -8,15 +8,17 @@ coupling to a discarded vacuum ancilla (the non-unitary shortcut used
 by the closed forms only works for coherent beams; the dilation works
 for any state).
 
-The splitter generator conserves the total photon number of the two
-modes it couples, so it is applied one sector n_a + n_b = N at a time:
-each of the 2d - 1 sectors of the d x d box (d = n_max + 1) has a
-tridiagonal block of size at most d, diagonalized once per cutoff.  No
-d^2 x d^2 operator is ever formed.  Truncation is surfaced, never
-hidden: coherent states are not renormalized, constructing one with too
-much Poisson weight beyond the cutoff raises :class:`TruncationError`,
-and simulations emit :class:`TruncationWarning` when the retained edge
-of the basis picks up population.
+The drive holds at most n_max photons, and the splitter generator
+conserves the total photon number of the two modes it couples, so no
+state :func:`simulate` builds has weight beyond total photon number
+n_max.  Each splitter is applied one sector n_a + n_b = N at a time, and
+only to the d = n_max + 1 sectors N <= n_max: tridiagonal blocks of size
+N + 1, diagonalized once per cutoff.  No d^2 x d^2 operator is ever
+formed.  Truncation is surfaced, never hidden: coherent states are not
+renormalized, constructing one with too much Poisson weight beyond the
+cutoff raises :class:`TruncationError`, and :func:`simulate` emits
+:class:`TruncationWarning` when the drive puts weight on |n_max>, the
+one photon number that the network carries unchanged to total n_max.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .modes import INPUT_MODE, PROBE_MODE
 from .params import InterferometerParams
 
 TAIL_TOL = 1e-10  # Poisson weight a coherent state may leave beyond n_max
-EDGE_TOL = 1e-8  # edge population at which simulate warns
+EDGE_TOL = 1e-8  # population at total photon number n_max at which simulate warns
 _TAIL_BLOCK = 4096  # Poisson terms summed per numpy call
 
 __all__ = [
@@ -44,7 +46,6 @@ __all__ = [
     "coherent_state",
     "photon_mean",
     "required_cutoff",
-    "apply_beam_splitter",
     "simulate",
 ]
 
@@ -58,7 +59,7 @@ class TruncationError(Exception):
 
 
 class TruncationWarning(UserWarning):
-    """Emitted when basis-edge population makes results untrustworthy."""
+    """Emitted when population at total photon number n_max makes results untrustworthy."""
 
 
 def check_cutoff(n_max) -> int:
@@ -164,9 +165,9 @@ class SimulationMoments(NamedTuple):
 
 
 class _SplitterSectors(NamedTuple):
-    """Splitter generator on a d x d box, diagonalized one sector at a time.
+    """Splitter generator on the states n_a + n_b <= n_max, one sector at a time.
 
-    ``n_a`` and ``n_b`` list the plane's number states grouped by total
+    ``n_a`` and ``n_b`` list those number states grouped by total
     photon number N = n_a + n_b and ascending in n_a within a sector;
     ``untwist`` (i**-n_a) and ``values`` run along them, and each entry
     of ``blocks`` pairs a sector's slice of them with the eigenvectors
@@ -184,19 +185,18 @@ class _SplitterSectors(NamedTuple):
 def _splitter_sectors(dim: int) -> _SplitterSectors:
     """Eigensystems of the splitter generator G = a†b - ab†, one per sector.
 
-    G conserves n_a + n_b, so on the box it splits into 2d - 1 blocks of
-    size at most d.  Within a sector G is tridiagonal with
+    G conserves n_a + n_b, so on the sectors N = 0 .. n_max (n_max =
+    dim - 1) it splits into dim blocks of size N + 1.  Within a sector G
+    is tridiagonal with
     <n_a+1, n_b-1| G |n_a, n_b> = sqrt((n_a+1) n_b) = -<n_a, n_b| G |n_a+1, n_b-1>.
-    Sectors with N > n_max hold only the states that fit in the box, so
-    each block is the exact restriction of the truncated generator.
     With D = diag(i**n_a) the block equals -i D S D^-1 for the real
     symmetric S sharing its couplings, hence
     exp(theta G) = D V exp(-i theta Lambda) V^T D^-1 with S = V Lambda V^T.
     """
     n_a, n_b, values, blocks = [], [], [], []
     start = 0
-    for total in range(2 * dim - 1):
-        sector = np.arange(max(0, total - dim + 1), min(total, dim - 1) + 1)
+    for total in range(dim):
+        sector = np.arange(total + 1)
         coupling = np.sqrt((sector[:-1] + 1.0) * (total - sector[:-1]))
         evals, evecs = np.linalg.eigh(np.diag(coupling, 1) + np.diag(coupling, -1))
         n_a.append(sector)
@@ -209,7 +209,7 @@ def _splitter_sectors(dim: int) -> _SplitterSectors:
     return _SplitterSectors(n_a, n_b, untwist, np.concatenate(values), tuple(blocks))
 
 
-def apply_beam_splitter(
+def _apply_beam_splitter(
     psi: np.ndarray, theta: float, axes: tuple[int, int]
 ) -> np.ndarray:
     """Apply the splitter exp(theta * (a†b - ab†)) to two axes of a state.
@@ -221,12 +221,18 @@ def apply_beam_splitter(
     each sector is gathered from ``psi`` and scattered into the result,
     so besides the two states only one sector's slice is held, and the
     largest operator used is d x d.
+
+    Precondition: ``psi`` has no weight at n_a + n_b > n_max (d = n_max
+    + 1 along both axes).  Only the sectors N <= n_max are applied, and
+    the result is zero beyond them.  :func:`simulate` meets this by
+    construction: its drive holds at most n_max photons, and every
+    splitter conserves their number.
     """
     d = psi.shape[axes[0]]
     if psi.shape[axes[1]] != d:
         raise ValueError("both axes of the splitter pair must have equal dimension")
     sectors = _splitter_sectors(d)
-    out = np.empty(psi.shape, dtype=complex)
+    out = np.zeros(psi.shape, dtype=complex)
     source = np.moveaxis(psi, axes, (0, 1))
     target = np.moveaxis(out, axes, (0, 1))
     rotation = np.exp(-1j * theta * sectors.values)[:, None]
@@ -240,19 +246,6 @@ def apply_beam_splitter(
     return out
 
 
-def edge_mass(psi: np.ndarray) -> float:
-    """Probability mass with any retained mode at its highest number state.
-
-    Sums the edge faces directly (each face excludes the edges of the
-    axes before it), so tiny masses are not lost to cancellation.
-    """
-    probabilities = np.abs(psi) ** 2
-    return sum(
-        float(probabilities[(slice(0, -1),) * axis + (-1,)].sum())
-        for axis in range(psi.ndim)
-    )
-
-
 def simulate(params: InterferometerParams, n_max: int) -> SimulationMoments:
     """Propagate the input state through the full network and measure.
 
@@ -264,18 +257,28 @@ def simulate(params: InterferometerParams, n_max: int) -> SimulationMoments:
     moments of the original modes then follow the attenuated (trace
     preserving, completely positive) dynamics exactly, for any state.
 
-    Emits :class:`TruncationWarning` (with the measured edge mass) when
-    population reaches the basis edge.
+    Emits :class:`TruncationWarning` when the drive's weight at |n_max>
+    reaches ``EDGE_TOL``: the network conserves the total photon number
+    (ancilla included), so that is the population at total photon number
+    n_max, the edge of the retained states.
     """
     drive = coherent_state(params.alpha, n_max)
     d = drive.size
+    leaked = abs(drive[-1]) ** 2
+    if leaked >= EDGE_TOL:
+        warnings.warn(
+            f"edge population {leaked:.3e} at total photon number n_max = {d - 1} "
+            f"reaches {EDGE_TOL:.1e}; increase the cutoff",
+            TruncationWarning,
+            stacklevel=2,
+        )
     vacuum = np.zeros(d, dtype=complex)
     vacuum[0] = 1.0
     inputs = [vacuum, vacuum]
     inputs[INPUT_MODE] = drive
     psi = np.outer(inputs[0], inputs[1])
 
-    psi = apply_beam_splitter(psi, params.theta1, axes=(0, 1))
+    psi = _apply_beam_splitter(psi, params.theta1, axes=(0, 1))
     numbers = np.arange(d, dtype=float)
     marginal = (np.abs(psi) ** 2).sum(axis=1 - PROBE_MODE)
     probe_intensity = float(numbers @ marginal)
@@ -289,17 +292,8 @@ def simulate(params: InterferometerParams, n_max: int) -> SimulationMoments:
         psi[..., 0] = unattenuated
         theta_loss = math.acos(math.exp(-params.kappa))
         if theta_loss > 0.0:
-            psi = apply_beam_splitter(psi, theta_loss, axes=(PROBE_MODE, 2))
-    psi = apply_beam_splitter(psi, params.theta2, axes=(0, 1))
-
-    leaked = edge_mass(psi)
-    if leaked >= EDGE_TOL:
-        warnings.warn(
-            f"edge population {leaked:.3e} exceeds {EDGE_TOL:.1e}; "
-            f"increase the cutoff (n_max = {d - 1})",
-            TruncationWarning,
-            stacklevel=2,
-        )
+            psi = _apply_beam_splitter(psi, theta_loss, axes=(PROBE_MODE, 2))
+    psi = _apply_beam_splitter(psi, params.theta2, axes=(0, 1))
 
     # Detector marginal: the ancilla, if any, is traced out first.
     probabilities = (np.abs(psi) ** 2).sum(axis=tuple(range(2, psi.ndim)))

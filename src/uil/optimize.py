@@ -38,7 +38,7 @@ that are not attained are reported as their limits.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,9 +103,6 @@ class OptimumReport:
     n_evaluations: int
     boundary_supremum: bool = False
     unbounded: bool = False
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _equal_splitter_angle(t: float) -> float:

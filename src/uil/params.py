@@ -68,9 +68,12 @@ class PerformanceMetrics:
 
     Values follow the extended-real contract of the README.
     ``delta_phi`` is ``inf`` when the operating point has no phase
-    sensitivity (or its value exceeds the double range), and
-    ``rho_intensity`` is then 0; it is ``inf`` where the probe intensity
-    vanishes at finite resolution.  ``rho_fluctuation`` does not depend on
+    sensitivity (or its value exceeds the double range).
+    ``rho_intensity`` is 0 where there is no sensitivity at all
+    (``rho_fluctuation``, ``sin(2 theta1)`` or ``|alpha|`` is 0), but
+    where only ``delta_phi`` overflows it stays
+    ``rho_fluctuation / std_intensity_probe``; it is ``inf`` where the
+    probe fluctuation underflows to 0.  ``rho_fluctuation`` does not depend on
     ``|alpha|`` and is evaluated in its continuous form, so at
     ``delta_phi = inf`` it is 0 only where that form vanishes, such as
     ``phi = 0`` or ``theta2 = 0``.  At ``theta1 = 0`` (no probe light)

@@ -3,7 +3,7 @@
 Every operator here is a full matrix on the d^2-dimensional two-mode
 basis (index n_a * d + n_b, d = n_max + 1).  They are far too large for
 production cutoffs but simple enough to trust, so the tests use them at
-small cutoffs as the reference for :func:`uil.fock.apply_beam_splitter`.
+small cutoffs as the reference for the sector splitter of :mod:`uil.fock`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from uil.fock import edge_mass
 from uil.modes import PROBE_MODE
 
 
@@ -100,9 +99,6 @@ class TwoModeState:
     def as_matrix(self) -> np.ndarray:
         d = self.n_max + 1
         return self.amplitudes.reshape(d, d)
-
-    def edge_mass(self) -> float:
-        return edge_mass(self.as_matrix())
 
     def apply(self, unitary: np.ndarray) -> "TwoModeState":
         return TwoModeState(unitary @ self.amplitudes, self.n_max)

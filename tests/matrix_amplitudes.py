@@ -4,7 +4,9 @@ The coherent amplitude vector is pushed through the input splitter, the
 mirror factors and the output mixer as plain matrix products.  This
 route shares nothing with the closed forms of :mod:`uil.analytic` but
 the mode labeling of :mod:`uil.modes`, so the tests check the closed
-forms and the Fock engine against it.
+forms and the Fock engine against it.  Beside it sits the closed-form
+phase gradient of the mean signal, which the tests check by finite
+differences and use to check ``delta_phi``.
 """
 
 from __future__ import annotations
@@ -53,6 +55,19 @@ def mirror_factors(phi: float, kappa: float) -> np.ndarray:
     factors = np.ones(2, dtype=complex)
     factors[PROBE_MODE] = np.exp(-1j * phi - kappa)
     return factors
+
+
+def difference_signal_phase_gradient(params: InterferometerParams) -> float:
+    """d(mean_O)/d(phi); ``delta_phi`` is std_O / (eta |gradient|)."""
+    alpha_abs = abs(params.alpha)
+    return (
+        -alpha_abs
+        * math.exp(-params.kappa)
+        * math.sin(2.0 * params.theta1)
+        * math.sin(2.0 * params.theta2)
+        * math.sin(params.phi)
+        * alpha_abs
+    )
 
 
 def output_amplitudes(params: InterferometerParams) -> OutputAmplitudes:

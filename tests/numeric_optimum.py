@@ -40,17 +40,19 @@ def fluctuation_ratio_values(theta1, theta2, phi, kappa, eta=1.0):
 
 
 def intensity_ratio_values(theta1, theta2, phi, kappa, eta=1.0, alpha_abs=1.0):
-    """rho_intensity over broadcast inputs; 0 where delta_phi is inf."""
+    """rho_intensity over broadcast inputs.
+
+    0 where the point has no phase sensitivity at all (rho_fluctuation,
+    sin(2 theta1) or |alpha| is 0), not where delta_phi merely overflows.
+    """
     t = np.exp(-np.asarray(kappa, dtype=float))
     theta1 = np.asarray(theta1, dtype=float)
     c1, s1 = np.cos(theta1), np.sin(theta1)
     noise = np.hypot(c1, t * s1)
     mixer = np.abs(np.sin(2.0 * np.asarray(theta2, dtype=float)))
-    sin_phi = np.abs(np.sin(phi))
-    sensitivity = alpha_abs * t * eta * mixer * sin_phi * (np.abs(np.sin(2.0 * theta1)) / noise)
-    rho_fluctuation = 2.0 * eta * t * mixer * sin_phi * (np.abs(c1) / noise)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        no_sensitivity = np.isinf(1.0 / sensitivity)
+    rho_fluctuation = 2.0 * eta * t * mixer * np.abs(np.sin(phi)) * (np.abs(c1) / noise)
+    no_sensitivity = (rho_fluctuation == 0.0) | (np.sin(2.0 * theta1) == 0.0) | (alpha_abs == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(no_sensitivity, 0.0, rho_fluctuation / (alpha_abs * np.abs(s1)))
 
 

@@ -12,11 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from uil.analytic import difference_signal_phase_gradient, evaluate_metrics
+from uil.analytic import evaluate_metrics
 from uil.cli import main
 from uil.fock import simulate
 from uil.optimize import ConstraintRegime, optimize
 from uil.params import InterferometerParams
+
+from matrix_amplitudes import difference_signal_phase_gradient
 
 HALF_PI = math.pi / 2
 

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from uil.analytic import difference_signal_phase_gradient, evaluate_metrics, metrics_values
+from uil.analytic import evaluate_metrics, metrics_values
 from uil.modes import PROBE_MODE
 from uil.params import InterferometerParams
 
-from matrix_amplitudes import beam_splitter_matrix, output_amplitudes
+from matrix_amplitudes import beam_splitter_matrix, difference_signal_phase_gradient, output_amplitudes
 from numeric_optimum import fluctuation_ratio_values, intensity_ratio_values
 
 ANGLES = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
@@ -314,6 +314,18 @@ def test_intensity_ratio_unbalanced_frozen_value():
 def test_intensity_ratio_zero_when_resolution_infinite():
     assert evaluate_metrics(params(0.0, 0.7, 1.0)).rho_intensity == 0.0
     assert evaluate_metrics(params(0.3, 0.7, 0.0)).rho_intensity == 0.0
+
+
+def test_intensity_ratio_where_resolution_overflows():
+    # delta_phi is inf only because 1/sensitivity exceeds the double
+    # range; rho_intensity = rho_fluctuation / (|alpha| |s1|) stays finite
+    theta1, theta2, phi = 0.01, math.pi / 4, 2.2250738585072014e-308
+    m = evaluate_metrics(params(theta1, theta2, phi))
+    assert m.delta_phi == math.inf
+    with mpmath.workdps(50):
+        t1, t2, ph = map(mpmath.mpf, (theta1, theta2, phi))
+        want = 2 * abs(mpmath.cos(t1) * mpmath.sin(2 * t2) * mpmath.sin(ph)) / abs(mpmath.sin(t1))
+    assert abs(mpmath.mpf(m.rho_intensity) - want) <= 1e-12 * want
 
 
 def test_fluctuation_ratio_balanced_is_sqrt_two():

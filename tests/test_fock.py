@@ -8,12 +8,12 @@ from scipy import linalg, special, stats
 
 from uil.analytic import evaluate_metrics
 from uil.fock import (
+    _apply_beam_splitter,
     _poisson_tail,
+    _splitter_sectors,
     TruncationError,
     TruncationWarning,
-    apply_beam_splitter,
     coherent_state,
-    edge_mass,
     required_cutoff,
     simulate,
 )
@@ -51,7 +51,7 @@ def attenuate(psi, kappa, axis):
     coupled to ``axis`` by a splitter of transmission exp(-kappa)."""
     with_ancilla = np.zeros(psi.shape + (psi.shape[axis],), dtype=complex)
     with_ancilla[..., 0] = psi
-    return apply_beam_splitter(with_ancilla, math.acos(math.exp(-kappa)), axes=(axis, psi.ndim))
+    return _apply_beam_splitter(with_ancilla, math.acos(math.exp(-kappa)), axes=(axis, psi.ndim))
 
 
 # cutoff and coherent states
@@ -241,27 +241,35 @@ def test_splitter_coherent_covariance():
     assert overlap >= 1.0 - 1e-10
 
 
+def test_splitter_sectors_are_the_complete_sectors():
+    sectors = _splitter_sectors(6)
+    assert len(sectors.blocks) == 6
+    assert np.array_equal(sectors.n_a + sectors.n_b, np.repeat(np.arange(6), np.arange(1, 7)))
+
+
 @pytest.mark.parametrize("n_max", range(1, 8))
 def test_sector_splitter_matches_dense_expm(n_max):
-    # random states fill the whole box, so the truncated sectors
-    # n_a + n_b > n_max are checked along with the complete ones
+    # random states confined to n_a + n_b <= n_max, the splitter's
+    # precondition; the dense generator keeps them there
     d = n_max + 1
     rng = np.random.default_rng(n_max)
     theta = rng.uniform(-math.pi, math.pi)
     unitary = linalg.expm(theta * splitter_generator(n_max))
-    psi = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    beyond = np.add.outer(np.arange(d), np.arange(d)) > n_max
+    psi = np.where(beyond, 0.0, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     expected = (unitary @ psi.ravel()).reshape(d, d)
-    assert np.max(np.abs(apply_beam_splitter(psi, theta, axes=(0, 1)) - expected)) <= 1e-12
+    assert np.max(np.abs(_apply_beam_splitter(psi, theta, axes=(0, 1)) - expected)) <= 1e-12
     # rank 3, splitter pair on the last and first axes (mode a = axis 2)
-    psi = rng.normal(size=(d, 3, d)) + 1j * rng.normal(size=(d, 3, d))
+    # with a spectator axis between them
+    psi = np.where(beyond[:, None, :], 0.0, rng.normal(size=(d, 3, d)) + 1j * rng.normal(size=(d, 3, d)))
     pair_first = np.moveaxis(psi, (2, 0), (0, 1)).reshape(d * d, 3)
     expected = np.moveaxis((unitary @ pair_first).reshape(d, d, 3), (0, 1), (2, 0))
-    assert np.max(np.abs(apply_beam_splitter(psi, theta, axes=(2, 0)) - expected)) <= 1e-12
+    assert np.max(np.abs(_apply_beam_splitter(psi, theta, axes=(2, 0)) - expected)) <= 1e-12
 
 
 def test_apply_beam_splitter_rejects_mismatched_axes():
     with pytest.raises(ValueError):
-        apply_beam_splitter(np.zeros((3, 4), dtype=complex), 0.3, axes=(0, 1))
+        _apply_beam_splitter(np.zeros((3, 4), dtype=complex), 0.3, axes=(0, 1))
 
 
 # phase unitary
@@ -339,25 +347,6 @@ def test_loss_preserves_norm():
 def test_two_mode_state_shape_checked():
     with pytest.raises(ValueError):
         TwoModeState(np.zeros(7, dtype=complex), 2)
-
-
-def test_edge_mass_flags_edge_population():
-    d = 5
-    psi = np.zeros((d, d), dtype=complex)
-    psi[d - 1, 0] = 1.0
-    assert edge_mass(psi) == 1.0
-    psi = np.zeros((d, d), dtype=complex)
-    psi[1, 1] = 1.0
-    assert edge_mass(psi) == 0.0
-
-
-def test_edge_mass_matches_single_mode_analytic():
-    # only |20, 0> sits on an edge face: mass e^-1 / 20!, far below the
-    # round-off of the total probability
-    psi = np.outer(coherent_state(1.0, 20), vacuum(21))
-    assert edge_mass(psi) == pytest.approx(math.exp(-1.0) / math.factorial(20), rel=1e-12)
-    # states on two or three edge faces at once are counted once
-    assert edge_mass(np.ones((4, 4, 4))) == 4**3 - 3**3
 
 
 def test_difference_observable_expectation():
@@ -459,9 +448,9 @@ def test_simulate_network_output_is_product_coherent_state():
         drive = coherent_state(alpha, n_max)
         vac = vacuum(d)
         psi = np.outer(drive, vac)
-        psi = apply_beam_splitter(psi, theta1, axes=(0, 1))
+        psi = _apply_beam_splitter(psi, theta1, axes=(0, 1))
         psi = psi * np.exp(-1j * phi * np.arange(d))
-        psi = apply_beam_splitter(psi, theta2, axes=(0, 1))
+        psi = _apply_beam_splitter(psi, theta2, axes=(0, 1))
         out = output_amplitudes(p)
         target = np.outer(coherent_state(out.a3, n_max), coherent_state(out.b3, n_max))
         fidelity = abs(np.vdot(target.ravel(), psi.ravel())) ** 2
@@ -475,10 +464,10 @@ def test_simulate_moments_match_the_full_lossy_state():
     n_max = 34
     d = n_max + 1
     psi = np.outer(coherent_state(p.alpha, n_max), vacuum(d))
-    psi = apply_beam_splitter(psi, p.theta1, axes=(0, 1))
+    psi = _apply_beam_splitter(psi, p.theta1, axes=(0, 1))
     psi = psi * np.exp(-1j * p.phi * np.arange(d))
     psi = attenuate(psi, p.kappa, axis=1)
-    psi = apply_beam_splitter(psi, p.theta2, axes=(0, 1))
+    psi = _apply_beam_splitter(psi, p.theta2, axes=(0, 1))
     probabilities = np.abs(psi) ** 2
     numbers = np.arange(d, dtype=float)
     weights = (numbers[None, :] - numbers[:, None])[:, :, None]  # n_b - n_a
@@ -490,10 +479,19 @@ def test_simulate_moments_match_the_full_lossy_state():
 
 
 def test_simulate_warns_on_edge_population():
-    # edge mass about 1.4e-5 at n_max = 1, above the 1e-8 threshold
+    # the drive's |1> weight, about 1.4e-5 at n_max = 1, is above the 1e-8 threshold
     p = InterferometerParams(0.0, 0.0, 0.0, alpha=0.00375)
     with pytest.warns(TruncationWarning, match="edge population 1.4"):
         simulate(p, 1)
+
+
+def test_simulate_warns_at_total_photon_number_n_max():
+    # the drive's |4> weight 0.16^8 e^-0.0256 / 4! = 1.744e-8 reaches
+    # total photon number 4 unchanged; the box faces n_a = 4 or n_b = 4
+    # hold only a part of it, below the 1e-8 threshold
+    p = InterferometerParams(math.pi / 4, math.pi / 4, math.pi / 2, alpha=0.16)
+    with pytest.warns(TruncationWarning, match="edge population 1.744e-08"):
+        simulate(p, 4)
 
 
 def test_simulate_rejects_undersized_cutoff():
@@ -513,11 +511,11 @@ def test_relabeled_network_gives_identical_physics():
 
     drive = coherent_state(p.alpha, n_max)
     psi = np.outer(vacuum(d), drive)  # drive now enters the second slot
-    psi = apply_beam_splitter(psi, -p.theta1, axes=(0, 1))
+    psi = _apply_beam_splitter(psi, -p.theta1, axes=(0, 1))
     probe_intensity, probe_std = number_moments(psi, axis=0)
     psi = psi * np.exp(-1j * p.phi * np.arange(d))[:, None]  # phase on first slot
     psi = attenuate(psi, p.kappa, axis=0)
-    psi = apply_beam_splitter(psi, -p.theta2, axes=(0, 1))
+    psi = _apply_beam_splitter(psi, -p.theta2, axes=(0, 1))
     probabilities = np.abs(psi) ** 2
     numbers = np.arange(d, dtype=float)
     weights = (numbers[:, None] - numbers[None, :])[:, :, None]  # n_first - n_second

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 from pathlib import Path
@@ -6,7 +7,7 @@ import hypothesis.strategies as st
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from uil.analytic import metrics_values
 from uil.optimize import (
@@ -169,7 +170,7 @@ def test_determinism():
 
 def test_report_serializes():
     report = optimize("rho_fluctuation", ConstraintRegime("fixed_mixer"))
-    d = report.to_dict()
+    d = dataclasses.asdict(report)
     assert d["regime"] == "fixed_mixer"
     assert d["boundary_supremum"] is True
     assert "bracket_tol" not in d
@@ -232,6 +233,8 @@ def test_identically_zero_objective_report(objective, kind, kappa, phi, alpha):
     alpha=st.floats(min_value=0.3, max_value=3.0),
     phi=st.one_of(st.none(), st.floats(min_value=0.0, max_value=2 * math.pi)),
 )
+# delta_phi overflows at this phi, yet rho_intensity grows without bound as theta1 -> 0
+@example(objective="rho_intensity", kind="free", kappa=0.0, eta=1.0, alpha=1.0, phi=2.2250738585072014e-308)
 def test_closed_form_matches_numeric_oracle(objective, kind, kappa, eta, alpha, phi):
     regime = ConstraintRegime(kind, kappa=kappa, phi=phi)
     report = optimize(objective, regime, alpha=alpha, eta=eta)
