@@ -30,8 +30,8 @@ import numpy as np
 from . import __version__
 from .analytic import metrics_values
 from .fock import TAIL_TOL, TruncationError, check_cutoff, photon_mean, required_cutoff, simulate
-from .optimize import ConstraintRegime, optimize
-from .params import InterferometerParams
+from .optimize import REGIME_KINDS, ConstraintRegime, optimize
+from .params import DOMAINS, InterferometerParams, check_domain, modulus
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -58,8 +58,6 @@ CSV_COLUMNS = (
     "visibility",
 )
 
-AXIS_NAMES = ("theta1", "theta2", "phi", "kappa", "transmission", "eta", "alpha_abs")
-
 PARAM_DEFAULTS = {
     "theta1": math.pi / 4,
     "theta2": math.pi / 4,
@@ -76,21 +74,10 @@ PRESET_AXES = ("transmission=0.05:1.0:40", "theta1=0.01:1.5707963267948966:60")
 PRESET_FIXED = {"theta2": math.pi / 4, "phi": math.pi / 2}
 
 _OBJECTIVE_FLAGS = {"rho-di": "rho_fluctuation", "rho-i": "rho_intensity"}
-_REGIME_FLAGS = {
-    "free": "free",
-    "equal-splitters": "equal_splitters",
-    "fixed-mixer": "fixed_mixer",
-}
 
 
 class UsageError(ValueError):
     """Flag combination or value that cannot be acted on."""
-
-
-def _jsonable(value):
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
 
 
 def _json_dumps(obj) -> str:
@@ -101,7 +88,9 @@ def _json_dumps(obj) -> str:
             return {k: walk(v) for k, v in x.items()}
         if isinstance(x, (list, tuple)):
             return [walk(v) for v in x]
-        return _jsonable(x)
+        if isinstance(x, float) and math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return x
 
     return json.dumps(walk(obj), indent=2, allow_nan=False)
 
@@ -124,14 +113,19 @@ def _load_config(path: str | None) -> dict[str, str]:
     return entries
 
 
-def _resolve(args, config: dict[str, str], defaults: dict):
-    """Apply flag > config > default precedence for the given keys."""
+def _resolve(args, defaults: dict) -> tuple[dict, set[str]]:
+    """Apply flag > config > default precedence for the given keys.
+
+    Returns the resolved values and the keys that a flag or the config
+    file set (``alpha`` counts as ``alpha_re``).
+    """
+    config = _load_config(args.config)
     unknown = sorted(set(config) - set(defaults) - {"alpha"})
     if unknown:
         raise UsageError(
             f"unknown config key(s) {unknown}; accepted: {sorted({*defaults, 'alpha'})}"
         )
-    resolved = {}
+    resolved, explicit = {}, set()
     for key, default in defaults.items():
         flag_value = getattr(args, key, None)
         if key == "alpha_re" and flag_value is None:
@@ -139,52 +133,23 @@ def _resolve(args, config: dict[str, str], defaults: dict):
         if flag_value is not None:
             resolved[key] = flag_value
         elif key in config:
-            caster = type(default) if default is not None else str
             try:
-                resolved[key] = caster(config[key])
+                resolved[key] = type(default)(config[key])
             except ValueError as exc:
                 raise UsageError(f"config value for {key!r}: {exc}") from exc
         else:
             resolved[key] = default
-    return resolved
+            continue
+        explicit.add(key)
+    return resolved, explicit
 
 
-def _explicit_param_names(args, config) -> set[str]:
-    names = set()
-    for key in PARAM_DEFAULTS:
-        if getattr(args, key, None) is not None or key in config:
-            names.add(key)
-    if getattr(args, "alpha", None) is not None or "alpha" in config:
-        names.add("alpha_re")
-    return names
-
-
-def _build_params(resolved: dict) -> InterferometerParams:
-    try:
-        return InterferometerParams(
-            theta1=resolved["theta1"],
-            theta2=resolved["theta2"],
-            phi=resolved["phi"],
-            kappa=resolved["kappa"],
-            eta=resolved["eta"],
-            alpha=complex(resolved["alpha_re"], resolved["alpha_im"]),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-KERNEL_INPUTS = ("theta1", "theta2", "phi", "kappa", "eta", "alpha_abs")
-
-
-def _point_inputs(params: InterferometerParams) -> dict[str, float]:
-    return {
-        "theta1": params.theta1,
-        "theta2": params.theta2,
-        "phi": params.phi,
-        "kappa": params.kappa,
-        "eta": params.eta,
-        "alpha_abs": abs(params.alpha),
-    }
+def _point_inputs(resolved: dict) -> dict[str, float]:
+    """The six kernel inputs of the resolved operating point, each checked against its domain."""
+    names = ("theta1", "theta2", "phi", "kappa", "eta")
+    inputs = {name: check_domain(name, resolved[name]) for name in names}
+    inputs["alpha_abs"] = modulus(complex(resolved["alpha_re"], resolved["alpha_im"]))
+    return inputs
 
 
 def _columns(inputs: dict) -> dict[str, np.ndarray]:
@@ -192,7 +157,7 @@ def _columns(inputs: dict) -> dict[str, np.ndarray]:
 
     A NaN in any column raises ValueError here, before any file is opened.
     """
-    metrics = metrics_values(*(inputs[name] for name in KERNEL_INPUTS))
+    metrics = metrics_values(**inputs)
     shape = metrics["mean_O"].shape
     columns = {name: np.broadcast_to(value, shape) for name, value in inputs.items()}
     columns["transmission"] = np.exp(-columns["kappa"])
@@ -297,9 +262,8 @@ def _emit(data: str, args, command: str, parameters: dict) -> None:
 
 
 def _cmd_metrics(args) -> int:
-    config = _load_config(args.config)
-    resolved = _resolve(args, config, PARAM_DEFAULTS)
-    columns = _columns(_point_inputs(_build_params(resolved)))
+    resolved, _ = _resolve(args, PARAM_DEFAULTS)
+    columns = _columns(_point_inputs(resolved))
     fmt = args.format or "json"
     if fmt == "csv":
         data = "".join(_render_blocks(columns, fmt))
@@ -307,15 +271,6 @@ def _cmd_metrics(args) -> int:
         data = _json_dumps({name: float(columns[name][0]) for name in CSV_COLUMNS}) + "\n"
     _emit(data, args, "metrics", {**resolved, "format": fmt})
     return EXIT_OK
-
-
-# Domain of each swept parameter: (description, test over the axis values).
-_AXIS_DOMAINS = {
-    "transmission": ("in (0, 1]", lambda v: (v > 0.0) & (v <= 1.0)),
-    "kappa": ("finite and >= 0", lambda v: np.isfinite(v) & (v >= 0.0)),
-    "eta": ("in (0, 1]", lambda v: (v > 0.0) & (v <= 1.0)),
-    "alpha_abs": ("finite and >= 0", lambda v: np.isfinite(v) & (v >= 0.0)),
-}
 
 
 def _parse_axis(spec: str) -> tuple[str, np.ndarray]:
@@ -329,17 +284,13 @@ def _parse_axis(spec: str) -> tuple[str, np.ndarray]:
         raise UsageError(
             f"axis {spec!r} must look like name=start:stop:steps"
         ) from exc
-    if name not in AXIS_NAMES:
-        raise UsageError(f"axis parameter {name!r} not one of {AXIS_NAMES}")
+    if name not in DOMAINS:
+        raise UsageError(f"axis parameter {name!r} not one of {tuple(DOMAINS)}")
     if steps < 2:
         raise UsageError(f"axis {name!r} needs at least 2 steps, got {steps}")
     with np.errstate(invalid="ignore"):  # an infinite end point spaces out to NaN
         values = np.linspace(start, stop, steps)
-    domain, valid = _AXIS_DOMAINS.get(name, ("finite", np.isfinite))
-    bad = values[~valid(values)]
-    if bad.size:
-        raise UsageError(f"{name} axis values must be {domain}, got {float(bad[0])!r}")
-    return name, values
+    return name, check_domain(name, values)
 
 
 def _sweep_inputs(axes, fixed: dict) -> dict:
@@ -356,12 +307,10 @@ def _sweep_inputs(axes, fixed: dict) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    config = _load_config(args.config)
-    resolved = _resolve(args, config, PARAM_DEFAULTS)
+    resolved, explicit = _resolve(args, PARAM_DEFAULTS)
 
     axis_specs = list(args.axis) if args.axis else list(PRESET_AXES)
     if not args.axis:
-        explicit = _explicit_param_names(args, config)
         resolved.update({k: v for k, v in PRESET_FIXED.items() if k not in explicit})
     axes = [_parse_axis(spec) for spec in axis_specs]
 
@@ -371,13 +320,13 @@ def _cmd_sweep(args) -> int:
         raise UsageError(f"swept parameters must be distinct (a transmission axis sets kappa), got {names}")
     if "alpha_abs" in swept:
         swept.update(("alpha_re", "alpha_im"))
-    clashes = swept & _explicit_param_names(args, config)
+    clashes = swept & explicit
     if clashes:
         raise UsageError(f"parameters both fixed and swept: {sorted(clashes)}")
 
     if not args.output:
         raise UsageError("sweep requires --output")
-    fixed = _point_inputs(_build_params(resolved))
+    fixed = _point_inputs(resolved)
     columns = _columns(_sweep_inputs(axes, fixed))
     fmt = args.format or "csv"
     rows = columns["theta1"].size
@@ -387,16 +336,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    config = _load_config(args.config)
-    resolved = _resolve(args, config, PARAM_DEFAULTS)
-    try:
-        regime = ConstraintRegime(
-            kind=_REGIME_FLAGS[args.regime],
-            kappa=resolved["kappa"],
-            phi=None if args.free_phi else resolved["phi"],
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    resolved, _ = _resolve(args, PARAM_DEFAULTS)
+    regime = ConstraintRegime(
+        kind=args.regime.replace("-", "_"),
+        kappa=resolved["kappa"],
+        phi=None if args.free_phi else resolved["phi"],
+    )
     report = optimize(
         _OBJECTIVE_FLAGS[args.objective],
         regime,
@@ -468,7 +413,6 @@ def _check_verify_cutoff(alpha: complex, cutoff: int, tol: float) -> None:
 
 
 def _cmd_verify(args) -> int:
-    config = _load_config(args.config)
     defaults = {
         "alpha_re": 1.0,
         "alpha_im": 0.0,
@@ -477,26 +421,24 @@ def _cmd_verify(args) -> int:
         "tol": 1e-8,
         "cutoff": DEFAULT_VERIFY_CUTOFF,
     }
-    resolved = _resolve(args, config, defaults)
+    resolved, _ = _resolve(args, defaults)
     alpha = complex(resolved["alpha_re"], resolved["alpha_im"])
-    cutoff, samples, seed, tol = (
-        resolved["cutoff"],
-        resolved["samples"],
-        resolved["seed"],
-        resolved["tol"],
-    )
+    alpha_abs = modulus(alpha)
+    cutoff, samples, seed, tol = (resolved[key] for key in ("cutoff", "samples", "seed", "tol"))
     if samples < 1:
         raise UsageError(f"samples must be >= 1, got {samples}")
+    if not tol > 0.0:
+        raise UsageError(f"tol must be > 0, got {tol!r}")
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
 
     _check_verify_cutoff(alpha, cutoff, tol)  # TruncationError -> exit 4
 
     rng = np.random.default_rng(seed)
-    theta1 = rng.uniform(0.0, math.pi / 2, samples)
-    theta2 = rng.uniform(0.0, math.pi / 2, samples)
-    phi = rng.uniform(0.0, 2.0 * math.pi, samples)
-    kappa = rng.uniform(0.0, 1.0, samples)
+    highs = (math.pi / 2, math.pi / 2, 2.0 * math.pi, 1.0)  # theta1, theta2, phi, kappa
+    points = [rng.uniform(0.0, high, samples) for high in highs]
 
-    metrics = metrics_values(theta1, theta2, phi, kappa, 1.0, abs(alpha))
+    metrics = metrics_values(*points, 1.0, alpha_abs)
     oracle_names = {
         "mean_O": "mean_O",
         "std_O": "std_O",
@@ -504,21 +446,14 @@ def _cmd_verify(args) -> int:
         "std_intensity_probe": "probe_std",
     }
     worst = dict.fromkeys(oracle_names, 0.0)
-    for i in range(samples):
-        params = InterferometerParams(
-            theta1=float(theta1[i]),
-            theta2=float(theta2[i]),
-            phi=float(phi[i]),
-            kappa=float(kappa[i]),
-            alpha=alpha,
-        )
-        oracle = simulate(params, cutoff)
+    for i, point in enumerate(np.stack(points, axis=1).tolist()):
+        oracle = simulate(InterferometerParams(*point, alpha=alpha), cutoff)
         for key, name in oracle_names.items():
             worst[key] = max(worst[key], abs(float(metrics[key][i]) - getattr(oracle, name)))
 
     max_dev = max(worst.values())
     print(
-        f"verify: {samples} samples, |alpha| = {abs(alpha):g}, "
+        f"verify: {samples} samples, |alpha| = {alpha_abs:g}, "
         f"cutoff n_max = {cutoff}, seed = {seed}"
     )
     for key, dev in worst.items():
@@ -531,15 +466,19 @@ def _cmd_verify(args) -> int:
 # Parser
 
 
+def _add_alpha_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--alpha", type=float, help="shorthand for --alpha-re")
+    parser.add_argument("--alpha-re", type=float, dest="alpha_re", help="input amplitude, real part")
+    parser.add_argument("--alpha-im", type=float, dest="alpha_im", help="input amplitude, imaginary part")
+
+
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--theta1", type=float, help="input splitter mixing angle, radians")
     parser.add_argument("--theta2", type=float, help="output mixer mixing angle, radians")
     parser.add_argument("--phi", type=float, help="probe-arm phase delay, radians")
     parser.add_argument("--kappa", type=float, help="probe-arm attenuation exponent (>= 0)")
     parser.add_argument("--eta", type=float, help="detector quantum efficiency in (0, 1]")
-    parser.add_argument("--alpha", type=float, help="shorthand for --alpha-re")
-    parser.add_argument("--alpha-re", type=float, dest="alpha_re", help="input amplitude, real part")
-    parser.add_argument("--alpha-im", type=float, dest="alpha_im", help="input amplitude, imaginary part")
+    _add_alpha_flags(parser)
 
 
 def _add_io_flags(parser: argparse.ArgumentParser) -> None:
@@ -568,22 +507,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--axis",
         action="append",
         metavar="NAME=START:STOP:STEPS",
-        help=f"swept axis ({'|'.join(AXIS_NAMES)}); repeatable, row-major in given order",
+        help=f"swept axis ({'|'.join(DOMAINS)}); repeatable, row-major in given order",
     )
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("optimize", help="maximize a performance ratio over splitting angles")
     p.add_argument("--objective", choices=sorted(_OBJECTIVE_FLAGS), required=True)
-    p.add_argument("--regime", choices=sorted(_REGIME_FLAGS), required=True)
+    regimes = sorted(kind.replace("_", "-") for kind in REGIME_KINDS)
+    p.add_argument("--regime", choices=regimes, required=True)
     p.add_argument("--free-phi", action="store_true", help="optimize the operating phase too")
     _add_param_flags(p)
     _add_io_flags(p)
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("verify", help="check closed forms against the Fock-space simulator")
-    p.add_argument("--alpha", type=float, help="shorthand for --alpha-re")
-    p.add_argument("--alpha-re", type=float, dest="alpha_re")
-    p.add_argument("--alpha-im", type=float, dest="alpha_im")
+    _add_alpha_flags(p)
     p.add_argument("--cutoff", type=int, help=f"Fock cutoff n_max (default {DEFAULT_VERIFY_CUTOFF})")
     p.add_argument("--samples", type=int, help="number of random operating points (default 50)")
     p.add_argument("--seed", type=int, help="random seed (default 0)")

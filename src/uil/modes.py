@@ -9,6 +9,5 @@ cross-check import these indices from here, so they cannot disagree
 about which arm carries the mirror.
 """
 
-REFERENCE_MODE = 0
 PROBE_MODE = 1
 INPUT_MODE = 0

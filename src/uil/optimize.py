@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import metrics_values
-from .params import InterferometerParams
+from .params import check_domain, modulus
 
 OBJECTIVES = ("rho_fluctuation", "rho_intensity")
 REGIME_KINDS = ("free", "equal_splitters", "fixed_mixer")
@@ -72,8 +72,7 @@ class ConstraintRegime:
     def __post_init__(self) -> None:
         if self.kind not in REGIME_KINDS:
             raise ValueError(f"regime kind must be one of {REGIME_KINDS}, got {self.kind!r}")
-        if not (math.isfinite(self.kappa) and self.kappa >= 0.0):
-            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa!r}")
+        check_domain("kappa", self.kappa)
 
 
 @dataclass(frozen=True)
@@ -119,8 +118,9 @@ def optimize(
     """Maximize a performance ratio over the regime's free angles."""
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    phi = math.pi / 2 if regime.phi is None else regime.phi
-    alpha_abs = abs(InterferometerParams(0.0, 0.0, phi, regime.kappa, eta, alpha).alpha)
+    phi = math.pi / 2 if regime.phi is None else check_domain("phi", regime.phi)
+    check_domain("eta", eta)
+    alpha_abs = modulus(alpha)
     t = float(np.exp(-regime.kappa))
     intensity = objective == "rho_intensity"
     equal = regime.kind == "equal_splitters"

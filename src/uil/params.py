@@ -5,6 +5,46 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+
+_FINITE = ("finite", np.isfinite)
+_NONNEGATIVE = ("finite and >= 0", lambda v: np.isfinite(v) & np.greater_equal(v, 0.0))
+_UNIT_INTERVAL = ("in (0, 1]", lambda v: np.greater(v, 0.0) & np.less_equal(v, 1.0))
+
+# The domain of every parameter of an operating point, shared by the
+# dataclasses, the optimizer and every CLI entry point: a description
+# and a vectorised test.  ``transmission`` is exp(-kappa), ``alpha_abs``
+# is |alpha|; the keys, in this order, are the axes ``uil sweep`` takes.
+DOMAINS = {
+    "theta1": _FINITE,
+    "theta2": _FINITE,
+    "phi": _FINITE,
+    "kappa": _NONNEGATIVE,
+    "transmission": _UNIT_INTERVAL,
+    "eta": _UNIT_INTERVAL,
+    "alpha_abs": _NONNEGATIVE,
+}
+
+
+def check_domain(name: str, values):
+    """``values`` unchanged, or a ValueError naming the first one outside ``name``'s domain."""
+    domain, valid = DOMAINS[name]
+    ok = valid(values)
+    if not ok.all():
+        bad = np.ravel(values)[~np.ravel(ok)][0]
+        raise ValueError(f"{name} must be {domain}, got {float(bad)!r}")
+    return values
+
+
+def modulus(alpha) -> float:
+    """``abs(complex(alpha))``, checked against the ``alpha_abs`` domain."""
+    try:
+        value = abs(complex(alpha))
+    except OverflowError:
+        value = math.inf
+    return check_domain("alpha_abs", value)
+
 
 @dataclass(frozen=True)
 class InterferometerParams:
@@ -29,23 +69,10 @@ class InterferometerParams:
     alpha: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
-        for name in ("theta1", "theta2", "phi"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if not (math.isfinite(self.kappa) and self.kappa >= 0.0):
-            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa!r}")
-        if not (0.0 < self.eta <= 1.0):
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta!r}")
-        a = complex(self.alpha)
-        if not math.isfinite(math.hypot(a.real, a.imag)):  # abs() raises on overflow
-            raise ValueError(f"alpha must have a finite modulus, got {self.alpha!r}")
-        object.__setattr__(self, "alpha", a)
-
-    @property
-    def transmission(self) -> float:
-        """Probe-arm amplitude transmission exp(-kappa)."""
-        return math.exp(-self.kappa)
+        for name in ("theta1", "theta2", "phi", "kappa", "eta"):
+            check_domain(name, getattr(self, name))
+        object.__setattr__(self, "alpha", complex(self.alpha))
+        modulus(self.alpha)
 
 
 @dataclass(frozen=True)

@@ -257,6 +257,25 @@ def test_sweep_rejects_bad_axes(capsys, tmp_path, axis):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value, axis, message",
+    [
+        ("--eta", "0", "eta=0:1:3", "eta must be in (0, 1], got 0.0"),
+        ("--kappa", "-1", "kappa=-1:1:3", "kappa must be finite and >= 0, got -1.0"),
+        ("--phi", "nan", "phi=0:nan:3", "phi must be finite, got nan"),
+    ],
+)
+def test_one_domain_message_from_every_entry_point(capsys, tmp_path, flag, value, axis, message):
+    optimize = ["optimize", "--objective", "rho-di", "--regime", "free"]
+    sweep = ["sweep", "--axis", axis, "--output", str(tmp_path / "x.csv")]
+    runs = {"metrics": ["metrics", flag, value], "optimize": [*optimize, flag, value], "sweep": sweep}
+    for command, argv in runs.items():
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), command
+        assert err == f"uil {command}: invalid value: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_sweep_requires_output(capsys):
     code, _, err = run(capsys, "sweep", "--axis", "theta1=0:1:3")
     assert code == 2
@@ -417,6 +436,22 @@ def test_verify_impossible_tolerance_fails(capsys):
     )
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--tol", "nan", "tol must be > 0, got nan"),
+        ("--tol", "0", "tol must be > 0, got 0.0"),
+        ("--tol", "-1", "tol must be > 0, got -1.0"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--alpha", "nan", "invalid value: alpha_abs must be finite and >= 0, got nan"),
+    ],
+)
+def test_verify_refuses_out_of_range_keys(capsys, flag, value, message):
+    code, out, err = run(capsys, "verify", "--alpha", "1", "--cutoff", "12", "--samples", "2", flag, value)
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 @pytest.mark.parametrize(
