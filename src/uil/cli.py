@@ -167,30 +167,10 @@ def _columns(inputs: dict) -> dict[str, np.ndarray]:
     return {name: columns[name].ravel() for name in CSV_COLUMNS}
 
 
-# Rows formatted, hashed and written per step, so memory does not grow
-# with the rendered text.
+# Rows formatted per block, and written per piece, so memory does not
+# grow with the rendered text.
 RENDER_BLOCK_ROWS = 2048
-
-
-def _value_strings(values: np.ndarray, quote_inf: bool, distinct: bool) -> tuple[np.ndarray, bool]:
-    """``repr`` of each value as an object array, and whether most values differ.
-
-    Unless ``distinct`` says so already, each distinct bit pattern (so
-    -0.0 and 0.0 stay apart) is formatted once and gathered back through
-    the inverse index.  ``quote_inf`` writes infinities as the JSON
-    strings "inf"/"-inf".
-    """
-    inverse = None
-    if not distinct:
-        keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
-        values = keys.view(np.float64)
-        distinct = 2 * keys.size > inverse.size
-    # one C loop formats the whole list; no float repr contains ", "
-    strings = np.array(repr(values.tolist())[1:-1].split(", "), dtype=object)
-    if quote_inf:
-        infinite = np.isinf(values)
-        strings[infinite] = ['"%s"' % text for text in strings[infinite]]
-    return (strings if inverse is None else strings[inverse]), distinct
+RENDER_PIECE_ROWS = 512
 
 
 def _template(fmt: str) -> tuple[str, list[str], str]:
@@ -208,34 +188,45 @@ def _template(fmt: str) -> tuple[str, list[str], str]:
 
 
 def _render_blocks(columns: dict[str, np.ndarray], fmt: str):
-    """The data file's text, RENDER_BLOCK_ROWS rows at a time.
+    """The data file's bytes, RENDER_PIECE_ROWS rows at a time.
 
-    Each block fills the format's fixed template with the per-column
-    strings.  A column that is mostly distinct in one block skips the
-    ``unique`` step in the blocks after it.
+    Per block, ``repr_bytes`` formats each distinct bit pattern once (so
+    -0.0 and 0.0 stay apart).  A piece is a NUL-padded byte matrix of
+    its rows, each value followed by the template's text after it; its
+    bytes are written with the NULs dropped.
     """
+    from .floatrepr import repr_bytes  # here, so processes that write no data file never load it
+
     head, after, tail = _template(fmt)
+    gap = max(len(text) for text in [*after, tail])
+    fixed = np.zeros((len(after) + 1, gap), dtype=np.uint8)  # the text after each value, then the tail
+    for j, text in enumerate([*after, tail]):
+        fixed[j, : len(text)] = np.frombuffer(text.encode(), dtype=np.uint8)
     rows = columns[CSV_COLUMNS[0]].size
-    distinct = dict.fromkeys(CSV_COLUMNS, False)
-    yield head
+    yield head.encode()
     for start in range(0, rows, RENDER_BLOCK_ROWS):
-        block = slice(start, min(start + RENDER_BLOCK_ROWS, rows))
-        cells = np.empty((block.stop - start, 2 * len(CSV_COLUMNS)), dtype=object)
-        cells[:, 1::2] = after
-        for j, name in enumerate(CSV_COLUMNS):
-            strings, distinct[name] = _value_strings(columns[name][block], fmt == "json", distinct[name])
-            cells[:, 2 * j] = strings
-        if block.stop == rows:
-            cells[-1, -1] = tail
-        yield "".join(cells.ravel().tolist())
+        values = np.stack([columns[name][start : start + RENDER_BLOCK_ROWS] for name in CSV_COLUMNS], axis=1)
+        distinct, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+        text = repr_bytes(distinct.view(np.float64), quote_inf=fmt == "json")
+        used = np.flatnonzero(text.any(axis=0))  # the byte columns some value fills
+        lo, width = used[0], used[-1] + 1 - used[0]
+        piece = np.empty((RENDER_PIECE_ROWS, len(CSV_COLUMNS), width + gap), dtype=np.uint8)
+        piece[:, :, width:] = fixed[:-1]
+        inverse = inverse.reshape(values.shape)
+        for first in range(0, len(inverse), RENDER_PIECE_ROWS):
+            part = inverse[first : first + RENDER_PIECE_ROWS]
+            cells = piece[: len(part)]
+            cells[:, :, :width] = text.take(part, axis=0)[:, :, lo : lo + width]
+            if start + first + len(part) == rows:
+                cells[-1, -1, width:] = fixed[-1]
+            yield cells.tobytes().translate(None, b"\0")
 
 
 def _write_data_file(path: str, blocks, command: str, parameters: dict) -> None:
     """Write the text blocks to ``path``, hashing them as they go, then its manifest."""
     digest = hashlib.sha256()
     with open(path, "wb") as handle:
-        for block in blocks:
-            data = block.encode("utf-8")
+        for data in blocks:
             digest.update(data)
             handle.write(data)
     manifest = {
@@ -253,7 +244,7 @@ def _write_data_file(path: str, blocks, command: str, parameters: dict) -> None:
 
 def _emit(data: str, args, command: str, parameters: dict) -> None:
     if args.output:
-        _write_data_file(args.output, [data], command, parameters)
+        _write_data_file(args.output, [data.encode()], command, parameters)
     else:
         sys.stdout.write(data if data.endswith("\n") else data + "\n")
 
@@ -266,15 +257,15 @@ def _cmd_metrics(args) -> int:
     columns = _columns(_point_inputs(resolved))
     fmt = args.format or "json"
     if fmt == "csv":
-        data = "".join(_render_blocks(columns, fmt))
+        data = b"".join(_render_blocks(columns, fmt)).decode()
     else:
         data = _json_dumps({name: float(columns[name][0]) for name in CSV_COLUMNS}) + "\n"
     _emit(data, args, "metrics", {**resolved, "format": fmt})
     return EXIT_OK
 
 
-def _parse_axis(spec: str) -> tuple[str, np.ndarray]:
-    """Axis name and its validated values."""
+def _parse_axis(spec: str) -> tuple[str, float, float, int]:
+    """Axis name, end points and number of steps."""
     try:
         name, rest = spec.split("=", 1)
         start_s, stop_s, steps_s = rest.split(":")
@@ -288,15 +279,25 @@ def _parse_axis(spec: str) -> tuple[str, np.ndarray]:
         raise UsageError(f"axis parameter {name!r} not one of {tuple(DOMAINS)}")
     if steps < 2:
         raise UsageError(f"axis {name!r} needs at least 2 steps, got {steps}")
-    with np.errstate(invalid="ignore"):  # an infinite end point spaces out to NaN
-        values = np.linspace(start, stop, steps)
-    return name, check_domain(name, values)
+    return name, start, stop, steps
+
+
+def _check_grid_size(rows: int) -> None:
+    """Refuse, before allocating anything, a grid whose columns alone exceed physical memory."""
+    needed, memory = 8 * len(CSV_COLUMNS) * rows, _physical_memory_bytes()
+    if memory is not None and needed > memory:
+        raise UsageError(
+            f"a grid of {rows} rows needs at least {needed} bytes, {len(CSV_COLUMNS)} columns "
+            f"of 8-byte values, more than the {memory} bytes of physical memory"
+        )
 
 
 def _sweep_inputs(axes, fixed: dict) -> dict:
     """Input columns of the grid, row-major over the axes in the given order."""
     grids = {}
-    for name, values in axes:
+    for name, start, stop, steps in axes:
+        with np.errstate(invalid="ignore"):  # an infinite end point spaces out to NaN
+            values = check_domain(name, np.linspace(start, stop, steps))
         if name == "transmission":
             # math.log per value, not np.log, whose vector loop may differ
             # in the last ulp: kappa = -log(T) exactly as a reader computes it.
@@ -326,10 +327,11 @@ def _cmd_sweep(args) -> int:
 
     if not args.output:
         raise UsageError("sweep requires --output")
+    rows = math.prod(steps for *_, steps in axes)
+    _check_grid_size(rows)
     fixed = _point_inputs(resolved)
     columns = _columns(_sweep_inputs(axes, fixed))
     fmt = args.format or "csv"
-    rows = columns["theta1"].size
     parameters = {**resolved, "axes": axis_specs, "format": fmt, "rows": rows}
     _write_data_file(args.output, _render_blocks(columns, fmt), "sweep", parameters)
     return EXIT_OK

@@ -83,9 +83,10 @@ class OptimumReport:
     splitting, reported at theta1 = 0; ``unbounded`` additionally marks
     an objective that grows without bound there (value ``inf``).
 
-    Where the objective is identically 0 (``sin(phi) = 0`` with phi
-    fixed, ``T = exp(-kappa) = 0``, or rho_intensity at ``|alpha| = 0``)
-    the report is the regime's boundary point: value 0.0,
+    Where the computed optimum is 0 (``sin(phi) = 0`` with phi fixed,
+    ``T = exp(-kappa) = 0``, rho_intensity at ``|alpha| = 0``, or a
+    product of factors that underflows, as at phi = 5e-324) the report
+    is the regime's boundary point: value 0.0,
     ``boundary_supremum`` true, ``unbounded`` false, theta1 = 0, and
     theta2 = pi/4 (0 with equal splitters).
     """
@@ -124,17 +125,21 @@ def optimize(
     t = float(np.exp(-regime.kappa))
     intensity = objective == "rho_intensity"
     equal = regime.kind == "equal_splitters"
-    zero = t == 0.0 or math.sin(phi) == 0.0 or (intensity and alpha_abs == 0.0)
 
-    interior = equal and not intensity and not zero
+    interior = equal and not intensity
     theta1 = _equal_splitter_angle(t) if interior else 0.0
     theta2 = theta1 if equal else math.pi / 4
-    value = float(metrics_values(theta1, theta2, phi, regime.kappa, eta, alpha_abs)[objective])
-    unbounded = intensity and not equal and not zero
-    if unbounded:
-        value = math.inf
-    elif intensity and not zero:
-        value = 4.0 * eta * t * abs(math.sin(phi)) / alpha_abs
+    metrics = metrics_values(theta1, theta2, phi, regime.kappa, eta, alpha_abs)
+    value = float(metrics[objective])
+    if intensity and alpha_abs > 0.0:
+        # the theta1 -> 0 supremum, not attained: finite with equal splitters,
+        # else without bound unless rho_fluctuation's limit there is 0
+        if equal:
+            value = 4.0 * eta * t * abs(math.sin(phi)) / alpha_abs
+        elif metrics["rho_fluctuation"] > 0.0:
+            value = math.inf
+    if value == 0.0:  # identically 0, or a factor underflows
+        interior, theta1, theta2 = False, 0.0, (0.0 if equal else math.pi / 4)
     return OptimumReport(
         objective=objective,
         regime=regime.kind,
@@ -147,5 +152,5 @@ def optimize(
         value=value,
         n_evaluations=1,
         boundary_supremum=not interior,
-        unbounded=unbounded,
+        unbounded=not equal and value == math.inf,
     )

@@ -18,7 +18,7 @@ from hypothesis import Phase, given, settings
 import uil.cli
 from render_oracle import render_csv, render_json
 from uil.analytic import evaluate_metrics, metrics_values
-from uil.cli import CSV_COLUMNS, RENDER_BLOCK_ROWS, main
+from uil.cli import CSV_COLUMNS, RENDER_BLOCK_ROWS, RENDER_PIECE_ROWS, main
 from uil.params import InterferometerParams
 
 BALANCED = ["--theta1", repr(math.pi / 4), "--theta2", repr(math.pi / 4), "--phi", repr(math.pi / 2)]
@@ -81,6 +81,30 @@ def test_metrics_complex_amplitude_flags(capsys):
     code, out, _ = run(capsys, "metrics", *BALANCED, "--alpha-re", "0.6", "--alpha-im", "0.8")
     assert code == 0
     assert json.loads(out)["alpha_abs"] == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("theta1", [None, 0.0])  # the default point, and one with delta_phi = inf
+def test_metrics_csv_matches_row_oracle_byte_for_byte(capsys, tmp_path, theta1):
+    flags = [] if theta1 is None else ["--theta1", repr(theta1)]
+    point = {**uil.cli.PARAM_DEFAULTS, **({} if theta1 is None else {"theta1": theta1})}
+    params = InterferometerParams(
+        theta1=point["theta1"], theta2=point["theta2"], phi=point["phi"], kappa=point["kappa"],
+        eta=point["eta"], alpha=complex(point["alpha_re"], point["alpha_im"]),
+    )
+    columns = {name: np.array([value]) for name, value in dataclasses.asdict(evaluate_metrics(params)).items()}
+    columns.update(
+        {name: np.array([point[name]]) for name in ("theta1", "theta2", "phi", "kappa", "eta")},
+        transmission=np.exp(-np.array([point["kappa"]])),
+        alpha_abs=np.array([abs(params.alpha)]),
+    )
+    want = render_csv(columns, CSV_COLUMNS)
+    assert ("inf" in want) == bool(flags)
+    code, out, _ = run(capsys, "metrics", "--format", "csv", *flags)
+    assert code == 0
+    assert out == want
+    path = tmp_path / "point.csv"
+    assert run(capsys, "metrics", "--format", "csv", *flags, "--output", str(path))[0] == 0
+    assert path.read_bytes() == want.encode()
 
 
 def test_metrics_output_file_with_manifest(capsys, tmp_path):
@@ -274,6 +298,29 @@ def test_one_domain_message_from_every_entry_point(capsys, tmp_path, flag, value
         assert (code, out) == (2, ""), command
         assert err == f"uil {command}: invalid value: {message}\n"
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "axes", [["theta1=0:1:10000000000000"], ["theta1=0:1:3000000", "kappa=0:1:3000000"]]
+)
+def test_sweep_refuses_a_grid_beyond_physical_memory(capsys, tmp_path, axes):
+    # 15 columns of 8 bytes per row, 1.2e15 and 1.08e15 bytes: refused
+    # before any axis is spaced out
+    path = tmp_path / "grid.csv"
+    code, out, err = run(capsys, "sweep", *(arg for axis in axes for arg in ("--axis", axis)), "--output", str(path))
+    assert code == 2
+    assert out == ""
+    assert "physical memory" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_memory_bound_counts_the_columns(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(uil.cli, "_physical_memory_bytes", lambda: 8 * len(CSV_COLUMNS) * 100)
+    assert run(capsys, "sweep", "--axis", "theta1=0:1:100", "--output", str(tmp_path / "fits.csv"))[0] == 0
+    code, _, err = run(capsys, "sweep", "--axis", "theta1=0:1:101", "--output", str(tmp_path / "big.csv"))
+    assert code == 2
+    assert f"a grid of 101 rows needs at least {8 * len(CSV_COLUMNS) * 101} bytes" in err
+    assert not (tmp_path / "big.csv").exists()
 
 
 def test_sweep_requires_output(capsys):
@@ -697,14 +744,23 @@ def random_columns(draw, rows):
 
 
 @pytest.mark.parametrize(
-    "rows", [1, RENDER_BLOCK_ROWS - 1, RENDER_BLOCK_ROWS, RENDER_BLOCK_ROWS + 1]
+    "rows",
+    [
+        1,
+        RENDER_PIECE_ROWS - 1,
+        RENDER_PIECE_ROWS + 1,
+        RENDER_BLOCK_ROWS - 1,
+        RENDER_BLOCK_ROWS,
+        RENDER_BLOCK_ROWS + 1,
+        2 * RENDER_BLOCK_ROWS + 1,
+    ],
 )
 @given(data=st.data())
 @settings(max_examples=6, phases=[Phase.explicit, Phase.reuse, Phase.generate])  # a draw takes ~0.3 s: no shrinking
 def test_streamed_render_matches_row_oracle_byte_for_byte(rows, data):
     columns = data.draw(random_columns(rows))
     for fmt, oracle in (("csv", render_csv), ("json", render_json)):
-        got, want = "".join(uil.cli._render_blocks(columns, fmt)), oracle(columns, CSV_COLUMNS)
+        got, want = b"".join(uil.cli._render_blocks(columns, fmt)).decode(), oracle(columns, CSV_COLUMNS)
         if got != want:  # name the first difference; a diff of the whole text takes minutes
             at = len(os.path.commonprefix([got, want]))
             near = slice(max(at - 60, 0), at + 60)

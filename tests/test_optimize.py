@@ -235,6 +235,8 @@ def test_identically_zero_objective_report(objective, kind, kappa, phi, alpha):
 )
 # delta_phi overflows at this phi, yet rho_intensity grows without bound as theta1 -> 0
 @example(objective="rho_intensity", kind="free", kappa=0.0, eta=1.0, alpha=1.0, phi=2.2250738585072014e-308)
+# the interior optimum underflows to 0, where the search sees a flat zero and reports the boundary
+@example(objective="rho_fluctuation", kind="equal_splitters", kappa=1.0, eta=0.5, alpha=1.0, phi=5e-324)
 def test_closed_form_matches_numeric_oracle(objective, kind, kappa, eta, alpha, phi):
     regime = ConstraintRegime(kind, kappa=kappa, phi=phi)
     report = optimize(objective, regime, alpha=alpha, eta=eta)
