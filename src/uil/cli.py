@@ -5,10 +5,10 @@ grids to CSV/JSON with a run manifest), ``optimize`` (the closed-form
 optimum angles under a constraint regime) and ``verify`` (closed forms
 against the Fock-space engine on random operating points).
 
-Exit codes: 0 success, 2 bad usage or flag values, 3 I/O failure,
-4 Fock truncation failure.  Data files are byte-deterministic for
-identical invocations; each one is paired with a ``.manifest.json``
-carrying the resolved parameter set and a checksum.
+Exit codes: 0 success, 2 bad usage, flag values or memory exhausted,
+3 I/O failure, 4 Fock truncation failure.  Data files are
+byte-deterministic for identical invocations; each one is paired with
+a ``.manifest.json`` carrying the resolved parameter set and a checksum.
 
 Flag values beat config-file entries (plain ``key = value`` lines),
 which beat built-in defaults.
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import metrics_values
-from .fock import TAIL_TOL, TruncationError, check_cutoff, photon_mean, required_cutoff, simulate
+from .fock import TruncationError, _physical_memory_bytes, check_cutoff, simulate
 from .optimize import REGIME_KINDS, ConstraintRegime, optimize
 from .params import DOMAINS, InterferometerParams, check_domain, modulus
 
@@ -355,65 +355,6 @@ def _cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def _physical_memory_bytes() -> int | None:
-    """Installed memory, or None where the system does not say."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # no sysconf, or the names are unknown
-        return None
-
-
-def _check_verify_cutoff(alpha: complex, cutoff: int, tol: float) -> None:
-    """Refuse a cutoff whose truncation alone could fail ``verify``.
-
-    Two refusals come first, in O(1) work: a cutoff whose simulation
-    exceeds physical memory, and a drive with |alpha|^2 > n_max, which
-    leaves about half the Poisson weight or more beyond the cutoff.
-    ``simulate`` peaks at two to three lossy states of 16 d^3 bytes each
-    (d = n_max + 1): a splitter holds its input and its output, and
-    numpy's temporaries come on top, so the bound is three states.
-
-    Dropping the Poisson tail beyond n_max shifts the photon-number
-    means by up to about n_max * tail and their standard deviations by
-    up to about (n_max - |alpha|^2)^2 / (2 |alpha|) * tail.  The larger
-    shift must stay below ``tol``, and the tail within what ``simulate``
-    accepts; a tail below eps, which double precision cannot resolve,
-    is never asked for.  The limit only tightens as n_max grows, so
-    asking ``required_cutoff`` for the limit of each candidate climbs
-    to the smallest cutoff that meets it, which the error names.
-    """
-    check_cutoff(cutoff)  # ValueError -> exit 2
-    needed_bytes, memory = 3 * 16 * (cutoff + 1) ** 3, _physical_memory_bytes()
-    if memory is not None and needed_bytes > memory:
-        raise TruncationError(
-            f"n_max = {cutoff} needs about {needed_bytes} bytes, three lossy states "
-            f"of 16 (n_max + 1)^3 bytes, more than the {memory} bytes of physical memory"
-        )
-    mean = photon_mean(alpha)  # ValueError where |alpha|^2 overflows
-    if mean > cutoff:
-        raise TruncationError(
-            f"|alpha|^2 = {mean:.6g} exceeds n_max = {cutoff}, which leaves about half the "
-            f"Poisson weight or more beyond the cutoff; n_max must exceed |alpha|^2"
-        )
-    if mean == 0.0:
-        return
-    needed = max(cutoff, required_cutoff(alpha))
-
-    def tail_limit(n_max: int) -> float:
-        shift_per_tail = max(n_max, (n_max - mean) ** 2 / (2.0 * abs(alpha)))
-        return min(TAIL_TOL, max(tol / shift_per_tail, np.finfo(float).eps))
-
-    while (fits := required_cutoff(alpha, tail_limit(needed))) > needed:
-        needed = fits
-    if needed > cutoff:
-        raise TruncationError(
-            f"verify at tolerance {tol:.1e} needs the Poisson tail of |alpha|^2 = "
-            f"{mean:.6g} beyond n_max = {cutoff} below {tail_limit(cutoff):.1e}; "
-            f"use n_max >= {needed}",
-            required=needed,
-        )
-
-
 def _cmd_verify(args) -> int:
     defaults = {
         "alpha_re": 1.0,
@@ -434,7 +375,7 @@ def _cmd_verify(args) -> int:
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
 
-    _check_verify_cutoff(alpha, cutoff, tol)  # TruncationError -> exit 4
+    check_cutoff(alpha, cutoff, tol)  # ValueError -> exit 2, TruncationError -> exit 4
 
     rng = np.random.default_rng(seed)
     highs = (math.pi / 2, math.pi / 2, 2.0 * math.pi, 1.0)  # theta1, theta2, phi, kappa
@@ -554,6 +495,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"uil {args.command}: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:  # a grid below the physical-memory bound can exceed the process's share
+        print(f"uil {args.command}: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

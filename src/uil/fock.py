@@ -14,9 +14,13 @@ state :func:`simulate` builds has weight beyond total photon number
 n_max.  Each splitter is applied one sector n_a + n_b = N at a time, and
 only to the d = n_max + 1 sectors N <= n_max: tridiagonal blocks of size
 N + 1, diagonalized once per cutoff.  No d^2 x d^2 operator is ever
-formed.  Truncation is surfaced, never hidden: coherent states are not
-renormalized, constructing one with too much Poisson weight beyond the
-cutoff raises :class:`TruncationError`, and :func:`simulate` emits
+formed.
+
+Truncation is surfaced, never hidden.  :func:`check_cutoff` is the one
+rule for which cutoff holds a drive, and :func:`coherent_state`,
+:func:`simulate` and ``uil verify`` (with its tolerance) all apply it;
+coherent states are not renormalized.  :func:`simulate` also refuses a
+cutoff whose states would exceed physical memory, and emits
 :class:`TruncationWarning` when the drive puts weight on |n_max>, the
 one photon number that the network carries unchanged to total n_max.
 """
@@ -26,6 +30,8 @@ from __future__ import annotations
 import functools
 import math
 from numbers import Integral
+import os
+import sys
 from typing import NamedTuple
 import warnings
 
@@ -44,7 +50,6 @@ __all__ = [
     "SimulationMoments",
     "check_cutoff",
     "coherent_state",
-    "photon_mean",
     "required_cutoff",
     "simulate",
 ]
@@ -62,11 +67,22 @@ class TruncationWarning(UserWarning):
     """Emitted when population at total photon number n_max makes results untrustworthy."""
 
 
-def check_cutoff(n_max) -> int:
-    """The highest retained photon number per mode, checked: an integer >= 1."""
-    if not isinstance(n_max, Integral) or n_max < 1:
-        raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
-    return int(n_max)
+def _physical_memory_bytes() -> int | None:
+    """Installed memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or the names are unknown
+        return None
+
+
+def _check_memory(n_max: int, needed: int, what: str) -> None:
+    """Refuse a cutoff whose arrays, ``needed`` bytes, exceed physical memory."""
+    memory = _physical_memory_bytes()
+    if memory is not None and needed > memory:
+        raise TruncationError(
+            f"n_max = {n_max} needs about {needed} bytes, {what}, "
+            f"more than the {memory} bytes of physical memory"
+        )
 
 
 def _poisson_tail(n: int, mean: float) -> float:
@@ -100,7 +116,7 @@ def _poisson_tail(n: int, mean: float) -> float:
     return mass if upward else 1.0 - mass
 
 
-def photon_mean(alpha: complex) -> float:
+def _photon_mean(alpha: complex) -> float:
     """|alpha|^2; a ValueError where it exceeds the double range."""
     try:
         return abs(complex(alpha)) ** 2
@@ -108,22 +124,73 @@ def photon_mean(alpha: complex) -> float:
         raise ValueError(f"|alpha|^2 exceeds the double range, got alpha = {alpha!r}") from None
 
 
-def required_cutoff(alpha: complex, tail_tol: float = TAIL_TOL) -> int:
-    """Smallest n_max whose Poisson tail mass is below ``tail_tol``.
+def _tail_limit(n: int, mean: float, alpha: complex, tol: float | None) -> float:
+    """The Poisson weight that a drive of mean |alpha|^2 may leave beyond n.
 
-    The tail falls with n_max, so the search gallops up from the mean
-    and then bisects.
+    ``TAIL_TOL`` without ``tol``.  With it, the limit of a check of
+    moments to within ``tol``: dropping the tail beyond n shifts the
+    photon-number means by up to about n * tail and their standard
+    deviations by up to about (n - |alpha|^2)^2 / (2 |alpha|) * tail.
+    The larger shift must stay below ``tol``, and the tail within
+    ``TAIL_TOL``; a tail below eps, which double precision cannot
+    resolve, is never asked for.  The limit tightens as n grows, but
+    slower than the tail falls.
     """
-    mean = photon_mean(alpha)
+    if tol is None:
+        return TAIL_TOL
+    shift_per_tail = max(n, (n - mean) ** 2 / (2.0 * abs(alpha)))
+    return min(TAIL_TOL, max(tol / shift_per_tail, sys.float_info.epsilon))
+
+
+def check_cutoff(alpha: complex, n_max, tol: float | None = None) -> int:
+    """The highest retained photon number per mode, checked to hold the drive ``alpha``.
+
+    In order: ``n_max`` must be an integer >= 1 and |alpha|^2 finite,
+    else ValueError.  Then, else :class:`TruncationError`: |alpha|^2 <=
+    n_max (a drive beyond the cutoff leaves about half its Poisson
+    weight or more there, refused without a search); the drive's
+    amplitudes fit physical memory; and the Poisson weight beyond n_max
+    is below :func:`_tail_limit`, ``TAIL_TOL`` or tighter with ``tol``.
+    That last error names the smallest cutoff that fits,
+    :func:`required_cutoff`.
+    """
+    if not isinstance(n_max, Integral) or n_max < 1:
+        raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
+    n_max = int(n_max)
+    mean = _photon_mean(alpha)
+    if mean > n_max:
+        raise TruncationError(
+            f"|alpha|^2 = {mean:.6g} exceeds n_max = {n_max}, which leaves about half the "
+            f"Poisson weight or more beyond the cutoff; n_max must exceed |alpha|^2"
+        )
+    _check_memory(n_max, 16 * (n_max + 1), "16 (n_max + 1) for the drive alone")
+    tail = _poisson_tail(n_max, mean)  # 0 for alpha = 0, where _tail_limit has no |alpha| to divide by
+    if tail > 0.0 and tail >= (limit := _tail_limit(n_max, mean, alpha, tol)):
+        needed = required_cutoff(alpha, tol)
+        raise TruncationError(
+            f"the Poisson weight {tail:.3e} of |alpha|^2 = {mean:.6g} beyond n_max = {n_max} "
+            f"is not below {limit:.1e}; use n_max >= {needed}",
+            required=needed,
+        )
+    return n_max
+
+
+def required_cutoff(alpha: complex, tol: float | None = None) -> int:
+    """Smallest n_max >= max(1, floor(|alpha|^2)) whose Poisson tail is below :func:`_tail_limit`.
+
+    The tail falls faster with n_max than its limit does, so one search
+    gallops up from the mean and then bisects.
+    """
+    mean = _photon_mean(alpha)
     if mean == 0.0:
         return 1
     start = max(1, int(mean))
     too_small, fits, step = start - 1, start, 1
-    while _poisson_tail(fits, mean) >= tail_tol:
+    while _poisson_tail(fits, mean) >= _tail_limit(fits, mean, alpha, tol):
         too_small, fits, step = fits, fits + step, 2 * step
     while fits - too_small > 1:
         middle = (too_small + fits) // 2
-        if _poisson_tail(middle, mean) >= tail_tol:
+        if _poisson_tail(middle, mean) >= _tail_limit(middle, mean, alpha, tol):
             too_small = middle
         else:
             fits = middle
@@ -135,23 +202,16 @@ def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
 
     Coefficients are exp(-|alpha|^2/2) * alpha^n / sqrt(n!), computed by
     the stable recurrence and deliberately *not* renormalized: the norm
-    deficit is the truncation error.  Raises :class:`TruncationError`
-    when the Poisson weight beyond n_max reaches ``TAIL_TOL``.
+    deficit is the truncation error.  The cutoff passes
+    :func:`check_cutoff` first, the same check that :func:`simulate`
+    and ``uil verify`` make: |alpha|^2 > n_max is refused at once, and a
+    Poisson weight beyond n_max of ``TAIL_TOL`` or more raises
+    :class:`TruncationError` naming the cutoff that fits.
     """
-    n_max = check_cutoff(n_max)
+    n_max = check_cutoff(alpha, n_max)
     alpha = complex(alpha)
-    mean = photon_mean(alpha)
-    tail = _poisson_tail(n_max, mean)
-    if tail >= TAIL_TOL:
-        needed = required_cutoff(alpha)
-        raise TruncationError(
-            f"coherent state with |alpha|^2 = {mean:.6g} keeps tail mass "
-            f"{tail:.3e} beyond n_max = {n_max} (tolerance {TAIL_TOL:.1e}); "
-            f"use n_max >= {needed}",
-            required=needed,
-        )
     amplitudes = np.zeros(n_max + 1, dtype=complex)
-    amplitudes[0] = math.exp(-0.5 * mean)
+    amplitudes[0] = math.exp(-0.5 * abs(alpha) ** 2)
     for n in range(1, n_max + 1):
         amplitudes[n] = amplitudes[n - 1] * alpha / math.sqrt(n)
     return amplitudes
@@ -164,25 +224,8 @@ class SimulationMoments(NamedTuple):
     probe_std: float
 
 
-class _SplitterSectors(NamedTuple):
-    """Splitter generator on the states n_a + n_b <= n_max, one sector at a time.
-
-    ``n_a`` and ``n_b`` list those number states grouped by total
-    photon number N = n_a + n_b and ascending in n_a within a sector;
-    ``untwist`` (i**-n_a) and ``values`` run along them, and each entry
-    of ``blocks`` pairs a sector's slice of them with the eigenvectors
-    of its real symmetric coupling matrix.
-    """
-
-    n_a: np.ndarray
-    n_b: np.ndarray
-    untwist: np.ndarray
-    values: np.ndarray
-    blocks: tuple[tuple[slice, np.ndarray], ...]
-
-
 @functools.lru_cache(maxsize=3)
-def _splitter_sectors(dim: int) -> _SplitterSectors:
+def _splitter_sectors(dim: int) -> tuple[tuple[np.ndarray, ...], ...]:
     """Eigensystems of the splitter generator G = a†b - ab†, one per sector.
 
     G conserves n_a + n_b, so on the sectors N = 0 .. n_max (n_max =
@@ -192,21 +235,19 @@ def _splitter_sectors(dim: int) -> _SplitterSectors:
     With D = diag(i**n_a) the block equals -i D S D^-1 for the real
     symmetric S sharing its couplings, hence
     exp(theta G) = D V exp(-i theta Lambda) V^T D^-1 with S = V Lambda V^T.
+
+    Each sector is ``(n_a, n_b, untwist, values, V)``: its number states
+    ascending in n_a, the column i**-n_a, and the eigenvalues and
+    eigenvectors of S.
     """
-    n_a, n_b, values, blocks = [], [], [], []
-    start = 0
+    sectors = []
     for total in range(dim):
-        sector = np.arange(total + 1)
-        coupling = np.sqrt((sector[:-1] + 1.0) * (total - sector[:-1]))
-        evals, evecs = np.linalg.eigh(np.diag(coupling, 1) + np.diag(coupling, -1))
-        n_a.append(sector)
-        n_b.append(total - sector)
-        values.append(evals)
-        blocks.append((slice(start, start + sector.size), evecs))
-        start += sector.size
-    n_a, n_b = np.concatenate(n_a), np.concatenate(n_b)
-    untwist = np.array([1.0, -1.0j, -1.0, 1.0j])[n_a % 4]
-    return _SplitterSectors(n_a, n_b, untwist, np.concatenate(values), tuple(blocks))
+        n_a = np.arange(total + 1)
+        coupling = np.sqrt((n_a[:-1] + 1.0) * (total - n_a[:-1]))
+        values, vectors = np.linalg.eigh(np.diag(coupling, 1) + np.diag(coupling, -1))
+        untwist = np.array([1.0, -1.0j, -1.0, 1.0j])[n_a % 4, None]
+        sectors.append((n_a, total - n_a, untwist, values, vectors))
+    return tuple(sectors)
 
 
 def _apply_beam_splitter(
@@ -231,16 +272,13 @@ def _apply_beam_splitter(
     d = psi.shape[axes[0]]
     if psi.shape[axes[1]] != d:
         raise ValueError("both axes of the splitter pair must have equal dimension")
-    sectors = _splitter_sectors(d)
     out = np.zeros(psi.shape, dtype=complex)
     source = np.moveaxis(psi, axes, (0, 1))
     target = np.moveaxis(out, axes, (0, 1))
-    rotation = np.exp(-1j * theta * sectors.values)[:, None]
-    for rows, vectors in sectors.blocks:
-        n_a, n_b, untwist = sectors.n_a[rows], sectors.n_b[rows], sectors.untwist[rows, None]
+    for n_a, n_b, untwist, values, vectors in _splitter_sectors(d):
         x = source[n_a, n_b].reshape(n_a.size, -1) * untwist
         # V is real: multiply the real and imaginary parts in one product
-        y = (vectors.T @ x.view(np.float64)).view(complex) * rotation[rows]
+        y = (vectors.T @ x.view(np.float64)).view(complex) * np.exp(-1j * theta * values)[:, None]
         y = (vectors @ y.view(np.float64)).view(complex) * untwist.conj()
         target[n_a, n_b] = y.reshape(x.shape[:1] + source.shape[2:])
     return out
@@ -257,11 +295,18 @@ def simulate(params: InterferometerParams, n_max: int) -> SimulationMoments:
     moments of the original modes then follow the attenuated (trace
     preserving, completely positive) dynamics exactly, for any state.
 
+    The cutoff passes :func:`check_cutoff`, and one whose three lossy
+    states of 16 (n_max + 1)^3 bytes would exceed physical memory is
+    refused with :class:`TruncationError` before anything is allocated.
     Emits :class:`TruncationWarning` when the drive's weight at |n_max>
     reaches ``EDGE_TOL``: the network conserves the total photon number
     (ancilla included), so that is the population at total photon number
     n_max, the edge of the retained states.
     """
+    n_max = check_cutoff(params.alpha, n_max)
+    # a splitter holds its input and its output state, and numpy's
+    # temporaries come on top: two to three lossy states were measured
+    _check_memory(n_max, 3 * 16 * (n_max + 1) ** 3, "three lossy states of 16 (n_max + 1)^3 bytes")
     drive = coherent_state(params.alpha, n_max)
     d = drive.size
     leaked = abs(drive[-1]) ** 2

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -323,6 +324,32 @@ def test_sweep_memory_bound_counts_the_columns(capsys, tmp_path, monkeypatch):
     assert not (tmp_path / "big.csv").exists()
 
 
+def test_sweep_that_exhausts_the_process_memory_exits_2(tmp_path):
+    # a machine whose physical memory would hold the grid, in a process
+    # limited to 4 GiB of address space: the 8 GB theta1 axis cannot be
+    # allocated, which is a one-line message and exit 2, not a traceback
+    src = os.path.dirname(os.path.dirname(uil.cli.__file__))
+    script = (
+        "import sys, uil.cli\n"
+        "uil.cli._physical_memory_bytes = lambda: 10**15\n"
+        "sys.exit(uil.cli.main(sys.argv[1:]))\n"
+    )
+    path = tmp_path / "grid.csv"
+    done = subprocess.run(
+        [sys.executable, "-c", script, "sweep", "--axis", "theta1=0:1:1000000000", "--output", str(path)],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**32, 2**32)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("uil sweep: out of memory: ")
+    assert done.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_requires_output(capsys):
     code, _, err = run(capsys, "sweep", "--axis", "theta1=0:1:3")
     assert code == 2
@@ -526,22 +553,27 @@ def test_verify_passes_at_the_cutoff_it_names(capsys):
 
 def test_verify_refuses_a_drive_beyond_the_cutoff_at_once():
     # |alpha|^2 = 1e20 > n_max = 40: refused before the Poisson-tail search,
-    # whose work grows with |alpha|
+    # whose work grows with |alpha|; at n_max = 1e20 the drive's own
+    # amplitudes exceed physical memory, refused before the Poisson tail
     src = os.path.dirname(os.path.dirname(uil.cli.__file__))
-    done = subprocess.run(
-        [sys.executable, "-m", "uil", "verify", "--alpha", "1e10", "--samples", "1"],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        timeout=20,
-    )
-    assert done.returncode == 4
-    assert "n_max must exceed |alpha|^2" in done.stderr
+    for cutoff, message in [
+        ("40", "n_max must exceed |alpha|^2"),
+        (str(10**20), "for the drive alone, more than the"),
+    ]:
+        done = subprocess.run(
+            [sys.executable, "-m", "uil", "verify", "--alpha", "1e10", "--cutoff", cutoff, "--samples", "1"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert done.returncode == 4
+        assert message in done.stderr
 
 
 def test_verify_refuses_a_cutoff_beyond_physical_memory(capsys):
-    # three lossy states of 16 * 100001^3 bytes, about 4.8e16: refused
-    # before anything is allocated
+    # three lossy states of 16 * 100001^3 bytes, about 4.8e16: simulate
+    # refuses it before anything is allocated
     code, out, err = run(capsys, "verify", "--cutoff", "100000", "--samples", "1")
     assert code == 4
     assert out == ""
@@ -552,7 +584,7 @@ def test_verify_refuses_a_cutoff_beyond_physical_memory(capsys):
 def test_verify_memory_bound_counts_three_lossy_states(capsys, monkeypatch):
     # simulate peaks at two to three lossy states, so a memory that holds
     # one state of 16 * 21^3 bytes, but not three, is refused
-    monkeypatch.setattr(uil.cli, "_physical_memory_bytes", lambda: 2 * 16 * 21**3)
+    monkeypatch.setattr(uil.fock, "_physical_memory_bytes", lambda: 2 * 16 * 21**3)
     code, out, err = run(capsys, "verify", "--cutoff", "20", "--samples", "1")
     assert code == 4
     assert out == ""

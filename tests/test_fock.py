@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from scipy import linalg, special, stats
 
+import uil.fock
 from uil.analytic import evaluate_metrics
 from uil.fock import (
     _apply_beam_splitter,
@@ -113,6 +118,7 @@ def test_coherent_tail_failure_raises_with_estimate():
     assert stats.poisson.sf(needed, 9.0) < 1e-10
     assert stats.poisson.sf(needed - 1, 9.0) >= 1e-10
     coherent_state(3.0, needed)  # now fits
+    assert f"is not below 1.0e-10; use n_max >= {needed}" in str(err.value)
 
 
 def test_required_cutoff_zero_amplitude():
@@ -142,17 +148,27 @@ def test_poisson_tail_matches_scipy(alpha_abs, position):
 
 
 def test_required_cutoff_matches_scipy_search():
-    def scipy_cutoff(alpha):
-        # first n >= max(1, floor(mean)) with a tail below 1e-10
+    def limit(n, alpha, tol):
+        # 1e-10, or with tol the limit of a check of moments to within tol
+        if tol is None:
+            return 1e-10
+        shift_per_tail = np.maximum(n, (n - alpha**2) ** 2 / (2.0 * alpha))
+        return np.minimum(1e-10, np.maximum(tol / shift_per_tail, np.finfo(float).eps))
+
+    def scipy_cutoff(alpha, tol):
+        # first n >= max(1, floor(mean)) with a tail below the limit at n
         mean = alpha**2
         if mean == 0.0:
             return 1
         start = max(1, int(mean))
         n = np.arange(start, start + int(10.0 * math.sqrt(mean)) + 40)
-        return int(n[np.argmax(special.pdtrc(n, mean) < 1e-10)])
+        fits = special.pdtrc(n, mean) < limit(n, alpha, tol)
+        assert fits.any(), alpha
+        return int(n[np.argmax(fits)])
 
-    for alpha in np.linspace(0.0, 40.0, 2001):
-        assert required_cutoff(alpha) == scipy_cutoff(alpha), alpha
+    for tol, points in [(None, 2001), (1e-6, 401), (1e-8, 401), (1e-9, 401), (1e-12, 401)]:
+        for alpha in np.linspace(0.0, 40.0, points):
+            assert required_cutoff(alpha, tol) == scipy_cutoff(alpha, tol), (alpha, tol)
 
 
 # ladder operators
@@ -243,8 +259,10 @@ def test_splitter_coherent_covariance():
 
 def test_splitter_sectors_are_the_complete_sectors():
     sectors = _splitter_sectors(6)
-    assert len(sectors.blocks) == 6
-    assert np.array_equal(sectors.n_a + sectors.n_b, np.repeat(np.arange(6), np.arange(1, 7)))
+    assert len(sectors) == 6
+    for total, (n_a, n_b, *_) in enumerate(sectors):
+        assert np.array_equal(n_a, np.arange(total + 1))
+        assert np.array_equal(n_a + n_b, np.full(total + 1, total))
 
 
 @pytest.mark.parametrize("n_max", range(1, 8))
@@ -498,6 +516,52 @@ def test_simulate_rejects_undersized_cutoff():
     p = InterferometerParams(0.4, 0.9, 0.5, alpha=3.0)
     with pytest.raises(TruncationError):
         simulate(p, 10)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "coherent_state(3.0, 5)",
+        "coherent_state(1e7, 40)",
+        "simulate(InterferometerParams(0.4, 0.9, 0.5, kappa=0.3, alpha=1e7), 40)",
+    ],
+)
+def test_library_refuses_a_drive_beyond_the_cutoff_at_once(call):
+    # |alpha|^2 > n_max: refused before the Poisson-tail search, whose
+    # work grows with |alpha| (at |alpha|^2 = 1e14 it took 25 s), and
+    # with no cutoff named
+    src = os.path.dirname(os.path.dirname(uil.fock.__file__))
+    script = (
+        "from uil import InterferometerParams, TruncationError, coherent_state, simulate\n"
+        f"try:\n    {call}\nexcept TruncationError as exc:\n    print(exc, exc.required_cutoff)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "n_max must exceed |alpha|^2 None" in done.stdout
+
+
+def test_simulate_refuses_a_cutoff_beyond_physical_memory():
+    # three lossy states of 16 * 100001^3 bytes, about 4.8e16: refused
+    # before the drive or any state is allocated; a drive of 1.6e13
+    # bytes is refused before its Poisson tail is summed
+    p = InterferometerParams(0.4, 0.9, 0.5, kappa=0.3, alpha=1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError, match="physical memory") as err:
+            simulate(p, 100000)
+        with pytest.raises(TruncationError, match="for the drive alone, more than the"):
+            coherent_state(1.0, 10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"needs about {48 * 100001**3} bytes, three lossy states" in str(err.value)
+    assert peak < 1_000_000  # bytes: the drive alone would be 1.6 MB
 
 
 def test_relabeled_network_gives_identical_physics():
