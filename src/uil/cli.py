@@ -17,10 +17,10 @@ which beat built-in defaults.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
+import random
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -224,6 +224,8 @@ def _render_blocks(columns: dict[str, np.ndarray], fmt: str):
 
 def _write_data_file(path: str, blocks, command: str, parameters: dict) -> None:
     """Write the text blocks to ``path``, hashing them as they go, then its manifest."""
+    import hashlib  # here, so processes that write no data file never load it
+
     digest = hashlib.sha256()
     with open(path, "wb") as handle:
         for data in blocks:
@@ -377,9 +379,9 @@ def _cmd_verify(args) -> int:
 
     check_cutoff(alpha, cutoff, tol)  # ValueError -> exit 2, TruncationError -> exit 4
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)  # numpy.random would load hashlib and OpenSSL
     highs = (math.pi / 2, math.pi / 2, 2.0 * math.pi, 1.0)  # theta1, theta2, phi, kappa
-    points = [rng.uniform(0.0, high, samples) for high in highs]
+    points = [np.array([rng.uniform(0.0, high) for _ in range(samples)]) for high in highs]
 
     metrics = metrics_values(*points, 1.0, alpha_abs)
     oracle_names = {

@@ -1,19 +1,23 @@
 """Truncated Fock-space simulator of the interferometer.
 
 Brute-force oracle for the closed forms in :mod:`uil.analytic`: states
-are complex amplitude arrays over number states ``|0> .. |n_max>`` per
-mode, beam splitters are exponentials of the quadratic mode generator,
-and probe-arm attenuation is realized exactly as a beam splitter
-coupling to a discarded vacuum ancilla (the non-unitary shortcut used
-by the closed forms only works for coherent beams; the dilation works
-for any state).
+are complex amplitudes over number states up to n_max photons, beam
+splitters are exponentials of the quadratic mode generator, and
+probe-arm attenuation is realized exactly as a beam splitter coupling
+to a discarded vacuum ancilla (the non-unitary shortcut used by the
+closed forms only works for coherent beams; the dilation works for any
+state).
 
 The drive holds at most n_max photons, and the splitter generator
 conserves the total photon number of the two modes it couples, so no
 state :func:`simulate` builds has weight beyond total photon number
-n_max.  Each splitter is applied one sector n_a + n_b = N at a time, and
-only to the d = n_max + 1 sectors N <= n_max: tridiagonal blocks of size
-N + 1, diagonalized once per cutoff.  No d^2 x d^2 operator is ever
+n_max.  States are therefore held packed on that simplex, n_a + n_b
+(+ n_anc) <= n_max, as flat vectors: C(n_max + 2, 2) amplitudes for the
+two modes and C(n_max + 3, 3), about a sixth of the (n_max + 1)^3 box,
+with the ancilla.  Each splitter is applied one sector of its two modes
+at a time, to the d = n_max + 1 sectors N <= n_max: tridiagonal blocks
+of size N + 1, diagonalized once per cutoff, gathered from the packed
+vector and scattered back into it.  No d^2 x d^2 operator is ever
 formed.
 
 Truncation is surfaced, never hidden.  :func:`check_cutoff` is the one
@@ -86,34 +90,30 @@ def _check_memory(n_max: int, needed: int, what: str) -> None:
 
 
 def _poisson_tail(n: int, mean: float) -> float:
-    """P(X > n) for X ~ Poisson(mean), summed from its terms.
+    """P(X > n) for X ~ Poisson(mean), at n + 1 >= mean, summed from its terms.
 
-    The terms p_k = exp(k log(mean) - mean - lgamma(k + 1)) are summed
-    relative to the first, whose logarithm carries the scale, and away
-    from the mode, so each is smaller than the one before: at or above
-    the mean the tail p_{n+1} + p_{n+2} + ... itself, below it the head
-    p_n + p_{n-1} + ... + p_0, whose complement is then a tail of about
-    1/2 or more.  A small tail is never a difference of nearly equal
-    numbers, and no term over- or underflows before it is negligible.
+    The terms p_k = exp(k log(mean) - mean - lgamma(k + 1)), k > n, are
+    summed relative to the first, whose logarithm carries the scale.  At
+    or above the mean each is smaller than the one before, so a small
+    tail is never a difference of nearly equal numbers, and no term
+    over- or underflows before it is negligible.  Below the mean, which
+    no caller asks for (:func:`check_cutoff` refuses |alpha|^2 > n_max
+    first, and :func:`required_cutoff` starts at floor(|alpha|^2)), a
+    ValueError.
     """
+    if n + 1 < mean:
+        raise ValueError(f"the Poisson tail is summed at n + 1 >= mean only, got n = {n}, mean = {mean!r}")
     if mean == 0.0:
         return 0.0
-    upward = n + 1 >= mean
-    k = n + 1 if upward else n
+    k = n + 1
     log_first = k * math.log(mean) - mean - math.lgamma(k + 1)
     term = total = 1.0  # relative to p_k
-    while term > 1e-17 * total and (upward or k > 0):  # a block of terms at a time
-        if upward:
-            ratios = mean / np.arange(k + 1, k + 1 + _TAIL_BLOCK)
-            k += _TAIL_BLOCK
-        else:
-            ratios = np.arange(k, max(k - _TAIL_BLOCK, 0), -1) / mean
-            k = max(k - _TAIL_BLOCK, 0)
-        terms = term * np.cumprod(ratios)
+    while term > 1e-17 * total:  # a block of terms at a time
+        terms = term * np.cumprod(mean / np.arange(k + 1, k + 1 + _TAIL_BLOCK))
+        k += _TAIL_BLOCK
         total += float(terms.sum())
         term = float(terms[-1])
-    mass = math.exp(log_first + math.log(total))
-    return mass if upward else 1.0 - mass
+    return math.exp(log_first + math.log(total))
 
 
 def _photon_mean(alpha: complex) -> float:
@@ -197,6 +197,16 @@ def required_cutoff(alpha: complex, tol: float | None = None) -> int:
     return fits
 
 
+def _coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
+    """exp(-|alpha|^2/2) alpha^n / sqrt(n!) for n = 0 .. n_max, by the stable recurrence."""
+    alpha = complex(alpha)
+    amplitudes = np.zeros(n_max + 1, dtype=complex)
+    amplitudes[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    for n in range(1, n_max + 1):
+        amplitudes[n] = amplitudes[n - 1] * alpha / math.sqrt(n)
+    return amplitudes
+
+
 def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
     """Number-basis amplitudes |0> .. |n_max> of a coherent state.
 
@@ -208,13 +218,7 @@ def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
     Poisson weight beyond n_max of ``TAIL_TOL`` or more raises
     :class:`TruncationError` naming the cutoff that fits.
     """
-    n_max = check_cutoff(alpha, n_max)
-    alpha = complex(alpha)
-    amplitudes = np.zeros(n_max + 1, dtype=complex)
-    amplitudes[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(1, n_max + 1):
-        amplitudes[n] = amplitudes[n - 1] * alpha / math.sqrt(n)
-    return amplitudes
+    return _coherent_amplitudes(alpha, check_cutoff(alpha, n_max))
 
 
 class SimulationMoments(NamedTuple):
@@ -235,6 +239,8 @@ def _splitter_sectors(dim: int) -> tuple[tuple[np.ndarray, ...], ...]:
     With D = diag(i**n_a) the block equals -i D S D^-1 for the real
     symmetric S sharing its couplings, hence
     exp(theta G) = D V exp(-i theta Lambda) V^T D^-1 with S = V Lambda V^T.
+    S is 2 J_x of a spin N/2, so Lambda is exactly -N, -N + 2, .., N;
+    ``eigh`` supplies only V, in the same ascending order.
 
     Each sector is ``(n_a, n_b, untwist, values, V)``: its number states
     ascending in n_a, the column i**-n_a, and the eigenvalues and
@@ -244,44 +250,92 @@ def _splitter_sectors(dim: int) -> tuple[tuple[np.ndarray, ...], ...]:
     for total in range(dim):
         n_a = np.arange(total + 1)
         coupling = np.sqrt((n_a[:-1] + 1.0) * (total - n_a[:-1]))
-        values, vectors = np.linalg.eigh(np.diag(coupling, 1) + np.diag(coupling, -1))
+        vectors = np.linalg.eigh(np.diag(coupling, 1) + np.diag(coupling, -1))[1]
+        values = np.arange(-total, total + 1, 2.0)
         untwist = np.array([1.0, -1.0j, -1.0, 1.0j])[n_a % 4, None]
         sectors.append((n_a, total - n_a, untwist, values, vectors))
     return tuple(sectors)
 
 
-def _apply_beam_splitter(
-    psi: np.ndarray, theta: float, axes: tuple[int, int]
-) -> np.ndarray:
-    """Apply the splitter exp(theta * (a†b - ab†)) to two axes of a state.
+def _lossy_size(n_max: int) -> int:
+    """C(n_max + 3, 3): the number states of three modes with n_a + n_b + n_anc <= n_max."""
+    return (n_max + 1) * (n_max + 2) * (n_max + 3) // 6
+
+
+class _Packing(NamedTuple):
+    """Where each number state sits in the packed vectors of one cutoff.
+
+    Both packings run over the sectors N = n_a + n_b ascending, and
+    within a sector over n_a ascending: the two-mode vector holds one
+    amplitude per (n_a, n_b), the lossy vector a row of n_max - N + 1,
+    over n_anc = 0 .. n_max - N.  So each (a, b) sector is a contiguous
+    (N + 1) x columns block of either vector.  :func:`_apply_beam_splitter`
+    acts on the first axis only, so further packed states, such as a
+    phase gradient, can ride along on a trailing axis.
+    """
+
+    numbers: np.ndarray  # (2, C(n_max + 2, 2)): n_a and n_b of each two-mode entry
+    mixer: tuple[slice, ...]  # sector N of (a, b) in the two-mode vector
+    lossy_mixer: tuple[slice, ...]  # sector N of (a, b) in the lossy vector
+    loss: tuple[np.ndarray, ...]  # sector K of (probe, ancilla) in the lossy vector
+    rows: np.ndarray  # start of each two-mode entry's row (n_anc = 0) in the lossy vector
+
+
+@functools.lru_cache(maxsize=3)
+def _packing(n_max: int) -> _Packing:
+    """The packing of cutoff n_max.
+
+    A loss sector K = n_probe + n_anc is gathered as an index array of
+    K + 1 rows, n_probe ascending as the splitter's first mode, by
+    n_max - K + 1 columns, the reference mode's photon number.
+    """
+    totals = np.arange(n_max + 2)
+    pair_ends = totals * (totals + 1) // 2
+    lossy_ends = np.concatenate(([0], np.cumsum(totals[1:] * (n_max + 2 - totals[1:]))))
+    n_a = np.concatenate([np.arange(total + 1) for total in range(n_max + 1)])
+    n_b = np.repeat(totals[:-1], totals[1:]) - n_a
+    rows = lossy_ends[n_a + n_b] + n_a * (n_max + 1 - n_a - n_b)
+    loss = []
+    for total in range(n_max + 1):
+        n_probe = np.arange(total + 1)[:, None]
+        n_reference = np.arange(n_max + 1 - total)[None, :]
+        n_pair = n_probe + n_reference
+        first = n_reference if PROBE_MODE == 1 else n_probe
+        loss.append(lossy_ends[n_pair] + first * (n_max + 1 - n_pair) + (total - n_probe))
+    return _Packing(
+        numbers=np.stack([n_a, n_b]),
+        mixer=tuple(slice(*ends) for ends in zip(pair_ends[:-1], pair_ends[1:])),
+        lossy_mixer=tuple(slice(*ends) for ends in zip(lossy_ends[:-1], lossy_ends[1:])),
+        loss=tuple(loss),
+        rows=rows,
+    )
+
+
+def _apply_beam_splitter(psi: np.ndarray, theta: float, blocks) -> None:
+    """Apply the splitter exp(theta * (a†b - ab†)) to a packed state, in place.
 
     In the Heisenberg picture U† a U = cos(theta) a + sin(theta) b and
     U† b U = -sin(theta) a + cos(theta) b, i.e. mode amplitudes mix by
-    the same 2x2 rotation as in the closed-form model.  Works for any
-    state rank, one photon-number sector of the axis pair at a time:
-    each sector is gathered from ``psi`` and scattered into the result,
-    so besides the two states only one sector's slice is held, and the
+    the same 2x2 rotation as in the closed-form model.  ``blocks[N]``
+    selects sector N of the mode pair from ``psi``'s first axis: a slice
+    of N + 1 rows, or an index array of that many rows, each row one
+    n_a (the splitter's first mode), ascending.  Each sector is
+    gathered, multiplied by V^T, the phases and V, and scattered back,
+    so besides the state only one sector's copy is held, and the
     largest operator used is d x d.
 
-    Precondition: ``psi`` has no weight at n_a + n_b > n_max (d = n_max
-    + 1 along both axes).  Only the sectors N <= n_max are applied, and
-    the result is zero beyond them.  :func:`simulate` meets this by
-    construction: its drive holds at most n_max photons, and every
-    splitter conserves their number.
+    Precondition: ``psi`` has no weight at n_a + n_b > n_max, which its
+    packing cannot hold; :func:`simulate` meets it by construction, as
+    its drive holds at most n_max photons and every splitter conserves
+    their number.
     """
-    d = psi.shape[axes[0]]
-    if psi.shape[axes[1]] != d:
-        raise ValueError("both axes of the splitter pair must have equal dimension")
-    out = np.zeros(psi.shape, dtype=complex)
-    source = np.moveaxis(psi, axes, (0, 1))
-    target = np.moveaxis(out, axes, (0, 1))
-    for n_a, n_b, untwist, values, vectors in _splitter_sectors(d):
-        x = source[n_a, n_b].reshape(n_a.size, -1) * untwist
+    for index, (n_a, _, untwist, values, vectors) in zip(blocks, _splitter_sectors(len(blocks))):
+        block = psi[index]
+        x = block.reshape(n_a.size, -1) * untwist
         # V is real: multiply the real and imaginary parts in one product
         y = (vectors.T @ x.view(np.float64)).view(complex) * np.exp(-1j * theta * values)[:, None]
         y = (vectors @ y.view(np.float64)).view(complex) * untwist.conj()
-        target[n_a, n_b] = y.reshape(x.shape[:1] + source.shape[2:])
-    return out
+        psi[index] = y.reshape(block.shape)
 
 
 def simulate(params: InterferometerParams, n_max: int) -> SimulationMoments:
@@ -290,61 +344,64 @@ def simulate(params: InterferometerParams, n_max: int) -> SimulationMoments:
     Pipeline: splitter(theta1), probe-arm statistics, probe phase,
     attenuation when kappa > 0, splitter(theta2), then mean and standard
     deviation of the detector difference signal n_b - n_a.  The
-    attenuation appends a vacuum ancilla axis and couples the probe to it
-    through a splitter of transmission cos(theta) = exp(-kappa); the
+    attenuation appends a vacuum ancilla mode and couples the probe to
+    it through a splitter of transmission cos(theta) = exp(-kappa); the
     moments of the original modes then follow the attenuated (trace
     preserving, completely positive) dynamics exactly, for any state.
 
-    The cutoff passes :func:`check_cutoff`, and one whose three lossy
-    states of 16 (n_max + 1)^3 bytes would exceed physical memory is
-    refused with :class:`TruncationError` before anything is allocated.
-    Emits :class:`TruncationWarning` when the drive's weight at |n_max>
-    reaches ``EDGE_TOL``: the network conserves the total photon number
-    (ancilla included), so that is the population at total photon number
-    n_max, the edge of the retained states.
+    The cutoff passes :func:`check_cutoff`, and one whose three packed
+    lossy states of 16 C(n_max + 3, 3) bytes would exceed physical
+    memory is refused with :class:`TruncationError` before anything is
+    allocated.  Emits :class:`TruncationWarning` when the drive's weight
+    at |n_max> reaches ``EDGE_TOL``: the network conserves the total
+    photon number (ancilla included), so that is the population at total
+    photon number n_max, the edge of the retained states.
     """
     n_max = check_cutoff(params.alpha, n_max)
-    # a splitter holds its input and its output state, and numpy's
-    # temporaries come on top: two to three lossy states were measured
-    _check_memory(n_max, 3 * 16 * (n_max + 1) ** 3, "three lossy states of 16 (n_max + 1)^3 bytes")
-    drive = coherent_state(params.alpha, n_max)
-    d = drive.size
+    # the state, the cached sector eigenvectors (about one state) and
+    # loss indices (half of one): 2.7 states traced and 2.8 to 3.1 of
+    # resident growth were measured on a first call at n_max 131 and 172
+    _check_memory(
+        n_max, 3 * 16 * _lossy_size(n_max), "three packed lossy states of 16 C(n_max + 3, 3) bytes"
+    )
+    drive = _coherent_amplitudes(params.alpha, n_max)
     leaked = abs(drive[-1]) ** 2
     if leaked >= EDGE_TOL:
         warnings.warn(
-            f"edge population {leaked:.3e} at total photon number n_max = {d - 1} "
+            f"edge population {leaked:.3e} at total photon number n_max = {n_max} "
             f"reaches {EDGE_TOL:.1e}; increase the cutoff",
             TruncationWarning,
             stacklevel=2,
         )
-    vacuum = np.zeros(d, dtype=complex)
-    vacuum[0] = 1.0
-    inputs = [vacuum, vacuum]
-    inputs[INPUT_MODE] = drive
-    psi = np.outer(inputs[0], inputs[1])
+    packing = _packing(n_max)
+    n_probe = packing.numbers[PROBE_MODE]
+    psi = np.zeros(n_probe.size, dtype=complex)
+    psi[packing.numbers[1 - INPUT_MODE] == 0] = drive  # the other input is vacuum
 
-    psi = _apply_beam_splitter(psi, params.theta1, axes=(0, 1))
-    numbers = np.arange(d, dtype=float)
-    marginal = (np.abs(psi) ** 2).sum(axis=1 - PROBE_MODE)
-    probe_intensity = float(numbers @ marginal)
-    probe_second = float((numbers**2) @ marginal)
+    _apply_beam_splitter(psi, params.theta1, packing.mixer)
+    probabilities = np.abs(psi) ** 2
+    probe_intensity = float(n_probe @ probabilities)
+    probe_second = float((n_probe**2) @ probabilities)
 
-    phases = np.exp(-1j * params.phi * np.arange(d))
-    psi = psi * (phases if PROBE_MODE == 1 else phases[:, None])
-    if params.kappa > 0.0:
-        # one name for the rank-3 state, so each splitter frees its input
-        unattenuated, psi = psi, np.zeros(psi.shape + (d,), dtype=complex)
-        psi[..., 0] = unattenuated
-        theta_loss = math.acos(math.exp(-params.kappa))
-        if theta_loss > 0.0:
-            psi = _apply_beam_splitter(psi, theta_loss, axes=(PROBE_MODE, 2))
-    psi = _apply_beam_splitter(psi, params.theta2, axes=(0, 1))
-
-    # Detector marginal: the ancilla, if any, is traced out first.
-    probabilities = (np.abs(psi) ** 2).sum(axis=tuple(range(2, psi.ndim)))
-    weights = numbers[None, :] - numbers[:, None]  # n_b - n_a
-    mean = float((weights * probabilities).sum())
-    second = float((weights**2 * probabilities).sum())
+    psi *= np.exp(-1j * params.phi * np.arange(n_max + 1))[n_probe]
+    theta_loss = math.acos(math.exp(-params.kappa))
+    if theta_loss > 0.0:
+        lossy = np.zeros(_lossy_size(n_max), dtype=complex)
+        lossy[packing.rows] = psi  # the ancilla starts in vacuum
+        psi = lossy
+        _apply_beam_splitter(psi, theta_loss, packing.loss)
+        _apply_beam_splitter(psi, params.theta2, packing.lossy_mixer)
+        # detector marginal: square the real and imaginary parts in
+        # place; each row's sum of both traces the ancilla out
+        parts = psi.view(np.float64)
+        parts *= parts
+        probabilities = np.add.reduceat(parts, 2 * packing.rows)
+    else:
+        _apply_beam_splitter(psi, params.theta2, packing.mixer)
+        probabilities = np.abs(psi) ** 2
+    weights = packing.numbers[1] - packing.numbers[0]  # n_b - n_a
+    mean = float(weights @ probabilities)
+    second = float((weights**2) @ probabilities)
     return SimulationMoments(
         mean_O=mean,
         std_O=math.sqrt(max(second - mean**2, 0.0)),

@@ -572,19 +572,19 @@ def test_verify_refuses_a_drive_beyond_the_cutoff_at_once():
 
 
 def test_verify_refuses_a_cutoff_beyond_physical_memory(capsys):
-    # three lossy states of 16 * 100001^3 bytes, about 4.8e16: simulate
-    # refuses it before anything is allocated
+    # three packed lossy states of 16 * C(100003, 3) bytes, about 8.0e15:
+    # simulate refuses it before anything is allocated
     code, out, err = run(capsys, "verify", "--cutoff", "100000", "--samples", "1")
     assert code == 4
     assert out == ""
-    assert f"needs about {48 * 100001**3} bytes, three lossy states" in err
+    assert f"needs about {48 * math.comb(100003, 3)} bytes, three packed lossy states" in err
     assert "physical memory" in err
 
 
 def test_verify_memory_bound_counts_three_lossy_states(capsys, monkeypatch):
-    # simulate peaks at two to three lossy states, so a memory that holds
-    # one state of 16 * 21^3 bytes, but not three, is refused
-    monkeypatch.setattr(uil.fock, "_physical_memory_bytes", lambda: 2 * 16 * 21**3)
+    # simulate peaks at about three packed lossy states, so a memory that
+    # holds two states of 16 * C(23, 3) bytes, but not three, is refused
+    monkeypatch.setattr(uil.fock, "_physical_memory_bytes", lambda: 2 * 16 * math.comb(23, 3))
     code, out, err = run(capsys, "verify", "--cutoff", "20", "--samples", "1")
     assert code == 4
     assert out == ""
@@ -615,6 +615,46 @@ def test_runtime_never_imports_scipy(argv):
     ]
     assert "numpy" in imported
     assert [name for name in imported if name.split(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--alpha", "1", "--cutoff", "12", "--samples", "2"],
+        ["optimize", "--objective", "rho-di", "--regime", "equal-splitters"],
+        ["metrics"],
+    ],
+)
+def test_stdout_commands_load_no_hashing_random_or_repr_kernel(argv):
+    # hashlib (with OpenSSL) and numpy.random cost a process about 6 MB;
+    # only a data file needs a hash or the repr kernel
+    src = os.path.dirname(os.path.dirname(uil.cli.__file__))
+    script = (
+        "import sys, uil.cli\n"
+        "code = uil.cli.main(sys.argv[1:])\n"
+        "unwanted = {'numpy.random', 'hashlib', '_hashlib', 'uil.floatrepr'}\n"
+        "print(code, sorted(unwanted & set(sys.modules)), file=sys.stderr)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.stdout
+    assert done.stderr.splitlines()[-1] == "0 []", done.stderr
+
+
+def test_verify_seed_picks_the_same_points():
+    argv = ["verify", "--alpha", "0.8", "--cutoff", "16", "--samples", "3", "--seed", "11"]
+    outputs = []
+    for _ in range(2):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        outputs.append(out.getvalue())
+    assert outputs[0] == outputs[1]
+    assert "seed = 11" in outputs[0]
 
 
 # config file precedence

@@ -14,6 +14,8 @@ import uil.fock
 from uil.analytic import evaluate_metrics
 from uil.fock import (
     _apply_beam_splitter,
+    _lossy_size,
+    _packing,
     _poisson_tail,
     _splitter_sectors,
     TruncationError,
@@ -22,8 +24,10 @@ from uil.fock import (
     required_cutoff,
     simulate,
 )
+from uil.modes import PROBE_MODE
 from uil.params import InterferometerParams
 
+from box_fock import apply_beam_splitter, unpack
 from dense_fock import (
     ModeOperatorMatrix,
     TwoModeState,
@@ -56,7 +60,7 @@ def attenuate(psi, kappa, axis):
     coupled to ``axis`` by a splitter of transmission exp(-kappa)."""
     with_ancilla = np.zeros(psi.shape + (psi.shape[axis],), dtype=complex)
     with_ancilla[..., 0] = psi
-    return _apply_beam_splitter(with_ancilla, math.acos(math.exp(-kappa)), axes=(axis, psi.ndim))
+    return apply_beam_splitter(with_ancilla, math.acos(math.exp(-kappa)), axes=(axis, psi.ndim))
 
 
 # cutoff and coherent states
@@ -142,6 +146,10 @@ def test_poisson_tail_matches_scipy(alpha_abs, position):
     # n anywhere from 0 to far beyond the mean, where the tail is tiny
     mean = alpha_abs**2
     n = int(position * (mean + 40.0 * math.sqrt(mean) + 60.0))
+    if n + 1 < mean:  # a head, which no caller asks for: refused
+        with pytest.raises(ValueError, match="n \\+ 1 >= mean"):
+            _poisson_tail(n, mean)
+        return
     expected = special.pdtrc(n, mean)
     if expected > 1e-300:
         assert _poisson_tail(n, mean) == pytest.approx(expected, rel=1e-10, abs=0.0)
@@ -257,6 +265,17 @@ def test_splitter_coherent_covariance():
     assert overlap >= 1.0 - 1e-10
 
 
+def test_sector_eigenvalues_are_exact():
+    # S is 2 J_x of spin N/2: its eigenvalues are -N, -N + 2, .., N, which
+    # eigh reproduces to within its rounding
+    for total, (*_, values, vectors) in enumerate(_splitter_sectors(173)):
+        assert np.array_equal(values, np.arange(-total, total + 1, 2.0))
+        coupling = np.sqrt((np.arange(total) + 1.0) * (total - np.arange(total)))
+        generator = np.diag(coupling, 1) + np.diag(coupling, -1)
+        assert np.max(np.abs(np.linalg.eigvalsh(generator) - values), initial=0.0) <= 1e-12
+        assert np.max(np.abs(generator @ vectors - vectors * values), initial=0.0) <= 1e-12
+
+
 def test_splitter_sectors_are_the_complete_sectors():
     sectors = _splitter_sectors(6)
     assert len(sectors) == 6
@@ -276,18 +295,52 @@ def test_sector_splitter_matches_dense_expm(n_max):
     beyond = np.add.outer(np.arange(d), np.arange(d)) > n_max
     psi = np.where(beyond, 0.0, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     expected = (unitary @ psi.ravel()).reshape(d, d)
-    assert np.max(np.abs(_apply_beam_splitter(psi, theta, axes=(0, 1)) - expected)) <= 1e-12
+    assert np.max(np.abs(apply_beam_splitter(psi, theta, axes=(0, 1)) - expected)) <= 1e-12
     # rank 3, splitter pair on the last and first axes (mode a = axis 2)
     # with a spectator axis between them
     psi = np.where(beyond[:, None, :], 0.0, rng.normal(size=(d, 3, d)) + 1j * rng.normal(size=(d, 3, d)))
     pair_first = np.moveaxis(psi, (2, 0), (0, 1)).reshape(d * d, 3)
     expected = np.moveaxis((unitary @ pair_first).reshape(d, d, 3), (0, 1), (2, 0))
-    assert np.max(np.abs(_apply_beam_splitter(psi, theta, axes=(2, 0)) - expected)) <= 1e-12
+    assert np.max(np.abs(apply_beam_splitter(psi, theta, axes=(2, 0)) - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 5, 9])
+def test_packed_splitter_matches_box_splitter(n_max):
+    # random packed states with a second state riding along on a trailing
+    # axis; each block set against the box splitter on the same pair
+    packing = _packing(n_max)
+    rng = np.random.default_rng(n_max)
+    theta = rng.uniform(-math.pi, math.pi)
+    cases = [
+        (packing.numbers.shape[1], packing.mixer, (0, 1)),
+        (_lossy_size(n_max), packing.lossy_mixer, (0, 1)),
+        (_lossy_size(n_max), packing.loss, (PROBE_MODE, 2)),
+    ]
+    for size, blocks, axes in cases:
+        psi = rng.normal(size=(size, 2)) + 1j * rng.normal(size=(size, 2))
+        expected = apply_beam_splitter(unpack(psi, n_max), theta, axes=axes)
+        _apply_beam_splitter(psi, theta, blocks)
+        assert np.max(np.abs(unpack(psi, n_max) - expected)) <= 1e-12
+
+
+def test_packings_cover_the_simplex_once():
+    n_max = 7
+    packing = _packing(n_max)
+    n_a, n_b = packing.numbers
+    assert n_a.size == (n_max + 1) * (n_max + 2) // 2
+    assert sorted(zip(n_a.tolist(), n_b.tolist())) == [
+        (i, j) for i in range(n_max + 1) for j in range(n_max + 1 - i)
+    ]
+    for blocks, size in [(packing.mixer, n_a.size), (packing.lossy_mixer, _lossy_size(n_max))]:
+        covered = np.concatenate([np.arange(size)[block].ravel() for block in blocks])
+        assert np.array_equal(covered, np.arange(size))
+    covered = np.sort(np.concatenate([index.ravel() for index in packing.loss]))
+    assert np.array_equal(covered, np.arange(_lossy_size(n_max)))
 
 
 def test_apply_beam_splitter_rejects_mismatched_axes():
     with pytest.raises(ValueError):
-        _apply_beam_splitter(np.zeros((3, 4), dtype=complex), 0.3, axes=(0, 1))
+        apply_beam_splitter(np.zeros((3, 4), dtype=complex), 0.3, axes=(0, 1))
 
 
 # phase unitary
@@ -331,8 +384,8 @@ def test_phase_unitary_acts_on_requested_mode():
 
 
 def test_loss_identity_channel():
-    # exp(-1e-20) rounds to 1: simulate appends the ancilla but applies
-    # no splitter, and must reproduce the lossless moments
+    # exp(-1e-20) rounds to 1, so the loss splitter's angle is 0:
+    # simulate must reproduce the lossless moments
     rng = np.random.default_rng(12)
     for _ in range(5):
         angles = rng.uniform(-3.0, 3.0, 3)
@@ -466,9 +519,9 @@ def test_simulate_network_output_is_product_coherent_state():
         drive = coherent_state(alpha, n_max)
         vac = vacuum(d)
         psi = np.outer(drive, vac)
-        psi = _apply_beam_splitter(psi, theta1, axes=(0, 1))
+        psi = apply_beam_splitter(psi, theta1, axes=(0, 1))
         psi = psi * np.exp(-1j * phi * np.arange(d))
-        psi = _apply_beam_splitter(psi, theta2, axes=(0, 1))
+        psi = apply_beam_splitter(psi, theta2, axes=(0, 1))
         out = output_amplitudes(p)
         target = np.outer(coherent_state(out.a3, n_max), coherent_state(out.b3, n_max))
         fidelity = abs(np.vdot(target.ravel(), psi.ravel())) ** 2
@@ -482,10 +535,10 @@ def test_simulate_moments_match_the_full_lossy_state():
     n_max = 34
     d = n_max + 1
     psi = np.outer(coherent_state(p.alpha, n_max), vacuum(d))
-    psi = _apply_beam_splitter(psi, p.theta1, axes=(0, 1))
+    psi = apply_beam_splitter(psi, p.theta1, axes=(0, 1))
     psi = psi * np.exp(-1j * p.phi * np.arange(d))
     psi = attenuate(psi, p.kappa, axis=1)
-    psi = _apply_beam_splitter(psi, p.theta2, axes=(0, 1))
+    psi = apply_beam_splitter(psi, p.theta2, axes=(0, 1))
     probabilities = np.abs(psi) ** 2
     numbers = np.arange(d, dtype=float)
     weights = (numbers[None, :] - numbers[:, None])[:, :, None]  # n_b - n_a
@@ -547,7 +600,7 @@ def test_library_refuses_a_drive_beyond_the_cutoff_at_once(call):
 
 
 def test_simulate_refuses_a_cutoff_beyond_physical_memory():
-    # three lossy states of 16 * 100001^3 bytes, about 4.8e16: refused
+    # three packed lossy states of 16 * C(100003, 3) bytes, about 8.0e15: refused
     # before the drive or any state is allocated; a drive of 1.6e13
     # bytes is refused before its Poisson tail is summed
     p = InterferometerParams(0.4, 0.9, 0.5, kappa=0.3, alpha=1.0)
@@ -560,8 +613,25 @@ def test_simulate_refuses_a_cutoff_beyond_physical_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert f"needs about {48 * 100001**3} bytes, three lossy states" in str(err.value)
+    assert f"needs about {48 * math.comb(100003, 3)} bytes, three packed lossy states" in str(err.value)
     assert peak < 1_000_000  # bytes: the drive alone would be 1.6 MB
+
+
+def test_lossy_simulate_peaks_well_below_the_box():
+    # one packed lossy state is 16 C(63, 3) bytes, 0.17 of the 16 * 61^3
+    # byte box; a first call, its sector eigensystems and indices
+    # included, was measured at 0.52 of the box (2.3 boxes when states
+    # filled the box)
+    _splitter_sectors.cache_clear()
+    _packing.cache_clear()
+    p = InterferometerParams(0.7, 0.9, 1.1, kappa=0.4, alpha=3.0)
+    tracemalloc.start()
+    try:
+        simulate(p, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * 16 * 61**3
 
 
 def test_relabeled_network_gives_identical_physics():
@@ -575,11 +645,11 @@ def test_relabeled_network_gives_identical_physics():
 
     drive = coherent_state(p.alpha, n_max)
     psi = np.outer(vacuum(d), drive)  # drive now enters the second slot
-    psi = _apply_beam_splitter(psi, -p.theta1, axes=(0, 1))
+    psi = apply_beam_splitter(psi, -p.theta1, axes=(0, 1))
     probe_intensity, probe_std = number_moments(psi, axis=0)
     psi = psi * np.exp(-1j * p.phi * np.arange(d))[:, None]  # phase on first slot
     psi = attenuate(psi, p.kappa, axis=0)
-    psi = _apply_beam_splitter(psi, -p.theta2, axes=(0, 1))
+    psi = apply_beam_splitter(psi, -p.theta2, axes=(0, 1))
     probabilities = np.abs(psi) ** 2
     numbers = np.arange(d, dtype=float)
     weights = (numbers[:, None] - numbers[None, :])[:, :, None]  # n_first - n_second
