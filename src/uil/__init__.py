@@ -8,7 +8,7 @@ sweeps and verification runs.
 """
 
 from .analytic import evaluate_metrics
-from .fock import TruncationError, TruncationWarning, coherent_state, simulate
+from .fock import TruncationError, TruncationWarning, simulate
 from .optimize import ConstraintRegime, OptimumReport, optimize
 from .params import InterferometerParams, PerformanceMetrics
 
@@ -21,7 +21,6 @@ __all__ = [
     "evaluate_metrics",
     "TruncationError",
     "TruncationWarning",
-    "coherent_state",
     "simulate",
     "ConstraintRegime",
     "OptimumReport",

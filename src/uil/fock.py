@@ -8,23 +8,22 @@ to a discarded vacuum ancilla (the non-unitary shortcut used by the
 closed forms only works for coherent beams; the dilation works for any
 state).
 
-The drive holds at most n_max photons, and the splitter generator
-conserves the total photon number of the two modes it couples, so no
-state :func:`simulate` builds has weight beyond total photon number
-n_max.  States are therefore held packed on that simplex, n_a + n_b
-(+ n_anc) <= n_max, as flat vectors: C(n_max + 2, 2) amplitudes for the
-two modes and C(n_max + 3, 3), about a sixth of the (n_max + 1)^3 box,
-with the ancilla.  Each splitter is applied one sector of its two modes
-at a time, to the d = n_max + 1 sectors N <= n_max: tridiagonal blocks
-of size N + 1, diagonalized once per cutoff, gathered from the packed
-vector and scattered back into it.  No d^2 x d^2 operator is ever
-formed.
+:func:`simulate` never holds the three-mode state.  The input splitter
+and the loss splitter each meet a number state with vacuum, which splits
+binomially into one column of the splitter (:func:`_split_table`).  So
+the state before the output mixer is a product of the drive, those two
+tables and the probe phase, and :func:`simulate` builds it one mixer
+sector N = n_a + n_b at a time: a block of N + 1 rows n_a by one column
+per ancilla photon number, mixed by the sector's cached eigenvectors
+(:func:`_splitter_sectors`) and reduced at once to the detector
+marginal.  No d^2 x d^2 operator is ever formed, and besides the cached
+eigenvectors only O(n_max^2) numbers are held.
 
 Truncation is surfaced, never hidden.  :func:`check_cutoff` is the one
-rule for which cutoff holds a drive, and :func:`coherent_state`,
-:func:`simulate` and ``uil verify`` (with its tolerance) all apply it;
-coherent states are not renormalized.  :func:`simulate` also refuses a
-cutoff whose states would exceed physical memory, and emits
+rule for which cutoff holds a drive, and :func:`simulate` and
+``uil verify`` (with its tolerance) both apply it; coherent states are
+not renormalized.  :func:`simulate` also refuses a cutoff whose cached
+eigenvectors would exceed physical memory, and emits
 :class:`TruncationWarning` when the drive puts weight on |n_max>, the
 one photon number that the network carries unchanged to total n_max.
 """
@@ -41,7 +40,6 @@ import warnings
 
 import numpy as np
 
-from .modes import INPUT_MODE, PROBE_MODE
 from .params import InterferometerParams
 
 TAIL_TOL = 1e-10  # Poisson weight a coherent state may leave beyond n_max
@@ -53,7 +51,6 @@ __all__ = [
     "TruncationWarning",
     "SimulationMoments",
     "check_cutoff",
-    "coherent_state",
     "required_cutoff",
     "simulate",
 ]
@@ -124,22 +121,43 @@ def _photon_mean(alpha: complex) -> float:
         raise ValueError(f"|alpha|^2 exceeds the double range, got alpha = {alpha!r}") from None
 
 
-def _tail_limit(n: int, mean: float, alpha: complex, tol: float | None) -> float:
-    """The Poisson weight that a drive of mean |alpha|^2 may leave beyond n.
+def _moment_shift(n: int, mean: float, tail: float) -> float:
+    """How far dropping the Poisson weight ``tail`` = P(X > n) moves the drive's moments.
 
-    ``TAIL_TOL`` without ``tol``.  With it, the limit of a check of
-    moments to within ``tol``: dropping the tail beyond n shifts the
-    photon-number means by up to about n * tail and their standard
-    deviations by up to about (n - |alpha|^2)^2 / (2 |alpha|) * tail.
-    The larger shift must stay below ``tol``, and the tail within
-    ``TAIL_TOL``; a tail below eps, which double precision cannot
-    resolve, is never asked for.  The limit tightens as n grows, but
-    slower than the tail falls.
+    The larger shift, of the photon-number mean or of its standard
+    deviation, that the truncated drive (not renormalized, as
+    :func:`simulate` holds it) shows against the full Poisson(mean).
+    Both follow exactly from three tails:
+    sum_{k>n} k p_k = mean P(X > n - 1) and
+    sum_{k>n} k^2 p_k = mean^2 P(X > n - 2) + mean P(X > n - 1),
+    where P(X > n - 1) = ``tail`` + p_n and P(X > n - 2) adds
+    p_{n-1} = n p_n / mean to that.  The variance shift is a sum of
+    terms, so no difference of nearly equal moments is rounded.
     """
-    if tol is None:
-        return TAIL_TOL
-    shift_per_tail = max(n, (n - mean) ** 2 / (2.0 * abs(alpha)))
-    return min(TAIL_TOL, max(tol / shift_per_tail, sys.float_info.epsilon))
+    term = math.exp(n * math.log(mean) - mean - math.lgamma(n + 1))  # p_n
+    above = tail + term  # P(X > n - 1)
+    variance_shift = mean**2 * (above - above**2) - mean * (n * term + above)
+    std_shift = abs(variance_shift) / (math.sqrt(mean + variance_shift) + math.sqrt(mean))
+    return max(mean * above, std_shift)
+
+
+def _shortfall(n: int, mean: float, tol: float | None) -> str | None:
+    """Why n_max = n does not hold a drive of mean |alpha|^2 > 0, n + 1 >= mean; None if it does.
+
+    The Poisson weight beyond n must stay below ``TAIL_TOL``.  With
+    ``tol``, the limit of a check of moments to within ``tol``, the
+    drive's mean and standard deviation must also shift by less than
+    ``tol`` (:func:`_moment_shift`), unless the tail is already below
+    eps, which double precision cannot resolve: such a tail is never
+    asked for.
+    """
+    tail = _poisson_tail(n, mean)
+    dropped = f"the Poisson weight {tail:.3e} of |alpha|^2 = {mean:.6g} beyond n_max = {n}"
+    if tail >= TAIL_TOL:
+        return f"{dropped} is not below {TAIL_TOL:.1e}"
+    if tol is None or tail < sys.float_info.epsilon or (shift := _moment_shift(n, mean, tail)) < tol:
+        return None
+    return f"{dropped} shifts the drive's moments by {shift:.3e}, not below tol = {tol:.1e}"
 
 
 def check_cutoff(alpha: complex, n_max, tol: float | None = None) -> int:
@@ -150,9 +168,9 @@ def check_cutoff(alpha: complex, n_max, tol: float | None = None) -> int:
     n_max (a drive beyond the cutoff leaves about half its Poisson
     weight or more there, refused without a search); the drive's
     amplitudes fit physical memory; and the Poisson weight beyond n_max
-    is below :func:`_tail_limit`, ``TAIL_TOL`` or tighter with ``tol``.
-    That last error names the smallest cutoff that fits,
-    :func:`required_cutoff`.
+    is below ``TAIL_TOL`` and, with ``tol``, shifts the drive's moments
+    by less than ``tol`` (:func:`_shortfall`).  That last error names the
+    smallest cutoff that fits, :func:`required_cutoff`.
     """
     if not isinstance(n_max, Integral) or n_max < 1:
         raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
@@ -164,33 +182,28 @@ def check_cutoff(alpha: complex, n_max, tol: float | None = None) -> int:
             f"Poisson weight or more beyond the cutoff; n_max must exceed |alpha|^2"
         )
     _check_memory(n_max, 16 * (n_max + 1), "16 (n_max + 1) for the drive alone")
-    tail = _poisson_tail(n_max, mean)  # 0 for alpha = 0, where _tail_limit has no |alpha| to divide by
-    if tail > 0.0 and tail >= (limit := _tail_limit(n_max, mean, alpha, tol)):
+    if mean > 0.0 and (shortfall := _shortfall(n_max, mean, tol)):
         needed = required_cutoff(alpha, tol)
-        raise TruncationError(
-            f"the Poisson weight {tail:.3e} of |alpha|^2 = {mean:.6g} beyond n_max = {n_max} "
-            f"is not below {limit:.1e}; use n_max >= {needed}",
-            required=needed,
-        )
+        raise TruncationError(f"{shortfall}; use n_max >= {needed}", required=needed)
     return n_max
 
 
 def required_cutoff(alpha: complex, tol: float | None = None) -> int:
-    """Smallest n_max >= max(1, floor(|alpha|^2)) whose Poisson tail is below :func:`_tail_limit`.
+    """Smallest n_max >= max(1, floor(|alpha|^2)) that holds the drive ``alpha`` (:func:`_shortfall`).
 
-    The tail falls faster with n_max than its limit does, so one search
-    gallops up from the mean and then bisects.
+    Every condition only eases as n_max grows, so one search gallops up
+    from the mean and then bisects.
     """
     mean = _photon_mean(alpha)
     if mean == 0.0:
         return 1
     start = max(1, int(mean))
     too_small, fits, step = start - 1, start, 1
-    while _poisson_tail(fits, mean) >= _tail_limit(fits, mean, alpha, tol):
+    while _shortfall(fits, mean, tol):
         too_small, fits, step = fits, fits + step, 2 * step
     while fits - too_small > 1:
         middle = (too_small + fits) // 2
-        if _poisson_tail(middle, mean) >= _tail_limit(middle, mean, alpha, tol):
+        if _shortfall(middle, mean, tol):
             too_small = middle
         else:
             fits = middle
@@ -207,20 +220,6 @@ def _coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
     return amplitudes
 
 
-def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
-    """Number-basis amplitudes |0> .. |n_max> of a coherent state.
-
-    Coefficients are exp(-|alpha|^2/2) * alpha^n / sqrt(n!), computed by
-    the stable recurrence and deliberately *not* renormalized: the norm
-    deficit is the truncation error.  The cutoff passes
-    :func:`check_cutoff` first, the same check that :func:`simulate`
-    and ``uil verify`` make: |alpha|^2 > n_max is refused at once, and a
-    Poisson weight beyond n_max of ``TAIL_TOL`` or more raises
-    :class:`TruncationError` naming the cutoff that fits.
-    """
-    return _coherent_amplitudes(alpha, check_cutoff(alpha, n_max))
-
-
 class SimulationMoments(NamedTuple):
     mean_O: float
     std_O: float
@@ -228,141 +227,77 @@ class SimulationMoments(NamedTuple):
     probe_std: float
 
 
+def _split_table(theta: float, n_max: int) -> np.ndarray:
+    """<n_a, n_b| exp(theta G) |n_a + n_b, 0> for n_a, n_b = 0 .. n_max, G = a†b - ab†.
+
+    A number state that meets vacuum splits binomially:
+    sqrt(C(n_a + n_b, n_b)) cos(theta)^n_a (-sin(theta))^n_b, as the
+    splitter sends a† to cos(theta) a† - sin(theta) b†.  Column n_b = 0
+    is cos(theta)^n_a, and each further column follows from the one
+    before by the factor -sin(theta) sqrt((n_a + n_b) / n_b).  Every
+    partial product is an entry of the unitary, at most 1, so none
+    overflows.
+    """
+    n = np.arange(n_max + 1.0)
+    factors = np.empty((n_max + 1, n_max + 1))
+    factors[:, 0] = math.cos(theta) ** n
+    factors[:, 1:] = -math.sin(theta) * np.sqrt(np.add.outer(n, n[1:]) / n[1:])
+    return np.cumprod(factors, axis=1)
+
+
 @functools.lru_cache(maxsize=3)
-def _splitter_sectors(dim: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Eigensystems of the splitter generator G = a†b - ab†, one per sector.
+def _splitter_sectors(dim: int) -> tuple[np.ndarray, ...]:
+    """Eigenvectors of the splitter generator G = a†b - ab†, one matrix per sector.
 
     G conserves n_a + n_b, so on the sectors N = 0 .. n_max (n_max =
-    dim - 1) it splits into dim blocks of size N + 1.  Within a sector G
-    is tridiagonal with
+    dim - 1) it splits into dim blocks of size N + 1, rows n_a
+    ascending.  Within a sector G is tridiagonal with
     <n_a+1, n_b-1| G |n_a, n_b> = sqrt((n_a+1) n_b) = -<n_a, n_b| G |n_a+1, n_b-1>.
     With D = diag(i**n_a) the block equals -i D S D^-1 for the real
     symmetric S sharing its couplings, hence
     exp(theta G) = D V exp(-i theta Lambda) V^T D^-1 with S = V Lambda V^T.
     S is 2 J_x of a spin N/2, so Lambda is exactly -N, -N + 2, .., N;
     ``eigh`` supplies only V, in the same ascending order.
-
-    Each sector is ``(n_a, n_b, untwist, values, V)``: its number states
-    ascending in n_a, the column i**-n_a, and the eigenvalues and
-    eigenvectors of S.
     """
     sectors = []
     for total in range(dim):
-        n_a = np.arange(total + 1)
-        coupling = np.sqrt((n_a[:-1] + 1.0) * (total - n_a[:-1]))
-        vectors = np.linalg.eigh(np.diag(coupling, 1) + np.diag(coupling, -1))[1]
-        values = np.arange(-total, total + 1, 2.0)
-        untwist = np.array([1.0, -1.0j, -1.0, 1.0j])[n_a % 4, None]
-        sectors.append((n_a, total - n_a, untwist, values, vectors))
+        n_a = np.arange(total)
+        coupling = np.sqrt((n_a + 1.0) * (total - n_a))
+        sectors.append(np.linalg.eigh(np.diag(coupling, 1) + np.diag(coupling, -1))[1])
     return tuple(sectors)
-
-
-def _lossy_size(n_max: int) -> int:
-    """C(n_max + 3, 3): the number states of three modes with n_a + n_b + n_anc <= n_max."""
-    return (n_max + 1) * (n_max + 2) * (n_max + 3) // 6
-
-
-class _Packing(NamedTuple):
-    """Where each number state sits in the packed vectors of one cutoff.
-
-    Both packings run over the sectors N = n_a + n_b ascending, and
-    within a sector over n_a ascending: the two-mode vector holds one
-    amplitude per (n_a, n_b), the lossy vector a row of n_max - N + 1,
-    over n_anc = 0 .. n_max - N.  So each (a, b) sector is a contiguous
-    (N + 1) x columns block of either vector.  :func:`_apply_beam_splitter`
-    acts on the first axis only, so further packed states, such as a
-    phase gradient, can ride along on a trailing axis.
-    """
-
-    numbers: np.ndarray  # (2, C(n_max + 2, 2)): n_a and n_b of each two-mode entry
-    mixer: tuple[slice, ...]  # sector N of (a, b) in the two-mode vector
-    lossy_mixer: tuple[slice, ...]  # sector N of (a, b) in the lossy vector
-    loss: tuple[np.ndarray, ...]  # sector K of (probe, ancilla) in the lossy vector
-    rows: np.ndarray  # start of each two-mode entry's row (n_anc = 0) in the lossy vector
-
-
-@functools.lru_cache(maxsize=3)
-def _packing(n_max: int) -> _Packing:
-    """The packing of cutoff n_max.
-
-    A loss sector K = n_probe + n_anc is gathered as an index array of
-    K + 1 rows, n_probe ascending as the splitter's first mode, by
-    n_max - K + 1 columns, the reference mode's photon number.
-    """
-    totals = np.arange(n_max + 2)
-    pair_ends = totals * (totals + 1) // 2
-    lossy_ends = np.concatenate(([0], np.cumsum(totals[1:] * (n_max + 2 - totals[1:]))))
-    n_a = np.concatenate([np.arange(total + 1) for total in range(n_max + 1)])
-    n_b = np.repeat(totals[:-1], totals[1:]) - n_a
-    rows = lossy_ends[n_a + n_b] + n_a * (n_max + 1 - n_a - n_b)
-    loss = []
-    for total in range(n_max + 1):
-        n_probe = np.arange(total + 1)[:, None]
-        n_reference = np.arange(n_max + 1 - total)[None, :]
-        n_pair = n_probe + n_reference
-        first = n_reference if PROBE_MODE == 1 else n_probe
-        loss.append(lossy_ends[n_pair] + first * (n_max + 1 - n_pair) + (total - n_probe))
-    return _Packing(
-        numbers=np.stack([n_a, n_b]),
-        mixer=tuple(slice(*ends) for ends in zip(pair_ends[:-1], pair_ends[1:])),
-        lossy_mixer=tuple(slice(*ends) for ends in zip(lossy_ends[:-1], lossy_ends[1:])),
-        loss=tuple(loss),
-        rows=rows,
-    )
-
-
-def _apply_beam_splitter(psi: np.ndarray, theta: float, blocks) -> None:
-    """Apply the splitter exp(theta * (a†b - ab†)) to a packed state, in place.
-
-    In the Heisenberg picture U† a U = cos(theta) a + sin(theta) b and
-    U† b U = -sin(theta) a + cos(theta) b, i.e. mode amplitudes mix by
-    the same 2x2 rotation as in the closed-form model.  ``blocks[N]``
-    selects sector N of the mode pair from ``psi``'s first axis: a slice
-    of N + 1 rows, or an index array of that many rows, each row one
-    n_a (the splitter's first mode), ascending.  Each sector is
-    gathered, multiplied by V^T, the phases and V, and scattered back,
-    so besides the state only one sector's copy is held, and the
-    largest operator used is d x d.
-
-    Precondition: ``psi`` has no weight at n_a + n_b > n_max, which its
-    packing cannot hold; :func:`simulate` meets it by construction, as
-    its drive holds at most n_max photons and every splitter conserves
-    their number.
-    """
-    for index, (n_a, _, untwist, values, vectors) in zip(blocks, _splitter_sectors(len(blocks))):
-        block = psi[index]
-        x = block.reshape(n_a.size, -1) * untwist
-        # V is real: multiply the real and imaginary parts in one product
-        y = (vectors.T @ x.view(np.float64)).view(complex) * np.exp(-1j * theta * values)[:, None]
-        y = (vectors @ y.view(np.float64)).view(complex) * untwist.conj()
-        psi[index] = y.reshape(block.shape)
 
 
 def simulate(params: InterferometerParams, n_max: int) -> SimulationMoments:
     """Propagate the input state through the full network and measure.
 
     Pipeline: splitter(theta1), probe-arm statistics, probe phase,
-    attenuation when kappa > 0, splitter(theta2), then mean and standard
-    deviation of the detector difference signal n_b - n_a.  The
-    attenuation appends a vacuum ancilla mode and couples the probe to
-    it through a splitter of transmission cos(theta) = exp(-kappa); the
-    moments of the original modes then follow the attenuated (trace
-    preserving, completely positive) dynamics exactly, for any state.
+    attenuation, splitter(theta2), then mean and standard deviation of
+    the detector difference signal n_b - n_a.  The attenuation couples
+    the probe to a vacuum ancilla through a splitter of transmission
+    cos(theta) = exp(-kappa); the moments of the original modes then
+    follow the attenuated (trace preserving, completely positive)
+    dynamics exactly, for any state.  The drive enters mode a with
+    vacuum in mode b, and the output mixer's sectors N = n_a + n_b are
+    streamed as the module describes: each a block of one row per n_a
+    and one column per ancilla photon number n_anc = 0 .. n_max - N, a
+    single column where the loss splitter's angle acos(exp(-kappa)) is 0.
 
-    The cutoff passes :func:`check_cutoff`, and one whose three packed
-    lossy states of 16 C(n_max + 3, 3) bytes would exceed physical
-    memory is refused with :class:`TruncationError` before anything is
-    allocated.  Emits :class:`TruncationWarning` when the drive's weight
-    at |n_max> reaches ``EDGE_TOL``: the network conserves the total
-    photon number (ancilla included), so that is the population at total
-    photon number n_max, the edge of the retained states.
+    The cutoff passes :func:`check_cutoff`, and one whose cached sector
+    eigenvectors, 8 (N + 1)^2 bytes for each N <= n_max, and largest
+    block would exceed physical memory is refused with
+    :class:`TruncationError` before anything is allocated.  Emits
+    :class:`TruncationWarning` when the drive's weight at |n_max>
+    reaches ``EDGE_TOL``: the network conserves the total photon number
+    (ancilla included), so that is the population at total photon number
+    n_max, the edge of the retained states.
     """
     n_max = check_cutoff(params.alpha, n_max)
-    # the state, the cached sector eigenvectors (about one state) and
-    # loss indices (half of one): 2.7 states traced and 2.8 to 3.1 of
-    # resident growth were measured on a first call at n_max 131 and 172
+    d = n_max + 1
+    # the largest block, N = n_max // 2, holds at most (n_max + 2)^2 / 4 amplitudes
     _check_memory(
-        n_max, 3 * 16 * _lossy_size(n_max), "three packed lossy states of 16 C(n_max + 3, 3) bytes"
+        n_max,
+        8 * d * (d + 1) * (2 * d + 1) // 6 + 4 * (d + 1) ** 2,
+        "8 (N + 1)^2 for the eigenvectors of each sector N <= n_max and 4 (n_max + 2)^2 for a block",
     )
     drive = _coherent_amplitudes(params.alpha, n_max)
     leaked = abs(drive[-1]) ** 2
@@ -373,35 +308,37 @@ def simulate(params: InterferometerParams, n_max: int) -> SimulationMoments:
             TruncationWarning,
             stacklevel=2,
         )
-    packing = _packing(n_max)
-    n_probe = packing.numbers[PROBE_MODE]
-    psi = np.zeros(n_probe.size, dtype=complex)
-    psi[packing.numbers[1 - INPUT_MODE] == 0] = drive  # the other input is vacuum
+    # the two-mode state after the input splitter, sector by sector
+    totals, n_a = np.tril_indices(d)
+    n_b = totals - n_a  # the probe
+    amplitudes = drive[totals] * _split_table(params.theta1, n_max)[n_a, n_b]
+    probabilities = np.abs(amplitudes) ** 2
+    probe_intensity = float(n_b @ probabilities)
+    probe_second = float((n_b**2) @ probabilities)
 
-    _apply_beam_splitter(psi, params.theta1, packing.mixer)
-    probabilities = np.abs(psi) ** 2
-    probe_intensity = float(n_probe @ probabilities)
-    probe_second = float((n_probe**2) @ probabilities)
-
-    psi *= np.exp(-1j * params.phi * np.arange(n_max + 1))[n_probe]
+    # rows n_a, columns n_a + n_b, so that the probe photons a sector's
+    # block keeps and those it loses to the ancilla are a slice; with the
+    # probe phase, and the mixer's untwist D^-1 = diag(i**-n_a) per row
+    split = np.zeros((d, d), dtype=complex)
+    phase = np.exp(-1j * params.phi * np.arange(d))
+    split[n_a, totals] = amplitudes * phase[n_b] * np.array([1.0, -1.0j, -1.0, 1.0j])[n_a % 4]
     theta_loss = math.acos(math.exp(-params.kappa))
-    if theta_loss > 0.0:
-        lossy = np.zeros(_lossy_size(n_max), dtype=complex)
-        lossy[packing.rows] = psi  # the ancilla starts in vacuum
-        psi = lossy
-        _apply_beam_splitter(psi, theta_loss, packing.loss)
-        _apply_beam_splitter(psi, params.theta2, packing.lossy_mixer)
-        # detector marginal: square the real and imaginary parts in
-        # place; each row's sum of both traces the ancilla out
-        parts = psi.view(np.float64)
-        parts *= parts
-        probabilities = np.add.reduceat(parts, 2 * packing.rows)
-    else:
-        _apply_beam_splitter(psi, params.theta2, packing.mixer)
-        probabilities = np.abs(psi) ** 2
-    weights = packing.numbers[1] - packing.numbers[0]  # n_b - n_a
-    mean = float(weights @ probabilities)
-    second = float((weights**2) @ probabilities)
+    loss = _split_table(theta_loss, n_max)  # rows the probe photons kept, columns those lost
+    mean = second = 0.0
+    for total, vectors in enumerate(_splitter_sectors(d)):
+        columns = d - total if theta_loss > 0.0 else 1
+        # row n_a, column n_anc: the probe keeps total - n_a of its total - n_a + n_anc photons
+        block = split[: total + 1, total : total + columns] * loss[total::-1, :columns]
+        # V is real: multiply the real and imaginary parts in one product
+        mixed = (vectors.T @ block.view(np.float64)).view(complex)
+        mixed *= np.exp(-1j * params.theta2 * np.arange(-total, total + 1, 2.0))[:, None]
+        parts = vectors @ mixed.view(np.float64)
+        # the detector marginal: each row's squared parts summed trace the
+        # ancilla out, and the mixer's final twist D, a phase per row, drops out
+        marginal = np.einsum("ij,ij->i", parts, parts)
+        weights = total - 2.0 * np.arange(total + 1)  # n_b - n_a
+        mean += float(weights @ marginal)
+        second += float((weights**2) @ marginal)
     return SimulationMoments(
         mean_O=mean,
         std_O=math.sqrt(max(second - mean**2, 0.0)),

@@ -1,22 +1,38 @@
-"""The sector splitter on full boxes, one axis per mode, for the Fock-engine tests.
+"""Coherent states and the sector splitter on full boxes, for the Fock-engine tests.
 
-:mod:`uil.fock` holds its states packed on the photon-number simplex.
-Here a state is a plain array of any rank, (n_max + 1) along each mode,
-so the tests can build states, apply splitters and take marginals with
-ordinary indexing.  The splitter uses the engine's sector eigensystems;
-the tests check it against the dense generator of ``dense_fock`` and
-the packed engine against it.
+:mod:`uil.fock` never holds a whole state: it streams the output
+mixer's sectors.  Here a state is a plain array of any rank,
+(n_max + 1) along each mode, so the tests can build states, apply
+splitters and take marginals with ordinary indexing.  The splitter uses
+the engine's sector eigenvectors; the tests check it against the dense
+generator of ``dense_fock`` and the streamed engine against it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from uil.fock import _packing, _splitter_sectors
+from uil.fock import _coherent_amplitudes, _splitter_sectors, check_cutoff
+
+
+def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
+    """Number-basis amplitudes |0> .. |n_max> of a coherent state, not renormalized.
+
+    The cutoff passes :func:`uil.fock.check_cutoff` first, as in
+    :func:`uil.fock.simulate`: |alpha|^2 > n_max is refused at once,
+    and a Poisson weight beyond n_max of ``TAIL_TOL`` or more raises
+    ``TruncationError`` naming the cutoff that fits.
+    """
+    return _coherent_amplitudes(alpha, check_cutoff(alpha, n_max))
 
 
 def apply_beam_splitter(psi: np.ndarray, theta: float, axes: tuple[int, int]) -> np.ndarray:
     """exp(theta * (a†b - ab†)) on two axes of a box state, returned as a new box.
+
+    In the Heisenberg picture U† a U = cos(theta) a + sin(theta) b and
+    U† b U = -sin(theta) a + cos(theta) b.  Each sector N = n_a + n_b is
+    multiplied by D V exp(-i theta Lambda) V^T D^-1 (see
+    :func:`uil.fock._splitter_sectors`).
 
     Precondition: ``psi`` has no weight at n_a + n_b > n_max along the
     pair; the result is zero there.
@@ -27,26 +43,12 @@ def apply_beam_splitter(psi: np.ndarray, theta: float, axes: tuple[int, int]) ->
     out = np.zeros(psi.shape, dtype=complex)
     source = np.moveaxis(psi, axes, (0, 1))
     target = np.moveaxis(out, axes, (0, 1))
-    for n_a, n_b, untwist, values, vectors in _splitter_sectors(d):
-        x = source[n_a, n_b].reshape(n_a.size, -1) * untwist
+    for total, vectors in enumerate(_splitter_sectors(d)):
+        n_a = np.arange(total + 1)
+        untwist = np.array([1.0, -1.0j, -1.0, 1.0j])[n_a % 4, None]  # i**-n_a
+        values = np.arange(-total, total + 1, 2.0)
+        x = source[n_a, total - n_a].reshape(n_a.size, -1) * untwist
         y = (vectors.T @ x) * np.exp(-1j * theta * values)[:, None]
         y = (vectors @ y) * untwist.conj()
-        target[n_a, n_b] = y.reshape(x.shape[:1] + source.shape[2:])
+        target[n_a, total - n_a] = y.reshape(x.shape[:1] + source.shape[2:])
     return out
-
-
-def unpack(psi: np.ndarray, n_max: int) -> np.ndarray:
-    """The box of a packed state: axes (n_a, n_b), then n_anc for a lossy state,
-    then ``psi``'s trailing axes."""
-    packing = _packing(n_max)
-    n_a, n_b = packing.numbers
-    d = n_max + 1
-    if psi.shape[0] == n_a.size:
-        box = np.zeros((d, d) + psi.shape[1:], dtype=complex)
-        box[n_a, n_b] = psi
-        return box
-    box = np.zeros((d, d, d) + psi.shape[1:], dtype=complex)
-    for n_anc in range(d):
-        kept = n_a + n_b + n_anc <= n_max
-        box[n_a[kept], n_b[kept], n_anc] = psi[packing.rows[kept] + n_anc]
-    return box

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -530,11 +531,11 @@ def test_verify_refuses_out_of_range_keys(capsys, flag, value, message):
 
 @pytest.mark.parametrize(
     "alpha, cutoff, tol, needed",
-    [("10", "170", "1e-8", 172), ("3", "35", "1e-9", 36), ("3", "10", "1e-8", 34)],
+    [("10", "170", "1e-8", 171), ("3", "35", "1e-9", 36), ("3", "10", "1e-8", 34)],
 )
 def test_verify_refuses_cutoff_its_truncation_would_fail(capsys, alpha, cutoff, tol, needed):
-    # 170 = required_cutoff(10), yet its tail shifts the moments by about
-    # 1.4e-8; at |alpha| = 3 and n_max = 35 the shift is about 1.1e-9
+    # 170 = required_cutoff(10), yet its tail shifts the drive's standard
+    # deviation by 1.7e-8; at |alpha| = 3 and n_max = 35 by 1.1e-9
     code, _, err = run(
         capsys, "verify", "--alpha", alpha, "--cutoff", cutoff, "--samples", "1", "--tol", tol
     )
@@ -549,6 +550,40 @@ def test_verify_passes_at_the_cutoff_it_names(capsys):
     )
     assert code == 0, out
     assert "PASS" in out
+
+
+def verify_process(*argv):
+    src = os.path.dirname(os.path.dirname(uil.cli.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "uil", "verify", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize("alpha, cutoff", [(12, 230), (15, 333)])
+def test_verify_passes_at_the_cutoff_it_names_for_large_drives(alpha, cutoff):
+    # the cutoffs named by the exact moment shifts of the truncated drive;
+    # the earlier model of those shifts named 229 and 330, where verify
+    # failed at 1.3e-8 and 2.8e-8 (a process of its own, so the test run
+    # does not keep the 99 MB of sector eigenvectors at n_max 333)
+    assert uil.fock.required_cutoff(alpha, 1e-8) == cutoff
+    done = verify_process("--alpha", str(alpha), "--cutoff", str(cutoff), "--samples", "3")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "PASS" in done.stdout
+
+
+def test_verify_prints_what_the_benchmark_reads():
+    # the verify-fock workload's command; its check wants exit 0, a PASS
+    # verdict and exactly four deviation lines, each below the tolerance
+    done = verify_process("--alpha", "3", "--cutoff", "36", "--samples", "10", "--seed", "1")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "PASS" in done.stdout
+    deviations = re.findall(r"max \|analytic - simulator\| = (\S+)", done.stdout)
+    assert len(deviations) == 4
+    assert all(float(deviation) < 1e-8 for deviation in deviations)
 
 
 def test_verify_refuses_a_drive_beyond_the_cutoff_at_once():
@@ -572,19 +607,22 @@ def test_verify_refuses_a_drive_beyond_the_cutoff_at_once():
 
 
 def test_verify_refuses_a_cutoff_beyond_physical_memory(capsys):
-    # three packed lossy states of 16 * C(100003, 3) bytes, about 8.0e15:
-    # simulate refuses it before anything is allocated
+    # sector eigenvectors of 8 * sum (N + 1)^2 bytes, about 2.7e15, and a
+    # block: simulate refuses them before anything is allocated
     code, out, err = run(capsys, "verify", "--cutoff", "100000", "--samples", "1")
     assert code == 4
     assert out == ""
-    assert f"needs about {48 * math.comb(100003, 3)} bytes, three packed lossy states" in err
+    needed = 8 * sum((n + 1) ** 2 for n in range(100001)) + 4 * 100002**2
+    assert f"needs about {needed} bytes, 8 (N + 1)^2 for the eigenvectors of each sector" in err
     assert "physical memory" in err
 
 
 def test_verify_memory_bound_counts_three_lossy_states(capsys, monkeypatch):
-    # simulate peaks at about three packed lossy states, so a memory that
-    # holds two states of 16 * C(23, 3) bytes, but not three, is refused
-    monkeypatch.setattr(uil.fock, "_physical_memory_bytes", lambda: 2 * 16 * math.comb(23, 3))
+    # simulate holds the sector eigenvectors and one block at a time, so a
+    # memory that holds the eigenvectors of 8 * sum (N + 1)^2 bytes, but
+    # not a block besides, is refused
+    eigenvectors = 8 * sum((n + 1) ** 2 for n in range(21))
+    monkeypatch.setattr(uil.fock, "_physical_memory_bytes", lambda: eigenvectors)
     code, out, err = run(capsys, "verify", "--cutoff", "20", "--samples", "1")
     assert code == 4
     assert out == ""

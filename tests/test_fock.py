@@ -13,21 +13,17 @@ from scipy import linalg, special, stats
 import uil.fock
 from uil.analytic import evaluate_metrics
 from uil.fock import (
-    _apply_beam_splitter,
-    _lossy_size,
-    _packing,
     _poisson_tail,
+    _split_table,
     _splitter_sectors,
     TruncationError,
     TruncationWarning,
-    coherent_state,
     required_cutoff,
     simulate,
 )
-from uil.modes import PROBE_MODE
 from uil.params import InterferometerParams
 
-from box_fock import apply_beam_splitter, unpack
+from box_fock import apply_beam_splitter, coherent_state
 from dense_fock import (
     ModeOperatorMatrix,
     TwoModeState,
@@ -156,21 +152,26 @@ def test_poisson_tail_matches_scipy(alpha_abs, position):
 
 
 def test_required_cutoff_matches_scipy_search():
-    def limit(n, alpha, tol):
-        # 1e-10, or with tol the limit of a check of moments to within tol
-        if tol is None:
-            return 1e-10
-        shift_per_tail = np.maximum(n, (n - alpha**2) ** 2 / (2.0 * alpha))
-        return np.minimum(1e-10, np.maximum(tol / shift_per_tail, np.finfo(float).eps))
-
     def scipy_cutoff(alpha, tol):
-        # first n >= max(1, floor(mean)) with a tail below the limit at n
+        # first n >= max(1, floor(mean)) whose tail is below 1e-10 and, with
+        # tol, that shifts the drive's photon-number mean and standard
+        # deviation by less than tol, or leaves a tail below eps; the
+        # shifts from the tail's moments summed term by term
         mean = alpha**2
         if mean == 0.0:
             return 1
         start = max(1, int(mean))
         n = np.arange(start, start + int(10.0 * math.sqrt(mean)) + 40)
-        fits = special.pdtrc(n, mean) < limit(n, alpha, tol)
+        tail = special.pdtrc(n, mean)
+        fits = tail < 1e-10
+        if tol is not None:
+            k = np.arange(n[-1] + 200.0)
+            pmf = stats.poisson.pmf(k, mean)
+            first = np.cumsum((k * pmf)[::-1])[::-1][n + 1]  # sum over k > n of k p_k
+            second = np.cumsum((k**2 * pmf)[::-1])[::-1][n + 1]
+            variance_shift = 2.0 * mean * first - second - first**2
+            std_shift = np.abs(variance_shift) / (np.sqrt(mean + variance_shift) + math.sqrt(mean))
+            fits &= (tail < np.finfo(float).eps) | (np.maximum(first, std_shift) < tol)
         assert fits.any(), alpha
         return int(n[np.argmax(fits)])
 
@@ -268,8 +269,8 @@ def test_splitter_coherent_covariance():
 def test_sector_eigenvalues_are_exact():
     # S is 2 J_x of spin N/2: its eigenvalues are -N, -N + 2, .., N, which
     # eigh reproduces to within its rounding
-    for total, (*_, values, vectors) in enumerate(_splitter_sectors(173)):
-        assert np.array_equal(values, np.arange(-total, total + 1, 2.0))
+    for total, vectors in enumerate(_splitter_sectors(173)):
+        values = np.arange(-total, total + 1, 2.0)
         coupling = np.sqrt((np.arange(total) + 1.0) * (total - np.arange(total)))
         generator = np.diag(coupling, 1) + np.diag(coupling, -1)
         assert np.max(np.abs(np.linalg.eigvalsh(generator) - values), initial=0.0) <= 1e-12
@@ -279,9 +280,9 @@ def test_sector_eigenvalues_are_exact():
 def test_splitter_sectors_are_the_complete_sectors():
     sectors = _splitter_sectors(6)
     assert len(sectors) == 6
-    for total, (n_a, n_b, *_) in enumerate(sectors):
-        assert np.array_equal(n_a, np.arange(total + 1))
-        assert np.array_equal(n_a + n_b, np.full(total + 1, total))
+    for total, vectors in enumerate(sectors):
+        assert vectors.shape == (total + 1, total + 1)
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(total + 1))) <= 1e-13
 
 
 @pytest.mark.parametrize("n_max", range(1, 8))
@@ -304,38 +305,29 @@ def test_sector_splitter_matches_dense_expm(n_max):
     assert np.max(np.abs(apply_beam_splitter(psi, theta, axes=(2, 0)) - expected)) <= 1e-12
 
 
-@pytest.mark.parametrize("n_max", [1, 2, 5, 9])
-def test_packed_splitter_matches_box_splitter(n_max):
-    # random packed states with a second state riding along on a trailing
-    # axis; each block set against the box splitter on the same pair
-    packing = _packing(n_max)
-    rng = np.random.default_rng(n_max)
-    theta = rng.uniform(-math.pi, math.pi)
-    cases = [
-        (packing.numbers.shape[1], packing.mixer, (0, 1)),
-        (_lossy_size(n_max), packing.lossy_mixer, (0, 1)),
-        (_lossy_size(n_max), packing.loss, (PROBE_MODE, 2)),
-    ]
-    for size, blocks, axes in cases:
-        psi = rng.normal(size=(size, 2)) + 1j * rng.normal(size=(size, 2))
-        expected = apply_beam_splitter(unpack(psi, n_max), theta, axes=axes)
-        _apply_beam_splitter(psi, theta, blocks)
-        assert np.max(np.abs(unpack(psi, n_max) - expected)) <= 1e-12
+@pytest.mark.parametrize("n_max", range(1, 9))
+def test_split_table_is_the_dense_splitter_on_a_number_state_and_vacuum(n_max):
+    # column (n, 0) of the dense exp(theta G) holds <n_a, n - n_a| U |n, 0>
+    d = n_max + 1
+    rng = np.random.default_rng(100 + n_max)
+    for theta in rng.uniform(-math.pi, math.pi, 3):
+        unitary = linalg.expm(theta * splitter_generator(n_max))
+        table = _split_table(theta, n_max)
+        totals = np.add.outer(np.arange(d), np.arange(d))
+        for n in range(d):
+            column = unitary[:, n * d].reshape(d, d)
+            assert np.max(np.abs(column - np.where(totals == n, table, 0.0))) <= 1e-12
 
 
-def test_packings_cover_the_simplex_once():
-    n_max = 7
-    packing = _packing(n_max)
-    n_a, n_b = packing.numbers
-    assert n_a.size == (n_max + 1) * (n_max + 2) // 2
-    assert sorted(zip(n_a.tolist(), n_b.tolist())) == [
-        (i, j) for i in range(n_max + 1) for j in range(n_max + 1 - i)
-    ]
-    for blocks, size in [(packing.mixer, n_a.size), (packing.lossy_mixer, _lossy_size(n_max))]:
-        covered = np.concatenate([np.arange(size)[block].ravel() for block in blocks])
-        assert np.array_equal(covered, np.arange(size))
-    covered = np.sort(np.concatenate([index.ravel() for index in packing.loss]))
-    assert np.array_equal(covered, np.arange(_lossy_size(n_max)))
+def test_split_number_states_keep_their_norm():
+    # every total n <= 329, about |alpha| = 15's cutoff, sums to 1
+    rng = np.random.default_rng(329)
+    n_max = 329
+    totals = np.add.outer(np.arange(n_max + 1), np.arange(n_max + 1)).ravel()
+    for theta in [0.0, math.pi / 2, math.pi, *rng.uniform(-math.pi, math.pi, 6)]:
+        table = _split_table(theta, n_max)
+        norms = np.bincount(totals, weights=table.ravel() ** 2)[: n_max + 1]
+        assert np.max(np.abs(norms - 1.0)) <= 1e-13, theta
 
 
 def test_apply_beam_splitter_rejects_mismatched_axes():
@@ -574,8 +566,8 @@ def test_simulate_rejects_undersized_cutoff():
 @pytest.mark.parametrize(
     "call",
     [
-        "coherent_state(3.0, 5)",
-        "coherent_state(1e7, 40)",
+        "check_cutoff(3.0, 5)",
+        "check_cutoff(1e7, 40)",
         "simulate(InterferometerParams(0.4, 0.9, 0.5, kappa=0.3, alpha=1e7), 40)",
     ],
 )
@@ -585,7 +577,8 @@ def test_library_refuses_a_drive_beyond_the_cutoff_at_once(call):
     # with no cutoff named
     src = os.path.dirname(os.path.dirname(uil.fock.__file__))
     script = (
-        "from uil import InterferometerParams, TruncationError, coherent_state, simulate\n"
+        "from uil import InterferometerParams, TruncationError, simulate\n"
+        "from uil.fock import check_cutoff\n"
         f"try:\n    {call}\nexcept TruncationError as exc:\n    print(exc, exc.required_cutoff)\n"
     )
     done = subprocess.run(
@@ -600,9 +593,10 @@ def test_library_refuses_a_drive_beyond_the_cutoff_at_once(call):
 
 
 def test_simulate_refuses_a_cutoff_beyond_physical_memory():
-    # three packed lossy states of 16 * C(100003, 3) bytes, about 8.0e15: refused
-    # before the drive or any state is allocated; a drive of 1.6e13
-    # bytes is refused before its Poisson tail is summed
+    # sector eigenvectors of 8 * sum (N + 1)^2 bytes, about 2.7e15, and a
+    # block of 4 * 100002^2: refused before the drive or any state is
+    # allocated; a drive of 1.6e13 bytes is refused before its Poisson
+    # tail is summed
     p = InterferometerParams(0.4, 0.9, 0.5, kappa=0.3, alpha=1.0)
     tracemalloc.start()
     try:
@@ -613,17 +607,17 @@ def test_simulate_refuses_a_cutoff_beyond_physical_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert f"needs about {48 * math.comb(100003, 3)} bytes, three packed lossy states" in str(err.value)
+    needed = 8 * sum((n + 1) ** 2 for n in range(100001)) + 4 * 100002**2
+    assert f"needs about {needed} bytes, 8 (N + 1)^2 for the eigenvectors of each sector" in str(err.value)
     assert peak < 1_000_000  # bytes: the drive alone would be 1.6 MB
 
 
 def test_lossy_simulate_peaks_well_below_the_box():
-    # one packed lossy state is 16 C(63, 3) bytes, 0.17 of the 16 * 61^3
-    # byte box; a first call, its sector eigensystems and indices
-    # included, was measured at 0.52 of the box (2.3 boxes when states
-    # filled the box)
+    # the sector eigenvectors are 8 * sum (N + 1)^2 bytes, 0.17 of the
+    # 16 * 61^3 byte box; a first call, which builds them, was measured
+    # at 0.25 of the box (0.52 when the engine held packed three-mode
+    # states, 2.3 when states filled the box)
     _splitter_sectors.cache_clear()
-    _packing.cache_clear()
     p = InterferometerParams(0.7, 0.9, 1.1, kappa=0.4, alpha=3.0)
     tracemalloc.start()
     try:
@@ -631,7 +625,7 @@ def test_lossy_simulate_peaks_well_below_the_box():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.6 * 16 * 61**3
+    assert peak < 0.35 * 16 * 61**3
 
 
 def test_relabeled_network_gives_identical_physics():
