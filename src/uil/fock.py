@@ -14,28 +14,27 @@ binomially into one column of the splitter (:func:`_split_table`).  So
 the state before the output mixer is a product of the drive, those two
 tables and the probe phase, and :func:`simulate` builds it one mixer
 sector N = n_a + n_b at a time: a block of N + 1 rows n_a by one column
-per ancilla photon number, mixed by the sector's cached eigenvectors
-(:func:`_splitter_sectors`) and reduced at once to the detector
-marginal.  No d^2 x d^2 operator is ever formed, and besides the cached
-eigenvectors only O(n_max^2) numbers are held.
+per ancilla photon number, turned by the sector's real rotation
+(:func:`_mixer_sectors`, each from the one before) and reduced at once
+to the detector marginal.  Nothing is cached, no d^2 x d^2 operator is
+formed, and only O(n_max^2) numbers are held.
 
 Truncation is surfaced, never hidden.  :func:`check_cutoff` is the one
 rule for which cutoff holds a drive, and :func:`simulate` and
 ``uil verify`` (with its tolerance) both apply it; coherent states are
-not renormalized.  :func:`simulate` also refuses a cutoff whose cached
-eigenvectors would exceed physical memory, and emits
+not renormalized.  :func:`simulate` also refuses a cutoff whose arrays
+would exceed physical memory, and emits
 :class:`TruncationWarning` when the drive puts weight on |n_max>, the
 one photon number that the network carries unchanged to total n_max.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from numbers import Integral
 import os
 import sys
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 import warnings
 
 import numpy as np
@@ -245,26 +244,30 @@ def _split_table(theta: float, n_max: int) -> np.ndarray:
     return np.cumprod(factors, axis=1)
 
 
-@functools.lru_cache(maxsize=3)
-def _splitter_sectors(dim: int) -> tuple[np.ndarray, ...]:
-    """Eigenvectors of the splitter generator G = a†b - ab†, one matrix per sector.
+def _mixer_sectors(theta: float, dim: int) -> Iterator[np.ndarray]:
+    """exp(theta G), G = a†b - ab†, on each sector N = 0 .. dim - 1, rows and columns n_a ascending.
 
-    G conserves n_a + n_b, so on the sectors N = 0 .. n_max (n_max =
-    dim - 1) it splits into dim blocks of size N + 1, rows n_a
-    ascending.  Within a sector G is tridiagonal with
-    <n_a+1, n_b-1| G |n_a, n_b> = sqrt((n_a+1) n_b) = -<n_a, n_b| G |n_a+1, n_b-1>.
-    With D = diag(i**n_a) the block equals -i D S D^-1 for the real
-    symmetric S sharing its couplings, hence
-    exp(theta G) = D V exp(-i theta Lambda) V^T D^-1 with S = V Lambda V^T.
-    S is 2 J_x of a spin N/2, so Lambda is exactly -N, -N + 2, .., N;
-    ``eigh`` supplies only V, in the same ascending order.
+    Each block is real orthogonal, column n_a holding U|n_a, N - n_a>.
+    As U sends a† to c a† - s b† and b† to s a† + c b† (c, s = cos, sin
+    theta), each block follows from the one before in O(N^2), by the Fock form
+    of Risbo's recursion for the Wigner d-functions:
+    N U|n_a, n_b> = sqrt(n_a) (c a† - s b†) U|n_a - 1, n_b> + sqrt(n_b) (s a† + c b†) U|n_a, n_b - 1>.
     """
-    sectors = []
-    for total in range(dim):
-        n_a = np.arange(total)
-        coupling = np.sqrt((n_a + 1.0) * (total - n_a))
-        sectors.append(np.linalg.eigh(np.diag(coupling, 1) + np.diag(coupling, -1))[1])
-    return tuple(sectors)
+    cos, sin = math.cos(theta), math.sin(theta)
+    roots = np.sqrt(np.arange(1.0, dim))
+    rotation = np.ones((1, 1))
+    yield rotation
+    for total in range(1, dim):
+        up, down = roots[:total], roots[total - 1 :: -1]  # sqrt(n_a + 1), sqrt(n_b + 1) for n_a < N
+        cos_up, sin_up = (cos / total) * up, (sin / total) * up
+        previous, rotation = rotation, np.zeros((total + 1, total + 1))
+        raised = previous * up[:, None]  # a† on each column
+        rotation[1:, 1:] += raised * cos_up
+        rotation[1:, :-1] += raised * sin_up[::-1]
+        np.multiply(previous, down[:, None], out=raised)  # b† on each column
+        rotation[:-1, 1:] -= raised * sin_up
+        rotation[:-1, :-1] += raised * cos_up[::-1]
+        yield rotation
 
 
 def simulate(params: InterferometerParams, n_max: int) -> SimulationMoments:
@@ -279,26 +282,24 @@ def simulate(params: InterferometerParams, n_max: int) -> SimulationMoments:
     dynamics exactly, for any state.  The drive enters mode a with
     vacuum in mode b, and the output mixer's sectors N = n_a + n_b are
     streamed as the module describes: each a block of one row per n_a
-    and one column per ancilla photon number n_anc = 0 .. n_max - N, a
-    single column where the loss splitter's angle acos(exp(-kappa)) is 0.
+    and one column per ancilla photon number n_anc = 0 .. n_max - N (one
+    where acos(exp(-kappa)) is 0), turned by the rotation that
+    :func:`_mixer_sectors` builds from the sector before.
 
-    The cutoff passes :func:`check_cutoff`, and one whose cached sector
-    eigenvectors, 8 (N + 1)^2 bytes for each N <= n_max, and largest
-    block would exceed physical memory is refused with
-    :class:`TruncationError` before anything is allocated.  Emits
-    :class:`TruncationWarning` when the drive's weight at |n_max>
-    reaches ``EDGE_TOL``: the network conserves the total photon number
-    (ancilla included), so that is the population at total photon number
-    n_max, the edge of the retained states.
+    The cutoff passes :func:`check_cutoff`, and one whose arrays, 72 d^2
+    + 8 (d + 1)^2 bytes at d = n_max + 1, would exceed physical memory
+    is refused with :class:`TruncationError` before anything is
+    allocated.  Emits :class:`TruncationWarning` when the drive's weight
+    at |n_max> reaches ``EDGE_TOL``: the network conserves the total
+    photon number (ancilla included), so that is the population at total
+    photon number n_max, the edge of the retained states.
     """
     n_max = check_cutoff(params.alpha, n_max)
     d = n_max + 1
-    # the largest block, N = n_max // 2, holds at most (n_max + 2)^2 / 4 amplitudes
-    _check_memory(
-        n_max,
-        8 * d * (d + 1) * (2 * d + 1) // 6 + 4 * (d + 1) ** 2,
-        "8 (N + 1)^2 for the eigenvectors of each sector N <= n_max and 4 (n_max + 2)^2 for a block",
-    )
+    # d x d: the complex mixer input, two splitter tables, two sector rotations and
+    # three temporaries; the largest block, N = n_max // 2, and its parts: (d + 1)^2 / 2
+    what = "72 (n_max + 1)^2 for the mixer input, splitter tables and sector rotations, 8 (n_max + 2)^2 for a block"
+    _check_memory(n_max, 72 * d**2 + 8 * (d + 1) ** 2, what)
     drive = _coherent_amplitudes(params.alpha, n_max)
     leaked = abs(drive[-1]) ** 2
     if leaked >= EDGE_TOL:
@@ -318,23 +319,21 @@ def simulate(params: InterferometerParams, n_max: int) -> SimulationMoments:
 
     # rows n_a, columns n_a + n_b, so that the probe photons a sector's
     # block keeps and those it loses to the ancilla are a slice; with the
-    # probe phase, and the mixer's untwist D^-1 = diag(i**-n_a) per row
+    # probe phase
     split = np.zeros((d, d), dtype=complex)
     phase = np.exp(-1j * params.phi * np.arange(d))
-    split[n_a, totals] = amplitudes * phase[n_b] * np.array([1.0, -1.0j, -1.0, 1.0j])[n_a % 4]
+    split[n_a, totals] = amplitudes * phase[n_b]
+    del totals, n_a, n_b, amplitudes, probabilities  # only split and the tables below stay
     theta_loss = math.acos(math.exp(-params.kappa))
     loss = _split_table(theta_loss, n_max)  # rows the probe photons kept, columns those lost
     mean = second = 0.0
-    for total, vectors in enumerate(_splitter_sectors(d)):
+    for total, rotation in enumerate(_mixer_sectors(params.theta2, d)):
         columns = d - total if theta_loss > 0.0 else 1
         # row n_a, column n_anc: the probe keeps total - n_a of its total - n_a + n_anc photons
         block = split[: total + 1, total : total + columns] * loss[total::-1, :columns]
-        # V is real: multiply the real and imaginary parts in one product
-        mixed = (vectors.T @ block.view(np.float64)).view(complex)
-        mixed *= np.exp(-1j * params.theta2 * np.arange(-total, total + 1, 2.0))[:, None]
-        parts = vectors @ mixed.view(np.float64)
-        # the detector marginal: each row's squared parts summed trace the
-        # ancilla out, and the mixer's final twist D, a phase per row, drops out
+        # the rotation is real: mix the real and imaginary parts in one product
+        parts = rotation @ block.view(np.float64)
+        # the detector marginal: each row's squared parts summed trace the ancilla out
         marginal = np.einsum("ij,ij->i", parts, parts)
         weights = total - 2.0 * np.arange(total + 1)  # n_b - n_a
         mean += float(weights @ marginal)

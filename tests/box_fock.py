@@ -4,7 +4,7 @@
 mixer's sectors.  Here a state is a plain array of any rank,
 (n_max + 1) along each mode, so the tests can build states, apply
 splitters and take marginals with ordinary indexing.  The splitter uses
-the engine's sector eigenvectors; the tests check it against the dense
+the engine's sector rotations; the tests check it against the dense
 generator of ``dense_fock`` and the streamed engine against it.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from uil.fock import _coherent_amplitudes, _splitter_sectors, check_cutoff
+from uil.fock import _coherent_amplitudes, _mixer_sectors, check_cutoff
 
 
 def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
@@ -31,8 +31,7 @@ def apply_beam_splitter(psi: np.ndarray, theta: float, axes: tuple[int, int]) ->
 
     In the Heisenberg picture U† a U = cos(theta) a + sin(theta) b and
     U† b U = -sin(theta) a + cos(theta) b.  Each sector N = n_a + n_b is
-    multiplied by D V exp(-i theta Lambda) V^T D^-1 (see
-    :func:`uil.fock._splitter_sectors`).
+    multiplied by its real rotation from :func:`uil.fock._mixer_sectors`.
 
     Precondition: ``psi`` has no weight at n_a + n_b > n_max along the
     pair; the result is zero there.
@@ -43,12 +42,8 @@ def apply_beam_splitter(psi: np.ndarray, theta: float, axes: tuple[int, int]) ->
     out = np.zeros(psi.shape, dtype=complex)
     source = np.moveaxis(psi, axes, (0, 1))
     target = np.moveaxis(out, axes, (0, 1))
-    for total, vectors in enumerate(_splitter_sectors(d)):
+    for total, rotation in enumerate(_mixer_sectors(theta, d)):
         n_a = np.arange(total + 1)
-        untwist = np.array([1.0, -1.0j, -1.0, 1.0j])[n_a % 4, None]  # i**-n_a
-        values = np.arange(-total, total + 1, 2.0)
-        x = source[n_a, total - n_a].reshape(n_a.size, -1) * untwist
-        y = (vectors.T @ x) * np.exp(-1j * theta * values)[:, None]
-        y = (vectors @ y) * untwist.conj()
-        target[n_a, total - n_a] = y.reshape(x.shape[:1] + source.shape[2:])
+        x = source[n_a, total - n_a].reshape(n_a.size, -1)
+        target[n_a, total - n_a] = (rotation @ x).reshape(x.shape[:1] + source.shape[2:])
     return out

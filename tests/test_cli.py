@@ -567,8 +567,7 @@ def verify_process(*argv):
 def test_verify_passes_at_the_cutoff_it_names_for_large_drives(alpha, cutoff):
     # the cutoffs named by the exact moment shifts of the truncated drive;
     # the earlier model of those shifts named 229 and 330, where verify
-    # failed at 1.3e-8 and 2.8e-8 (a process of its own, so the test run
-    # does not keep the 99 MB of sector eigenvectors at n_max 333)
+    # failed at 1.3e-8 and 2.8e-8 (a process of its own, as a user runs it)
     assert uil.fock.required_cutoff(alpha, 1e-8) == cutoff
     done = verify_process("--alpha", str(alpha), "--cutoff", str(cutoff), "--samples", "3")
     assert done.returncode == 0, done.stdout + done.stderr
@@ -607,25 +606,27 @@ def test_verify_refuses_a_drive_beyond_the_cutoff_at_once():
 
 
 def test_verify_refuses_a_cutoff_beyond_physical_memory(capsys):
-    # sector eigenvectors of 8 * sum (N + 1)^2 bytes, about 2.7e15, and a
-    # block: simulate refuses them before anything is allocated
-    code, out, err = run(capsys, "verify", "--cutoff", "100000", "--samples", "1")
+    # 72 d^2 + 8 (d + 1)^2 bytes at d = 10^6 + 1, about 8.0e13: simulate
+    # refuses them before anything is allocated
+    code, out, err = run(capsys, "verify", "--cutoff", str(10**6), "--samples", "1")
     assert code == 4
     assert out == ""
-    needed = 8 * sum((n + 1) ** 2 for n in range(100001)) + 4 * 100002**2
-    assert f"needs about {needed} bytes, 8 (N + 1)^2 for the eigenvectors of each sector" in err
+    needed = 72 * (10**6 + 1) ** 2 + 8 * (10**6 + 2) ** 2
+    what = "72 (n_max + 1)^2 for the mixer input, splitter tables and sector rotations, 8 (n_max + 2)^2 for a block"
+    assert f"needs about {needed} bytes, {what}, more than" in err
     assert "physical memory" in err
 
 
-def test_verify_memory_bound_counts_three_lossy_states(capsys, monkeypatch):
-    # simulate holds the sector eigenvectors and one block at a time, so a
-    # memory that holds the eigenvectors of 8 * sum (N + 1)^2 bytes, but
-    # not a block besides, is refused
-    eigenvectors = 8 * sum((n + 1) ** 2 for n in range(21))
-    monkeypatch.setattr(uil.fock, "_physical_memory_bytes", lambda: eigenvectors)
+def test_verify_memory_bound_counts_the_rotations_and_the_block(capsys, monkeypatch):
+    # simulate holds the mixer input, two splitter tables, two sector
+    # rotations with three temporaries, and a block with its parts, so a
+    # memory that holds all but the block is refused
+    d = 21
+    monkeypatch.setattr(uil.fock, "_physical_memory_bytes", lambda: 72 * d**2)
     code, out, err = run(capsys, "verify", "--cutoff", "20", "--samples", "1")
     assert code == 4
     assert out == ""
+    assert f"needs about {72 * d**2 + 8 * (d + 1) ** 2} bytes" in err
     assert "physical memory" in err
 
 

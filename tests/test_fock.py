@@ -13,9 +13,9 @@ from scipy import linalg, special, stats
 import uil.fock
 from uil.analytic import evaluate_metrics
 from uil.fock import (
+    _mixer_sectors,
     _poisson_tail,
     _split_table,
-    _splitter_sectors,
     TruncationError,
     TruncationWarning,
     required_cutoff,
@@ -266,23 +266,25 @@ def test_splitter_coherent_covariance():
     assert overlap >= 1.0 - 1e-10
 
 
-def test_sector_eigenvalues_are_exact():
-    # S is 2 J_x of spin N/2: its eigenvalues are -N, -N + 2, .., N, which
-    # eigh reproduces to within its rounding
-    for total, vectors in enumerate(_splitter_sectors(173)):
-        values = np.arange(-total, total + 1, 2.0)
-        coupling = np.sqrt((np.arange(total) + 1.0) * (total - np.arange(total)))
-        generator = np.diag(coupling, 1) + np.diag(coupling, -1)
-        assert np.max(np.abs(np.linalg.eigvalsh(generator) - values), initial=0.0) <= 1e-12
-        assert np.max(np.abs(generator @ vectors - vectors * values), initial=0.0) <= 1e-12
+@pytest.mark.parametrize("n_max", range(1, 9))
+def test_mixer_sectors_are_the_sector_blocks_of_the_dense_expm(n_max):
+    # sector N of exp(theta G): rows and columns |n_a, N - n_a>, n_a ascending
+    d = n_max + 1
+    rng = np.random.default_rng(200 + n_max)
+    for theta in rng.uniform(-math.pi, math.pi, 3):
+        unitary = linalg.expm(theta * splitter_generator(n_max))
+        sectors = list(_mixer_sectors(theta, d))
+        assert len(sectors) == d
+        for total, rotation in enumerate(sectors):
+            index = np.arange(total + 1) * d + total - np.arange(total + 1)
+            assert np.max(np.abs(rotation - unitary[np.ix_(index, index)])) <= 1e-12
 
 
-def test_splitter_sectors_are_the_complete_sectors():
-    sectors = _splitter_sectors(6)
-    assert len(sectors) == 6
-    for total, vectors in enumerate(sectors):
-        assert vectors.shape == (total + 1, total + 1)
-        assert np.max(np.abs(vectors.T @ vectors - np.eye(total + 1))) <= 1e-13
+@pytest.mark.parametrize("theta", [-0.7, 0.3, math.pi / 4, 1.2])
+def test_mixer_sectors_stay_orthogonal_to_the_largest_cutoff(theta):
+    # every sector N <= 329, about |alpha| = 15's cutoff, built by the recurrence
+    for total, rotation in enumerate(_mixer_sectors(theta, 330)):
+        assert np.max(np.abs(rotation.T @ rotation - np.eye(total + 1))) <= 1e-13, total
 
 
 @pytest.mark.parametrize("n_max", range(1, 8))
@@ -593,39 +595,57 @@ def test_library_refuses_a_drive_beyond_the_cutoff_at_once(call):
 
 
 def test_simulate_refuses_a_cutoff_beyond_physical_memory():
-    # sector eigenvectors of 8 * sum (N + 1)^2 bytes, about 2.7e15, and a
-    # block of 4 * 100002^2: refused before the drive or any state is
-    # allocated; a drive of 1.6e13 bytes is refused before its Poisson
-    # tail is summed
+    # 72 d^2 + 8 (d + 1)^2 bytes at d = 10^6 + 1, about 8.0e13: refused
+    # before the drive (16 MB) or any state is allocated; a drive of
+    # 1.6e13 bytes is refused before its Poisson tail is summed
     p = InterferometerParams(0.4, 0.9, 0.5, kappa=0.3, alpha=1.0)
     tracemalloc.start()
     try:
         with pytest.raises(TruncationError, match="physical memory") as err:
-            simulate(p, 100000)
+            simulate(p, 10**6)
         with pytest.raises(TruncationError, match="for the drive alone, more than the"):
             coherent_state(1.0, 10**12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    needed = 8 * sum((n + 1) ** 2 for n in range(100001)) + 4 * 100002**2
-    assert f"needs about {needed} bytes, 8 (N + 1)^2 for the eigenvectors of each sector" in str(err.value)
-    assert peak < 1_000_000  # bytes: the drive alone would be 1.6 MB
+    needed = 72 * (10**6 + 1) ** 2 + 8 * (10**6 + 2) ** 2
+    what = "72 (n_max + 1)^2 for the mixer input, splitter tables and sector rotations, 8 (n_max + 2)^2 for a block"
+    assert f"needs about {needed} bytes, {what}, more than" in str(err.value)
+    assert peak < 1_000_000  # bytes: the drive alone would be 16 MB
+
+
+def first_lossy_peak(alpha, n_max):
+    p = InterferometerParams(0.7, 0.9, 1.1, kappa=0.4, alpha=alpha)
+    tracemalloc.start()
+    try:
+        simulate(p, n_max)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_lossy_simulate_peaks_well_below_the_box():
-    # the sector eigenvectors are 8 * sum (N + 1)^2 bytes, 0.17 of the
-    # 16 * 61^3 byte box; a first call, which builds them, was measured
-    # at 0.25 of the box (0.52 when the engine held packed three-mode
-    # states, 2.3 when states filled the box)
-    _splitter_sectors.cache_clear()
-    p = InterferometerParams(0.7, 0.9, 1.1, kappa=0.4, alpha=3.0)
-    tracemalloc.start()
-    try:
-        simulate(p, 60)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.35 * 16 * 61**3
+    # measured at 0.08 of the 16 * 61^3 byte box (0.25 for a first call
+    # that built cached sector eigenvectors, 0.52 when the engine held
+    # packed three-mode states, 2.3 when states filled the box)
+    assert first_lossy_peak(3.0, 60) < 0.15 * 16 * 61**3
+
+
+def test_lossy_simulate_peak_at_a_large_cutoff():
+    # measured at 3.1 MB; 36 MB when the sector eigenvectors were cached
+    assert first_lossy_peak(12.0, 229) < 8_000_000
+
+
+@pytest.mark.parametrize("alpha, n_max", [(3.0, 60), (12.0, 229)])
+def test_memory_refusal_counts_at_least_the_traced_peak(alpha, n_max, monkeypatch):
+    # the count bounds what a first lossy call holds, and a memory one byte
+    # short of it refuses the cutoff
+    d = n_max + 1
+    count = 72 * d**2 + 8 * (d + 1) ** 2
+    assert first_lossy_peak(alpha, n_max) <= count
+    monkeypatch.setattr(uil.fock, "_physical_memory_bytes", lambda: count - 1)
+    with pytest.raises(TruncationError, match=f"needs about {count} bytes"):
+        simulate(InterferometerParams(0.7, 0.9, 1.1, kappa=0.4, alpha=alpha), n_max)
 
 
 def test_relabeled_network_gives_identical_physics():
