@@ -1,31 +1,30 @@
 """Truncated Fock-space simulator of the interferometer.
 
-Brute-force oracle for the closed forms in :mod:`uil.analytic`: states
-are complex amplitudes over number states up to n_max photons, beam
+Brute-force oracle for the closed forms in :mod:`uil.analytic`: the
+drive is held as number-state amplitudes up to n_max photons, beam
 splitters are exponentials of the quadratic mode generator, and
-probe-arm attenuation is realized exactly as a beam splitter coupling
-to a discarded vacuum ancilla (the non-unitary shortcut used by the
-closed forms only works for coherent beams; the dilation works for any
-state).
+probe-arm attenuation is a beam splitter coupling the probe to a vacuum
+ancilla that is traced out (the non-unitary shortcut used by the closed
+forms only works for coherent beams; the dilation works for any drive).
 
-:func:`simulate` never holds the three-mode state.  The input splitter
-and the loss splitter each meet a number state with vacuum, which splits
-binomially into one column of the splitter (:func:`_split_table`).  So
-the state before the output mixer is a product of the drive, those two
-tables and the probe phase, and :func:`simulate` builds it one mixer
-sector N = n_a + n_b at a time: a block of N + 1 rows n_a by one column
-per ancilla photon number, turned by the sector's real rotation
-(:func:`_mixer_sectors`, each from the one before) and reduced at once
-to the detector marginal.  Nothing is cached, no d^2 x d^2 operator is
-formed, and only O(n_max^2) numbers are held.
+:func:`simulate` never holds a two- or three-mode state.  The input and
+loss splitters each meet a number state with vacuum, which splits
+binomially (:func:`_split_table`), and the two splits compose into a
+trinomial: in output-mixer sector N = n_a + n_b the amplitude of n_a,
+n_b and l lost photons is a product u_N[n_a] v_N[l].  So the ancilla
+traces out to one column per sector, weighted by the drive's
+photon-number distribution thinned by the loss (:func:`_vacuum_split`),
+and the sector's real rotation (:func:`_mixer_sectors`, each from the
+one before) turns it into the detector marginal.  Lossy and lossless
+calls take one path, at O(n_max^3) time and O(n_max^2) memory.
 
 Truncation is surfaced, never hidden.  :func:`check_cutoff` is the one
 rule for which cutoff holds a drive, and :func:`simulate` and
 ``uil verify`` (with its tolerance) both apply it; coherent states are
 not renormalized.  :func:`simulate` also refuses a cutoff whose arrays
-would exceed physical memory, and emits
-:class:`TruncationWarning` when the drive puts weight on |n_max>, the
-one photon number that the network carries unchanged to total n_max.
+would exceed physical memory, and emits :class:`TruncationWarning` when
+the drive puts weight on |n_max>, the one photon number that the
+network carries unchanged to total n_max.
 """
 
 from __future__ import annotations
@@ -220,6 +219,10 @@ def _coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
 
 
 class SimulationMoments(NamedTuple):
+    """Detector moments ``mean_O``, ``std_O`` of n_b - n_a, after the loss and the output mixer,
+    and probe moments ``probe_intensity``, ``probe_std`` of the probe's photon number right
+    after the input splitter, before the phase and the loss."""
+
     mean_O: float
     std_O: float
     probe_intensity: float
@@ -270,77 +273,73 @@ def _mixer_sectors(theta: float, dim: int) -> Iterator[np.ndarray]:
         yield rotation
 
 
+def _vacuum_split(weights: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both output marginals, over n_a and over n_b, of a number distribution ``weights`` split
+    against vacuum: of the joint distribution weights[n_a + n_b] _split_table(theta)[n_a, n_b]^2."""
+    n_max = weights.size - 1
+    joint = _split_table(theta, n_max)
+    np.square(joint, out=joint)
+    joint *= np.lib.stride_tricks.sliding_window_view(np.pad(weights, (0, n_max)), n_max + 1)
+    return joint.sum(axis=1), joint.sum(axis=0)
+
+
 def simulate(params: InterferometerParams, n_max: int) -> SimulationMoments:
     """Propagate the input state through the full network and measure.
 
     Pipeline: splitter(theta1), probe-arm statistics, probe phase,
-    attenuation, splitter(theta2), then mean and standard deviation of
-    the detector difference signal n_b - n_a.  The attenuation couples
-    the probe to a vacuum ancilla through a splitter of transmission
-    cos(theta) = exp(-kappa); the moments of the original modes then
-    follow the attenuated (trace preserving, completely positive)
-    dynamics exactly, for any state.  The drive enters mode a with
-    vacuum in mode b, and the output mixer's sectors N = n_a + n_b are
-    streamed as the module describes: each a block of one row per n_a
-    and one column per ancilla photon number n_anc = 0 .. n_max - N (one
-    where acos(exp(-kappa)) is 0), turned by the rotation that
-    :func:`_mixer_sectors` builds from the sector before.
+    attenuation to a vacuum ancilla through a splitter of transmission
+    T = exp(-kappa), splitter(theta2), then mean and standard deviation
+    of the detector difference signal n_b - n_a, the drive entering mode
+    a with vacuum in mode b.  The ancilla is traced out as the module
+    describes: sector N holds K[N], the drive thinned at loss
+    probability sin(theta1)^2 (1 - T^2), in the unit column
+    û_N[n_a] = sqrt(C(N, n_a)) cos(t)^n_a (-sin(t))^(N - n_a) exp(-i phi (N - n_a)),
+    t = atan2(T sin(theta1), cos(theta1)); its detector marginal is
+    K[N] |R_N û_N|^2, R_N the sector's rotation.
 
-    The cutoff passes :func:`check_cutoff`, and one whose arrays, 72 d^2
-    + 8 (d + 1)^2 bytes at d = n_max + 1, would exceed physical memory
-    is refused with :class:`TruncationError` before anything is
-    allocated.  Emits :class:`TruncationWarning` when the drive's weight
-    at |n_max> reaches ``EDGE_TOL``: the network conserves the total
-    photon number (ancilla included), so that is the population at total
-    photon number n_max, the edge of the retained states.
+    The cutoff passes :func:`check_cutoff`, and one whose arrays, 64 d^2
+    bytes at d = n_max + 1, would exceed physical memory is refused with
+    :class:`TruncationError` before anything is allocated.  Emits
+    :class:`TruncationWarning` when the drive's weight at |n_max> reaches
+    ``EDGE_TOL``: the network conserves the total photon number (ancilla
+    included), so that is the population at total photon number n_max.
     """
     n_max = check_cutoff(params.alpha, n_max)
     d = n_max + 1
-    # d x d: the complex mixer input, two splitter tables, two sector rotations and
-    # three temporaries; the largest block, N = n_max // 2, and its parts: (d + 1)^2 / 2
-    what = "72 (n_max + 1)^2 for the mixer input, splitter tables and sector rotations, 8 (n_max + 2)^2 for a block"
-    _check_memory(n_max, 72 * d**2 + 8 * (d + 1) ** 2, what)
-    drive = _coherent_amplitudes(params.alpha, n_max)
-    leaked = abs(drive[-1]) ** 2
-    if leaked >= EDGE_TOL:
+    # most alive at once, in the sector loop: the kept-photon table and two sector rotations
+    # (24 d^2), the recurrence's raised copy, a product and numpy's buffers for adding into a
+    # strided view (32 d^2, the buffers 128 KiB at most), and vectors (about 150 d, within 8 d^2
+    # for n_max >= 18); building a splitter table before the loop takes 16 d^2
+    what = "64 (n_max + 1)^2 for the kept-photon table, two sector rotations and their temporaries"
+    _check_memory(n_max, 64 * d**2, what)
+    drive = np.abs(_coherent_amplitudes(params.alpha, n_max)) ** 2  # photon-number distribution
+    if drive[-1] >= EDGE_TOL:
         warnings.warn(
-            f"edge population {leaked:.3e} at total photon number n_max = {n_max} "
+            f"edge population {drive[-1]:.3e} at total photon number n_max = {n_max} "
             f"reaches {EDGE_TOL:.1e}; increase the cutoff",
             TruncationWarning,
             stacklevel=2,
         )
-    # the two-mode state after the input splitter, sector by sector
-    totals, n_a = np.tril_indices(d)
-    n_b = totals - n_a  # the probe
-    amplitudes = drive[totals] * _split_table(params.theta1, n_max)[n_a, n_b]
-    probabilities = np.abs(amplitudes) ** 2
-    probe_intensity = float(n_b @ probabilities)
-    probe_second = float((n_b**2) @ probabilities)
-
-    # rows n_a, columns n_a + n_b, so that the probe photons a sector's
-    # block keeps and those it loses to the ancilla are a slice; with the
-    # probe phase
-    split = np.zeros((d, d), dtype=complex)
-    phase = np.exp(-1j * params.phi * np.arange(d))
-    split[n_a, totals] = amplitudes * phase[n_b]
-    del totals, n_a, n_b, amplitudes, probabilities  # only split and the tables below stay
-    theta_loss = math.acos(math.exp(-params.kappa))
-    loss = _split_table(theta_loss, n_max)  # rows the probe photons kept, columns those lost
-    mean = second = 0.0
+    photons = np.arange(d, dtype=float)
+    probe_intensity, probe_second = np.stack([photons, photons**2]) @ _vacuum_split(drive, params.theta1)[1]
+    # K[N]: each drive photon stays in mode a (cos^2), in the probe (sin^2 T^2) or is lost (sin^2 (1 - T^2))
+    cos, sin = math.cos(params.theta1), math.sin(params.theta1)
+    transmission, lost = math.exp(-params.kappa), math.sqrt(-math.expm1(-2.0 * params.kappa))
+    survivors = _vacuum_split(drive, math.atan2(sin * lost, math.hypot(cos, sin * transmission)))[0]
+    # û_N with no phase is the antidiagonal n_b = N - n_a of the table: N, N + n_max, .. N d flat
+    table = _split_table(math.atan2(transmission * sin, cos), n_max).ravel()
+    # exp(i phi n_a), the probe phase exp(-i phi (N - n_a)) but for its global exp(-i phi N), as (re, im)
+    turns = np.exp(1j * params.phi * photons).view(np.float64).reshape(d, 2)
+    signal = np.arange(n_max, -d, -1.0)  # n_b - n_a = N - 2 n_a: every other entry from n_max - N
+    powers = np.stack([signal, signal**2])
+    moments = np.empty((d, 2))  # each sector's mean and second moment of n_b - n_a
     for total, rotation in enumerate(_mixer_sectors(params.theta2, d)):
-        columns = d - total if theta_loss > 0.0 else 1
-        # row n_a, column n_anc: the probe keeps total - n_a of its total - n_a + n_anc photons
-        block = split[: total + 1, total : total + columns] * loss[total::-1, :columns]
-        # the rotation is real: mix the real and imaginary parts in one product
-        parts = rotation @ block.view(np.float64)
-        # the detector marginal: each row's squared parts summed trace the ancilla out
-        marginal = np.einsum("ij,ij->i", parts, parts)
-        weights = total - 2.0 * np.arange(total + 1)  # n_b - n_a
-        mean += float(weights @ marginal)
-        second += float((weights**2) @ marginal)
+        parts = rotation @ (table[total : total * d + 1 : n_max, None] * turns[: total + 1])
+        moments[total] = powers[:, n_max - total : n_max + total + 1 : 2] @ np.einsum("ij,ij->i", parts, parts)
+    mean, second = survivors @ moments
     return SimulationMoments(
-        mean_O=mean,
+        mean_O=float(mean),
         std_O=math.sqrt(max(second - mean**2, 0.0)),
-        probe_intensity=probe_intensity,
+        probe_intensity=float(probe_intensity),
         probe_std=math.sqrt(max(probe_second - probe_intensity**2, 0.0)),
     )

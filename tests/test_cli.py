@@ -606,28 +606,30 @@ def test_verify_refuses_a_drive_beyond_the_cutoff_at_once():
 
 
 def test_verify_refuses_a_cutoff_beyond_physical_memory(capsys):
-    # 72 d^2 + 8 (d + 1)^2 bytes at d = 10^6 + 1, about 8.0e13: simulate
-    # refuses them before anything is allocated
+    # 64 d^2 bytes at d = 10^6 + 1, about 6.4e13: simulate refuses them
+    # before anything is allocated
     code, out, err = run(capsys, "verify", "--cutoff", str(10**6), "--samples", "1")
     assert code == 4
     assert out == ""
-    needed = 72 * (10**6 + 1) ** 2 + 8 * (10**6 + 2) ** 2
-    what = "72 (n_max + 1)^2 for the mixer input, splitter tables and sector rotations, 8 (n_max + 2)^2 for a block"
+    needed = 64 * (10**6 + 1) ** 2
+    what = "64 (n_max + 1)^2 for the kept-photon table, two sector rotations and their temporaries"
     assert f"needs about {needed} bytes, {what}, more than" in err
     assert "physical memory" in err
 
 
-def test_verify_memory_bound_counts_the_rotations_and_the_block(capsys, monkeypatch):
-    # simulate holds the mixer input, two splitter tables, two sector
-    # rotations with three temporaries, and a block with its parts, so a
-    # memory that holds all but the block is refused
+def test_verify_memory_bound_counts_the_kept_table_and_the_rotations(capsys, monkeypatch):
+    # simulate holds the kept-photon table and two sector rotations with
+    # their temporaries, 64 d^2 bytes: one byte less is refused, and
+    # exactly that much runs
     d = 21
-    monkeypatch.setattr(uil.fock, "_physical_memory_bytes", lambda: 72 * d**2)
+    monkeypatch.setattr(uil.fock, "_physical_memory_bytes", lambda: 64 * d**2 - 1)
     code, out, err = run(capsys, "verify", "--cutoff", "20", "--samples", "1")
     assert code == 4
     assert out == ""
-    assert f"needs about {72 * d**2 + 8 * (d + 1) ** 2} bytes" in err
+    assert f"needs about {64 * d**2} bytes" in err
     assert "physical memory" in err
+    monkeypatch.setattr(uil.fock, "_physical_memory_bytes", lambda: 64 * d**2)
+    assert run(capsys, "verify", "--cutoff", "20", "--samples", "1")[0] == 0
 
 
 @pytest.mark.parametrize(

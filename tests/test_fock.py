@@ -378,8 +378,8 @@ def test_phase_unitary_acts_on_requested_mode():
 
 
 def test_loss_identity_channel():
-    # exp(-1e-20) rounds to 1, so the loss splitter's angle is 0:
-    # simulate must reproduce the lossless moments
+    # at kappa = 1e-20 the loss takes 2e-20 of the probe's photons, far
+    # below rounding: simulate must reproduce the lossless moments
     rng = np.random.default_rng(12)
     for _ in range(5):
         angles = rng.uniform(-3.0, 3.0, 3)
@@ -522,14 +522,22 @@ def test_simulate_network_output_is_product_coherent_state():
         assert fidelity >= 1.0 - 1e-8
 
 
-def test_simulate_moments_match_the_full_lossy_state():
-    # simulate traces the ancilla out before weighting; weighting the
-    # whole rank-3 state must give the same moments
-    p = InterferometerParams(0.7, 0.9, 1.1, kappa=0.4, alpha=2.5)
+@pytest.mark.parametrize(
+    "theta1, kappa, alpha",
+    [(theta1, kappa, 2.5) for theta1 in (0.0, 0.7, math.pi / 2, -0.4, 7.0) for kappa in (0.0, 1e-12, 0.4, 3.0)]
+    + [(0.7, 0.4, 1.5 - 2.0j)],
+)
+def test_simulate_moments_match_the_full_lossy_state(theta1, kappa, alpha):
+    # simulate traces the ancilla out in closed form; the explicit
+    # dilation, weighted as a whole rank-3 state, must give the same
+    # moments.  No absolute slack: at theta1 = 0 the probe moments are
+    # exactly 0 in the box, and so must they be in simulate
+    p = InterferometerParams(theta1, 0.9, 1.1, kappa=kappa, alpha=alpha)
     n_max = 34
     d = n_max + 1
     psi = np.outer(coherent_state(p.alpha, n_max), vacuum(d))
     psi = apply_beam_splitter(psi, p.theta1, axes=(0, 1))
+    probe_intensity, probe_std = number_moments(psi, axis=1)
     psi = psi * np.exp(-1j * p.phi * np.arange(d))
     psi = attenuate(psi, p.kappa, axis=1)
     psi = apply_beam_splitter(psi, p.theta2, axes=(0, 1))
@@ -538,9 +546,8 @@ def test_simulate_moments_match_the_full_lossy_state():
     weights = (numbers[None, :] - numbers[:, None])[:, :, None]  # n_b - n_a
     mean = float((weights * probabilities).sum())
     std = math.sqrt(float((weights**2 * probabilities).sum()) - mean**2)
-    result = simulate(p, n_max)
-    assert result.mean_O == pytest.approx(mean, rel=1e-12)
-    assert result.std_O == pytest.approx(std, rel=1e-12)
+    expected = (mean, std, probe_intensity, probe_std)
+    assert simulate(p, n_max) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_simulate_warns_on_edge_population():
@@ -595,7 +602,7 @@ def test_library_refuses_a_drive_beyond_the_cutoff_at_once(call):
 
 
 def test_simulate_refuses_a_cutoff_beyond_physical_memory():
-    # 72 d^2 + 8 (d + 1)^2 bytes at d = 10^6 + 1, about 8.0e13: refused
+    # 64 d^2 bytes at d = 10^6 + 1, about 6.4e13: refused
     # before the drive (16 MB) or any state is allocated; a drive of
     # 1.6e13 bytes is refused before its Poisson tail is summed
     p = InterferometerParams(0.4, 0.9, 0.5, kappa=0.3, alpha=1.0)
@@ -608,8 +615,8 @@ def test_simulate_refuses_a_cutoff_beyond_physical_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    needed = 72 * (10**6 + 1) ** 2 + 8 * (10**6 + 2) ** 2
-    what = "72 (n_max + 1)^2 for the mixer input, splitter tables and sector rotations, 8 (n_max + 2)^2 for a block"
+    needed = 64 * (10**6 + 1) ** 2
+    what = "64 (n_max + 1)^2 for the kept-photon table, two sector rotations and their temporaries"
     assert f"needs about {needed} bytes, {what}, more than" in str(err.value)
     assert peak < 1_000_000  # bytes: the drive alone would be 16 MB
 
@@ -625,23 +632,24 @@ def first_lossy_peak(alpha, n_max):
 
 
 def test_lossy_simulate_peaks_well_below_the_box():
-    # measured at 0.08 of the 16 * 61^3 byte box (0.25 for a first call
-    # that built cached sector eigenvectors, 0.52 when the engine held
-    # packed three-mode states, 2.3 when states filled the box)
+    # measured at 0.06 of the 16 * 61^3 byte box (0.08 when each sector
+    # carried the loss ancilla, 0.25 for a first call that built cached
+    # sector eigenvectors, 0.52 when the engine held packed three-mode
+    # states, 2.3 when states filled the box)
     assert first_lossy_peak(3.0, 60) < 0.15 * 16 * 61**3
 
 
 def test_lossy_simulate_peak_at_a_large_cutoff():
-    # measured at 3.1 MB; 36 MB when the sector eigenvectors were cached
-    assert first_lossy_peak(12.0, 229) < 8_000_000
+    # measured at 2.3 MB; 3.1 MB when each sector carried the loss
+    # ancilla, 36 MB when the sector eigenvectors were cached
+    assert first_lossy_peak(12.0, 229) < 3_000_000
 
 
 @pytest.mark.parametrize("alpha, n_max", [(3.0, 60), (12.0, 229)])
 def test_memory_refusal_counts_at_least_the_traced_peak(alpha, n_max, monkeypatch):
     # the count bounds what a first lossy call holds, and a memory one byte
     # short of it refuses the cutoff
-    d = n_max + 1
-    count = 72 * d**2 + 8 * (d + 1) ** 2
+    count = 64 * (n_max + 1) ** 2
     assert first_lossy_peak(alpha, n_max) <= count
     monkeypatch.setattr(uil.fock, "_physical_memory_bytes", lambda: count - 1)
     with pytest.raises(TruncationError, match=f"needs about {count} bytes"):
