@@ -2,7 +2,7 @@
 
 Every function here is a pure function of an operating point.  The
 conventions (which arm is the probe, where the phase and the loss act)
-are those of :mod:`uil.modes`; the truncated Fock-space engine in
+are those of the Conventions section of the README; the Fock engine in
 :mod:`uil.fock` implements the same network independently and is used by
 the test suite to cross-check every formula in this module.
 

@@ -29,9 +29,9 @@ import numpy as np
 
 from . import __version__
 from .analytic import metrics_values
-from .fock import TruncationError, _physical_memory_bytes, check_cutoff, simulate
+from .fock import TruncationError, check_cutoff, simulate
 from .optimize import REGIME_KINDS, ConstraintRegime, optimize
-from .params import DOMAINS, InterferometerParams, check_domain, modulus
+from .params import DOMAINS, InterferometerParams, check_domain, check_memory, modulus
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -284,16 +284,6 @@ def _parse_axis(spec: str) -> tuple[str, float, float, int]:
     return name, start, stop, steps
 
 
-def _check_grid_size(rows: int) -> None:
-    """Refuse, before allocating anything, a grid whose columns alone exceed physical memory."""
-    needed, memory = 8 * len(CSV_COLUMNS) * rows, _physical_memory_bytes()
-    if memory is not None and needed > memory:
-        raise UsageError(
-            f"a grid of {rows} rows needs at least {needed} bytes, {len(CSV_COLUMNS)} columns "
-            f"of 8-byte values, more than the {memory} bytes of physical memory"
-        )
-
-
 def _sweep_inputs(axes, fixed: dict) -> dict:
     """Input columns of the grid, row-major over the axes in the given order."""
     grids = {}
@@ -330,7 +320,8 @@ def _cmd_sweep(args) -> int:
     if not args.output:
         raise UsageError("sweep requires --output")
     rows = math.prod(steps for *_, steps in axes)
-    _check_grid_size(rows)
+    what = f"{len(CSV_COLUMNS)} columns of 8-byte values"  # the columns alone, before any axis is spaced out
+    check_memory(8 * len(CSV_COLUMNS) * rows, f"a grid of {rows} rows needs at least", what, UsageError)
     fixed = _point_inputs(resolved)
     columns = _columns(_sweep_inputs(axes, fixed))
     fmt = args.format or "csv"

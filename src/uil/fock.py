@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import math
 from numbers import Integral
-import os
 import sys
 from typing import Iterator, NamedTuple
 import warnings
 
 import numpy as np
 
-from .params import InterferometerParams
+from .params import InterferometerParams, check_memory
 
 TAIL_TOL = 1e-10  # Poisson weight a coherent state may leave beyond n_max
 EDGE_TOL = 1e-8  # population at total photon number n_max at which simulate warns
@@ -64,24 +63,6 @@ class TruncationError(Exception):
 
 class TruncationWarning(UserWarning):
     """Emitted when population at total photon number n_max makes results untrustworthy."""
-
-
-def _physical_memory_bytes() -> int | None:
-    """Installed memory, or None where the system does not say."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # no sysconf, or the names are unknown
-        return None
-
-
-def _check_memory(n_max: int, needed: int, what: str) -> None:
-    """Refuse a cutoff whose arrays, ``needed`` bytes, exceed physical memory."""
-    memory = _physical_memory_bytes()
-    if memory is not None and needed > memory:
-        raise TruncationError(
-            f"n_max = {n_max} needs about {needed} bytes, {what}, "
-            f"more than the {memory} bytes of physical memory"
-        )
 
 
 def _poisson_tail(n: int, mean: float) -> float:
@@ -179,7 +160,8 @@ def check_cutoff(alpha: complex, n_max, tol: float | None = None) -> int:
             f"|alpha|^2 = {mean:.6g} exceeds n_max = {n_max}, which leaves about half the "
             f"Poisson weight or more beyond the cutoff; n_max must exceed |alpha|^2"
         )
-    _check_memory(n_max, 16 * (n_max + 1), "16 (n_max + 1) for the drive alone")
+    what = "16 (n_max + 1) for the drive alone"
+    check_memory(16 * (n_max + 1), f"n_max = {n_max} needs about", what, TruncationError)
     if mean > 0.0 and (shortfall := _shortfall(n_max, mean, tol)):
         needed = required_cutoff(alpha, tol)
         raise TruncationError(f"{shortfall}; use n_max >= {needed}", required=needed)
@@ -209,11 +191,29 @@ def required_cutoff(alpha: complex, tol: float | None = None) -> int:
 
 
 def _coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
-    """exp(-|alpha|^2/2) alpha^n / sqrt(n!) for n = 0 .. n_max, by the stable recurrence."""
+    """exp(-|alpha|^2/2) alpha^n / sqrt(n!) for n = 0 .. n_max, by the stable recurrence.
+
+    The recurrence starts at the first n whose amplitude is a normal
+    double, as a running sum of logs tells (n = 0 unless |alpha|^2 exceeds
+    about 1416), and the amplitudes below it are 0, so a drive whose
+    exp(-|alpha|^2/2) underflows keeps its digits and its weight.  The
+    start's value is the exact sum (``math.fsum``) of -|alpha|^2/2 and the
+    steps log(|alpha| / sqrt(n)), each rounded once, taken to exp in two
+    parts, the rounded sum and its residue, since doubles near -708 lie
+    1.1e-13 apart.
+    """
     alpha = complex(alpha)
+    mean = abs(alpha) ** 2
+    terms = [-0.5 * mean]  # they sum to log |amplitude| at n = len(terms) - 1, rising up to n = |alpha|^2
+    running = terms[0]  # their rounded sum, as fsum-ing them at each step would be quadratic
+    while running < math.log(sys.float_info.min):  # below it the amplitude is subnormal
+        terms.append(0.5 * math.log(mean / len(terms)))
+        running += terms[-1]
+    log_modulus = math.fsum(terms)
+    start, residue = len(terms) - 1, math.fsum([*terms, -log_modulus])
     amplitudes = np.zeros(n_max + 1, dtype=complex)
-    amplitudes[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(1, n_max + 1):
+    amplitudes[start] = math.exp(log_modulus) * math.exp(residue) * np.exp(1j * np.angle(alpha)) ** start
+    for n in range(start + 1, n_max + 1):
         amplitudes[n] = amplitudes[n - 1] * alpha / math.sqrt(n)
     return amplitudes
 
@@ -297,21 +297,23 @@ def simulate(params: InterferometerParams, n_max: int) -> SimulationMoments:
     t = atan2(T sin(theta1), cos(theta1)); its detector marginal is
     K[N] |R_N û_N|^2, R_N the sector's rotation.
 
-    The cutoff passes :func:`check_cutoff`, and one whose arrays, 64 d^2
-    bytes at d = n_max + 1, would exceed physical memory is refused with
-    :class:`TruncationError` before anything is allocated.  Emits
+    The cutoff passes :func:`check_cutoff`, and one whose arrays would
+    exceed physical memory is refused with :class:`TruncationError`
+    before anything is allocated.  They count 64 d^2 bytes at
+    d = n_max + 1, the most alive at once, in the sector loop: the
+    kept-photon table and two sector rotations (8 d^2 each), the
+    recurrence's raised copy and a product (8 d^2 each), numpy's buffers
+    for adding into a strided view (up to 16 d^2, 128 KiB at most) and
+    the vectors (about 150 d, within 8 d^2 from n_max = 18 on); building
+    a splitter table before the loop takes 16 d^2.  Emits
     :class:`TruncationWarning` when the drive's weight at |n_max> reaches
     ``EDGE_TOL``: the network conserves the total photon number (ancilla
     included), so that is the population at total photon number n_max.
     """
     n_max = check_cutoff(params.alpha, n_max)
     d = n_max + 1
-    # most alive at once, in the sector loop: the kept-photon table and two sector rotations
-    # (24 d^2), the recurrence's raised copy, a product and numpy's buffers for adding into a
-    # strided view (32 d^2, the buffers 128 KiB at most), and vectors (about 150 d, within 8 d^2
-    # for n_max >= 18); building a splitter table before the loop takes 16 d^2
     what = "64 (n_max + 1)^2 for the kept-photon table, two sector rotations and their temporaries"
-    _check_memory(n_max, 64 * d**2, what)
+    check_memory(64 * d**2, f"n_max = {n_max} needs about", what, TruncationError)
     drive = np.abs(_coherent_amplitudes(params.alpha, n_max)) ** 2  # photon-number distribution
     if drive[-1] >= EDGE_TOL:
         warnings.warn(

@@ -1,8 +1,9 @@
-"""Parameter and result containers for the interferometer model."""
+"""Parameter and result containers for the interferometer model, and the input checks."""
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,25 @@ def modulus(alpha) -> float:
     except OverflowError:
         value = math.inf
     return check_domain("alpha_abs", value)
+
+
+def physical_memory_bytes() -> int | None:
+    """Installed memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or the names are unknown
+        return None
+
+
+def check_memory(needed: int, subject: str, what: str, error: type[Exception]) -> None:
+    """The package's one memory refusal: raise ``error`` where ``needed`` bytes exceed physical memory.
+
+    ``subject`` names the input and how ``needed`` bounds its cost
+    ("n_max = 40 needs about"); ``what`` says what the bytes hold.
+    """
+    memory = physical_memory_bytes()
+    if memory is not None and needed > memory:
+        raise error(f"{subject} {needed} bytes, {what}, more than the {memory} bytes of physical memory")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from uil.modes import PROBE_MODE
+# The mode labelling of the README's Conventions, shared with the
+# amplitude-matrix cross-check (matrix_amplitudes.py) so the two cannot
+# disagree about which arm carries the mirror: slot 0 (mode a) is the
+# reference arm and takes the coherent drive, slot 1 (mode b) is the
+# probe arm, carrying the phase and the loss.  uil.fock.simulate is laid
+# out for these two values.
+INPUT_MODE = 0
+PROBE_MODE = 1
 
 
 def mode_operators(n_max: int) -> tuple[np.ndarray, np.ndarray]:

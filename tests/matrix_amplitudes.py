@@ -3,8 +3,9 @@
 The coherent amplitude vector is pushed through the input splitter, the
 mirror factors and the output mixer as plain matrix products.  This
 route shares nothing with the closed forms of :mod:`uil.analytic` but
-the mode labeling of :mod:`uil.modes`, so the tests check the closed
-forms and the Fock engine against it.  Beside it sits the closed-form
+the mode labeling of the README's Conventions, taken from
+``dense_fock``, so the tests check the closed forms and the Fock
+engine against it.  Beside it sits the closed-form
 phase gradient of the mean signal, which the tests check by finite
 differences and use to check ``delta_phi``.
 """
@@ -16,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from uil.modes import INPUT_MODE, PROBE_MODE
 from uil.params import InterferometerParams
+
+from dense_fock import INPUT_MODE, PROBE_MODE
 
 
 @dataclass(frozen=True)

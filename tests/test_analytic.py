@@ -9,7 +9,6 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from uil.analytic import evaluate_metrics, metrics_values
-from uil.modes import PROBE_MODE
 from uil.params import InterferometerParams
 
 from matrix_amplitudes import beam_splitter_matrix, difference_signal_phase_gradient, output_amplitudes
@@ -27,8 +26,6 @@ def params(theta1, theta2, phi, **kw):
 def reference_output_amplitudes(p):
     """Independent route: explicit 2x2 matrix product."""
     mirror = np.diag([1.0, cmath.exp(-1j * p.phi - p.kappa)])
-    if PROBE_MODE == 0:
-        mirror = mirror[::-1, ::-1]
     chain = beam_splitter_matrix(p.theta2) @ mirror @ beam_splitter_matrix(p.theta1)
     return chain @ np.array([p.alpha, 0.0])
 

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import Phase, given, settings
 
 import uil.cli
+import uil.params
 from render_oracle import render_csv, render_json
 from uil.analytic import evaluate_metrics, metrics_values
 from uil.cli import CSV_COLUMNS, RENDER_BLOCK_ROWS, RENDER_PIECE_ROWS, main
@@ -317,7 +318,7 @@ def test_sweep_refuses_a_grid_beyond_physical_memory(capsys, tmp_path, axes):
 
 
 def test_sweep_memory_bound_counts_the_columns(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(uil.cli, "_physical_memory_bytes", lambda: 8 * len(CSV_COLUMNS) * 100)
+    monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: 8 * len(CSV_COLUMNS) * 100)
     assert run(capsys, "sweep", "--axis", "theta1=0:1:100", "--output", str(tmp_path / "fits.csv"))[0] == 0
     code, _, err = run(capsys, "sweep", "--axis", "theta1=0:1:101", "--output", str(tmp_path / "big.csv"))
     assert code == 2
@@ -331,8 +332,8 @@ def test_sweep_that_exhausts_the_process_memory_exits_2(tmp_path):
     # allocated, which is a one-line message and exit 2, not a traceback
     src = os.path.dirname(os.path.dirname(uil.cli.__file__))
     script = (
-        "import sys, uil.cli\n"
-        "uil.cli._physical_memory_bytes = lambda: 10**15\n"
+        "import sys, uil.cli, uil.params\n"
+        "uil.params.physical_memory_bytes = lambda: 10**15\n"
         "sys.exit(uil.cli.main(sys.argv[1:]))\n"
     )
     path = tmp_path / "grid.csv"
@@ -622,13 +623,13 @@ def test_verify_memory_bound_counts_the_kept_table_and_the_rotations(capsys, mon
     # their temporaries, 64 d^2 bytes: one byte less is refused, and
     # exactly that much runs
     d = 21
-    monkeypatch.setattr(uil.fock, "_physical_memory_bytes", lambda: 64 * d**2 - 1)
+    monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: 64 * d**2 - 1)
     code, out, err = run(capsys, "verify", "--cutoff", "20", "--samples", "1")
     assert code == 4
     assert out == ""
     assert f"needs about {64 * d**2} bytes" in err
     assert "physical memory" in err
-    monkeypatch.setattr(uil.fock, "_physical_memory_bytes", lambda: 64 * d**2)
+    monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: 64 * d**2)
     assert run(capsys, "verify", "--cutoff", "20", "--samples", "1")[0] == 0
 
 

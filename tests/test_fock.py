@@ -5,12 +5,14 @@ import sys
 import tracemalloc
 
 import hypothesis.strategies as st
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from scipy import linalg, special, stats
 
 import uil.fock
+import uil.params
 from uil.analytic import evaluate_metrics
 from uil.fock import (
     _mixer_sectors,
@@ -78,14 +80,21 @@ def test_vacuum_coherent_state_is_exact():
     assert np.linalg.norm(state) == 1.0
 
 
-def test_coherent_coefficients_against_factorial_formula():
-    alpha = 0.9 - 0.4j
-    state = coherent_state(alpha, 20)
-    for n in range(21):
-        direct = (
-            math.exp(-0.5 * abs(alpha) ** 2) * alpha**n / math.sqrt(math.factorial(n))
-        )
-        assert state[n] == pytest.approx(direct, abs=1e-15)
+@pytest.mark.parametrize(
+    "alpha, rel", [(0.9 - 0.4j, 1e-15), (38.5, 1e-12), (39.0, 1e-12), (45.0, 1e-12), (27.0 + 28.0j, 1e-12)]
+)
+def test_coherent_coefficients_against_factorial_formula(alpha, rel):
+    # against 50-digit mpmath, on every amplitude of weight 1e-280 or more; past
+    # |alpha| = 37.7 exp(-|alpha|^2/2) is subnormal, and past 38.6 it is 0, so a
+    # recurrence started at n = 0 would give weights summing to 1.035 at 38.5 and all 0 at 39
+    n_max = max(20, required_cutoff(alpha))
+    state = coherent_state(alpha, n_max)
+    with mpmath.workdps(50):
+        exact = mpmath.exp(-abs(mpmath.mpc(alpha)) ** 2 / 2)
+        for n in range(n_max + 1):
+            if abs(exact) ** 2 >= 1e-280:
+                assert abs(state[n] - exact) <= rel * abs(exact), n
+            exact *= mpmath.mpc(alpha) / mpmath.sqrt(n + 1)
 
 
 def test_coherent_mean_photon_number():
@@ -651,7 +660,7 @@ def test_memory_refusal_counts_at_least_the_traced_peak(alpha, n_max, monkeypatc
     # short of it refuses the cutoff
     count = 64 * (n_max + 1) ** 2
     assert first_lossy_peak(alpha, n_max) <= count
-    monkeypatch.setattr(uil.fock, "_physical_memory_bytes", lambda: count - 1)
+    monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: count - 1)
     with pytest.raises(TruncationError, match=f"needs about {count} bytes"):
         simulate(InterferometerParams(0.7, 0.9, 1.1, kappa=0.4, alpha=alpha), n_max)
 
