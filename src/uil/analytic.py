@@ -50,16 +50,19 @@ def metrics_values(theta1, theta2, phi, kappa, eta, alpha_abs) -> dict[str, np.n
     """Every :class:`~uil.params.PerformanceMetrics` field over broadcast inputs.
 
     Returns the eight columns, in field order, as arrays of the inputs'
-    broadcast shape.  Squares go through np.square: on a NumPy scalar
+    broadcast shape.  Each operation runs at its operands' own shapes,
+    so a column that depends on fewer inputs than the others is computed
+    at its smaller shape and returned as a read-only broadcast view.
+    Squares go through np.square: on a NumPy scalar
     ``x ** 2`` calls libm pow, which is not always correctly rounded.
     The sensitivity 1/delta_phi and rho_fluctuation are products in
     which every factor after the first is at most 1, except the last,
     |sin(2 t1)|/N <= 2 or |c1|/N <= 1, so an intermediate can only
     underflow where the result itself is at the edge of the double range.
     """
-    theta1, theta2, phi, kappa, eta, alpha_abs = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (theta1, theta2, phi, kappa, eta, alpha_abs))
-    )
+    inputs = [np.asarray(x, dtype=float) for x in (theta1, theta2, phi, kappa, eta, alpha_abs)]
+    shape = np.broadcast(*inputs).shape
+    theta1, theta2, phi, kappa, eta, alpha_abs = inputs
     t = np.exp(-kappa)
     c1, s1 = np.cos(theta1), np.sin(theta1)
     c2, s2 = np.cos(theta2), np.sin(theta2)
@@ -80,7 +83,7 @@ def metrics_values(theta1, theta2, phi, kappa, eta, alpha_abs) -> dict[str, np.n
         delta_phi = 1.0 / sensitivity  # no sensitivity: 1/0 = inf
         mean = alpha_abs * (np.cos(2.0 * theta2) * imbalance + phase_term) * alpha_abs
         contrast = np.where((total == 0.0) | (alpha_abs == 0.0), 0.0, oscillation / total)
-        return {
+        columns = {
             "mean_O": mean,
             "std_O": alpha_abs * noise,
             "delta_phi": delta_phi,
@@ -94,3 +97,4 @@ def metrics_values(theta1, theta2, phi, kappa, eta, alpha_abs) -> dict[str, np.n
             "rho_fluctuation": rho_fluctuation,
             "visibility": contrast,
         }
+    return {name: value if value.shape == shape else np.broadcast_to(value, shape) for name, value in columns.items()}

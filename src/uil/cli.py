@@ -155,16 +155,30 @@ def _point_inputs(resolved: dict) -> dict[str, float]:
 def _columns(inputs: dict) -> dict[str, np.ndarray]:
     """Every CSV column over the broadcast inputs, from one kernel call.
 
-    A NaN in any column raises ValueError here, before any file is opened.
+    Each column is a view of the inputs' broadcast shape over its own
+    values.  A NaN in any column raises ValueError here, before any file
+    is opened.
     """
     metrics = metrics_values(**inputs)
     shape = metrics["mean_O"].shape
     columns = {name: np.broadcast_to(value, shape) for name, value in inputs.items()}
-    columns["transmission"] = np.exp(-columns["kappa"])
+    columns["transmission"] = np.broadcast_to(np.exp(-inputs["kappa"]), shape)
     columns.update(metrics)
-    if any(np.isnan(column).any() for column in columns.values()):
+    if any(np.isnan(_own_values(column)[0]).any() for column in columns.values()):
         raise ValueError("NaN in a computed column, nothing written")
-    return {name: columns[name].ravel() for name in CSV_COLUMNS}
+    return {name: columns[name] for name in CSV_COLUMNS}
+
+
+def _own_values(column: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The values a column view holds, flat, and the step through them along each axis.
+
+    Row ``i`` of the column (a multi-index over its shape) holds
+    ``values[i @ steps]``; a broadcast axis has step 0.
+    """
+    column = np.atleast_1d(column)
+    held = np.ascontiguousarray(column[tuple(slice(None) if stride else slice(0, 1) for stride in column.strides)])
+    steps = [stride // held.itemsize if size > 1 else 0 for stride, size in zip(held.strides, held.shape)]
+    return held.ravel(), steps
 
 
 # Rows formatted per block, and written per piece, so memory does not
@@ -190,10 +204,13 @@ def _template(fmt: str) -> tuple[str, list[str], str]:
 def _render_blocks(columns: dict[str, np.ndarray], fmt: str):
     """The data file's bytes, RENDER_PIECE_ROWS rows at a time.
 
-    Per block, ``repr_bytes`` formats each distinct bit pattern once (so
-    -0.0 and 0.0 stay apart).  A piece is a NUL-padded byte matrix of
-    its rows, each value followed by the template's text after it; its
-    bytes are written with the NULs dropped.
+    Each column is formatted from its own values (see ``_own_values``):
+    per block, ``repr_bytes`` formats, in one call, the range of each
+    column's values that the block's rows address, or, where that range
+    is longer than the block, the values the rows address.  A piece is a
+    NUL-padded byte matrix of its rows, each value followed by the
+    template's text after it; its bytes are written with the NULs
+    dropped.
     """
     from .floatrepr import repr_bytes  # here, so processes that write no data file never load it
 
@@ -202,24 +219,37 @@ def _render_blocks(columns: dict[str, np.ndarray], fmt: str):
     fixed = np.zeros((len(after) + 1, gap), dtype=np.uint8)  # the text after each value, then the tail
     for j, text in enumerate([*after, tail]):
         fixed[j, : len(text)] = np.frombuffer(text.encode(), dtype=np.uint8)
-    rows = columns[CSV_COLUMNS[0]].size
-    yield head.encode()
-    for start in range(0, rows, RENDER_BLOCK_ROWS):
-        values = np.stack([columns[name][start : start + RENDER_BLOCK_ROWS] for name in CSV_COLUMNS], axis=1)
-        distinct, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
-        text = repr_bytes(distinct.view(np.float64), quote_inf=fmt == "json")
+    shape = np.shape(columns[CSV_COLUMNS[0]]) or (1,)
+    held, steps = zip(*(_own_values(columns[name]) for name in CSV_COLUMNS))
+    steps = np.array(steps).T  # (axis, column)
+    rows = math.prod(shape)
+
+    def block(start: int):
+        # a function of its own, so that one block's buffers are freed before the next block's are made
+        at = np.unravel_index(np.arange(start, min(start + RENDER_BLOCK_ROWS, rows)), shape)
+        index = np.stack(at, axis=1) @ steps  # (row, column) into `held`
+        low, high = index.min(axis=0), index.max(axis=0) + 1
+        parts = [own[a:b] for own, a, b in zip(held, low, high)]
+        for j in np.flatnonzero(high - low > len(index)):  # rows that wrap round a longer axis
+            parts[j], low[j], index[:, j] = held[j][index[:, j]], 0, np.arange(len(index))
+        sizes = [len(part) for part in parts]
+        text = repr_bytes(np.concatenate(parts), quote_inf=fmt == "json")
         used = np.flatnonzero(text.any(axis=0))  # the byte columns some value fills
         lo, width = used[0], used[-1] + 1 - used[0]
         piece = np.empty((RENDER_PIECE_ROWS, len(CSV_COLUMNS), width + gap), dtype=np.uint8)
         piece[:, :, width:] = fixed[:-1]
-        inverse = inverse.reshape(values.shape)
-        for first in range(0, len(inverse), RENDER_PIECE_ROWS):
-            part = inverse[first : first + RENDER_PIECE_ROWS]
+        index += np.cumsum(sizes) - sizes - low  # now (row, column) into `text`
+        for first in range(0, len(index), RENDER_PIECE_ROWS):
+            part = index[first : first + RENDER_PIECE_ROWS]
             cells = piece[: len(part)]
             cells[:, :, :width] = text.take(part, axis=0)[:, :, lo : lo + width]
             if start + first + len(part) == rows:
                 cells[-1, -1, width:] = fixed[-1]
             yield cells.tobytes().translate(None, b"\0")
+
+    yield head.encode()
+    for start in range(0, rows, RENDER_BLOCK_ROWS):
+        yield from block(start)
 
 
 def _write_data_file(path: str, blocks, command: str, parameters: dict) -> None:
@@ -261,7 +291,7 @@ def _cmd_metrics(args) -> int:
     if fmt == "csv":
         data = b"".join(_render_blocks(columns, fmt)).decode()
     else:
-        data = _json_dumps({name: float(columns[name][0]) for name in CSV_COLUMNS}) + "\n"
+        data = _json_dumps({name: float(columns[name]) for name in CSV_COLUMNS}) + "\n"
     _emit(data, args, "metrics", {**resolved, "format": fmt})
     return EXIT_OK
 
@@ -285,18 +315,24 @@ def _parse_axis(spec: str) -> tuple[str, float, float, int]:
 
 
 def _sweep_inputs(axes, fixed: dict) -> dict:
-    """Input columns of the grid, row-major over the axes in the given order."""
-    grids = {}
-    for name, start, stop, steps in axes:
-        with np.errstate(invalid="ignore"):  # an infinite end point spaces out to NaN
+    """Kernel inputs of the grid, row-major over the axes in the given order, as an open grid.
+
+    Axis k holds its values along dimension k and has length 1 along
+    every other; fixed parameters stay scalars.
+    """
+    inputs = dict(fixed)
+    for k, (name, start, stop, steps) in enumerate(axes):
+        for end in (start, stop):
+            if not math.isfinite(end):  # no domain holds it; spaced out, it would read as NaN
+                check_domain(name, end)
+        with np.errstate(invalid="ignore", over="ignore"):  # an overflowing step spaces out to NaN
             values = check_domain(name, np.linspace(start, stop, steps))
         if name == "transmission":
             # math.log per value, not np.log, whose vector loop may differ
             # in the last ulp: kappa = -log(T) exactly as a reader computes it.
             name, values = "kappa", np.array([-math.log(v) + 0.0 for v in values.tolist()])
-        grids[name] = values
-    meshes = np.meshgrid(*grids.values(), indexing="ij")
-    return {**fixed, **{name: mesh.ravel() for name, mesh in zip(grids, meshes)}}
+        inputs[name] = values.reshape([steps if j == k else 1 for j in range(len(axes))])
+    return inputs
 
 
 def _cmd_sweep(args) -> int:

@@ -17,7 +17,8 @@ import numpy as np
 
 
 def _rows(columns: dict[str, np.ndarray], names):
-    return zip(*(columns[name].tolist() for name in names))
+    """The grid's rows, in C order over the columns' common shape."""
+    return zip(*(np.ravel(columns[name]).tolist() for name in names))
 
 
 def render_csv(columns: dict[str, np.ndarray], names) -> str:

@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import hypothesis.strategies as st
 import mpmath
@@ -290,6 +291,7 @@ def test_sweep_rejects_bad_axes(capsys, tmp_path, axis):
         ("--eta", "0", "eta=0:1:3", "eta must be in (0, 1], got 0.0"),
         ("--kappa", "-1", "kappa=-1:1:3", "kappa must be finite and >= 0, got -1.0"),
         ("--phi", "nan", "phi=0:nan:3", "phi must be finite, got nan"),
+        ("--phi", "inf", "phi=0:inf:3", "phi must be finite, got inf"),
     ],
 )
 def test_one_domain_message_from_every_entry_point(capsys, tmp_path, flag, value, axis, message):
@@ -350,6 +352,24 @@ def test_sweep_that_exhausts_the_process_memory_exits_2(tmp_path):
     assert done.stderr.startswith("uil sweep: out of memory: ")
     assert done.stderr.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_traced_peak_per_row(tmp_path):
+    # the kernel runs on the open grid and each column is formatted from
+    # its own values, so a sweep holds little more than its computed
+    # columns: about 106 bytes a row traced at 300 x 300
+    def sweep(steps, name):
+        axes = ["--axis", f"kappa=0:3:{steps}", "--axis", f"theta1=0:1.5707963267948966:{steps}"]
+        return main(["sweep", *axes, "--output", str(tmp_path / name)])
+
+    assert sweep(5, "warm.csv") == 0  # loads the repr tables and hashlib
+    tracemalloc.start()
+    try:
+        assert sweep(300, "grid.csv") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 140 * 300 * 300
 
 
 def test_sweep_requires_output(capsys):
@@ -659,6 +679,23 @@ def test_runtime_never_imports_scipy(argv):
     assert [name for name in imported if name.split(".")[0] == "scipy"] == []
 
 
+def test_importing_the_cli_loads_only_the_runtime_modules():
+    # `import uil.cli` is what every invocation pays before it runs; the
+    # repr kernel, hashlib and numpy.random load only where a data file
+    # or a random draw needs them
+    src = os.path.dirname(os.path.dirname(uil.cli.__file__))
+    script = (
+        "import sys, uil.cli\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'uil'))\n"
+        "print(sorted({'hashlib', 'uil.floatrepr', 'numpy.random'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True
+    )
+    package = ["uil", "uil.analytic", "uil.cli", "uil.fock", "uil.optimize", "uil.params"]
+    assert done.stdout.splitlines() == [repr(package), "[]"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -790,7 +827,7 @@ SWEEP_AXES = {
 
 @st.composite
 def sweep_axes(draw):
-    names = draw(st.lists(st.sampled_from(sorted(SWEEP_AXES)), min_size=1, max_size=2, unique=True))
+    names = draw(st.lists(st.sampled_from(sorted(SWEEP_AXES)), min_size=1, max_size=3, unique=True))
     if {"kappa", "transmission"} <= set(names):
         names.remove("kappa")
     return [
@@ -829,9 +866,11 @@ SPECIAL_VALUES = [math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7
 
 
 @st.composite
-def random_columns(draw, rows):
+def random_columns(draw, shape):
     """Columns of every kind a grid holds, from constant to all distinct.
 
+    As ``uil.cli._columns`` gives them, each column is a broadcast view,
+    over the grid ``shape``, of values along a drawn subset of its axes.
     Values are drawn as raw bit patterns (NaN excluded), so every
     exponent and the subnormals appear, and special values are mixed in.
     """
@@ -839,8 +878,11 @@ def random_columns(draw, rows):
     palette = np.array(draw(st.lists(
         st.sampled_from(SPECIAL_VALUES) | st.floats(allow_nan=False), min_size=1, max_size=6
     )))
+    every_in = draw(st.sampled_from(CSV_COLUMNS))  # each special value, once, in this column, which spans every axis
     columns = {}
     for name in CSV_COLUMNS:
+        held = tuple(size if name == every_in or draw(st.booleans()) else 1 for size in shape)
+        rows = math.prod(held)
         kind = draw(st.sampled_from(["repeats", "distinct", "distinct then repeats"]))
         column = rng.integers(0, 2**64, rows, dtype=np.uint64).view(np.float64)
         repeats = palette[rng.integers(0, palette.size, rows)]
@@ -851,28 +893,39 @@ def random_columns(draw, rows):
         column = np.where(np.isnan(column), repeats, column)
         sprinkled = rng.random(rows) < 0.01
         column[sprinkled] = rng.choice(SPECIAL_VALUES, int(sprinkled.sum()))
-        columns[name] = column
-    every = min(rows, len(SPECIAL_VALUES))  # each special value, once, in one column
-    columns[draw(st.sampled_from(CSV_COLUMNS))][rng.choice(rows, every, replace=False)] = SPECIAL_VALUES[:every]
+        if name == every_in:
+            every = min(rows, len(SPECIAL_VALUES))
+            column[rng.choice(rows, every, replace=False)] = SPECIAL_VALUES[:every]
+        columns[name] = np.broadcast_to(column.reshape(held), shape)
     return columns
 
 
 @pytest.mark.parametrize(
-    "rows",
+    "shape",
     [
-        1,
-        RENDER_PIECE_ROWS - 1,
-        RENDER_PIECE_ROWS + 1,
-        RENDER_BLOCK_ROWS - 1,
-        RENDER_BLOCK_ROWS,
-        RENDER_BLOCK_ROWS + 1,
-        2 * RENDER_BLOCK_ROWS + 1,
+        (1,),
+        (RENDER_PIECE_ROWS - 1,),
+        (RENDER_PIECE_ROWS + 1,),
+        (RENDER_BLOCK_ROWS - 1,),
+        (RENDER_BLOCK_ROWS,),
+        (RENDER_BLOCK_ROWS + 1,),
+        (2 * RENDER_BLOCK_ROWS + 1,),
+        # grids on both sides of a piece and of a block, with inner axes
+        # that do not divide a block, axes of length 1, and an inner axis
+        # longer than a block
+        (2, 255),
+        (1, 3, 171),
+        (7, 1, 292),
+        (3, 683),
+        (2, 3, 683),
+        (3, RENDER_BLOCK_ROWS + 452),
     ],
+    ids=lambda shape: "x".join(map(str, shape)),
 )
 @given(data=st.data())
 @settings(max_examples=6, phases=[Phase.explicit, Phase.reuse, Phase.generate])  # a draw takes ~0.3 s: no shrinking
-def test_streamed_render_matches_row_oracle_byte_for_byte(rows, data):
-    columns = data.draw(random_columns(rows))
+def test_streamed_render_matches_row_oracle_byte_for_byte(shape, data):
+    columns = data.draw(random_columns(shape))
     for fmt, oracle in (("csv", render_csv), ("json", render_json)):
         got, want = b"".join(uil.cli._render_blocks(columns, fmt)).decode(), oracle(columns, CSV_COLUMNS)
         if got != want:  # name the first difference; a diff of the whole text takes minutes
