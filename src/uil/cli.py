@@ -17,7 +17,7 @@ which beat built-in defaults.
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import math
 import os
 import random
@@ -29,9 +29,9 @@ import numpy as np
 
 from . import __version__
 from .analytic import metrics_values
-from .fock import TruncationError, check_cutoff, simulate
+from .fock import TruncationError, check_cutoff, simulate_values
 from .optimize import REGIME_KINDS, ConstraintRegime, optimize
-from .params import DOMAINS, InterferometerParams, check_domain, check_memory, modulus
+from .params import DOMAINS, check_domain, check_memory, modulus
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -82,6 +82,7 @@ class UsageError(ValueError):
 
 def _json_dumps(obj) -> str:
     """JSON text with infinities as "inf"/"-inf"; NaN raises ValueError."""
+    import json  # here, so processes that print no JSON never load it
 
     def walk(x):
         if isinstance(x, dict):
@@ -196,6 +197,8 @@ def _template(fmt: str) -> tuple[str, list[str], str]:
     """
     if fmt == "csv":
         return ",".join(CSV_COLUMNS) + "\n", [","] * (len(CSV_COLUMNS) - 1) + ["\n"], "\n"
+    import json
+
     keys = [f"\n    {json.dumps(name)}: " for name in CSV_COLUMNS]
     after = [f",{key}" for key in keys[1:]] + ["\n  },\n  {" + keys[0]]
     return "[\n  {" + keys[0], after, "\n  }\n]\n"
@@ -405,6 +408,8 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"seed must be >= 0, got {seed}")
 
     check_cutoff(alpha, cutoff, tol)  # ValueError -> exit 2, TruncationError -> exit 4
+    what = "16 values of 8 bytes a sample: 4 drawn parameters, 8 closed forms and 4 oracle moments"
+    check_memory(128 * samples, f"{samples} samples need at least", what, UsageError)
 
     rng = random.Random(seed)  # numpy.random would load hashlib and OpenSSL
     highs = (math.pi / 2, math.pi / 2, 2.0 * math.pi, 1.0)  # theta1, theta2, phi, kappa
@@ -417,11 +422,8 @@ def _cmd_verify(args) -> int:
         "intensity_probe": "probe_intensity",
         "std_intensity_probe": "probe_std",
     }
-    worst = dict.fromkeys(oracle_names, 0.0)
-    for i, point in enumerate(np.stack(points, axis=1).tolist()):
-        oracle = simulate(InterferometerParams(*point, alpha=alpha), cutoff)
-        for key, name in oracle_names.items():
-            worst[key] = max(worst[key], abs(float(metrics[key][i]) - getattr(oracle, name)))
+    oracle = simulate_values(*points, alpha, cutoff)
+    worst = {key: float(np.max(np.abs(metrics[key] - oracle[name]))) for key, name in oracle_names.items()}
 
     max_dev = max(worst.values())
     print(
@@ -530,7 +532,16 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Run :func:`main` as a process, ``uil`` and ``python -m uil``, and exit with its code.
+
+    Every object the run made is frozen first (``gc.freeze``), so the
+    exiting interpreter skips its final garbage collection over them;
+    atexit handlers and the flushing of stdout and stderr still run, and
+    :func:`main` has closed every data file it wrote before it returns.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -55,15 +55,18 @@ def physical_memory_bytes() -> int | None:
         return None
 
 
-def check_memory(needed: int, subject: str, what: str, error: type[Exception]) -> None:
+def check_memory(needed: int, subject: str, what: str, error: type[Exception]) -> int | None:
     """The package's one memory refusal: raise ``error`` where ``needed`` bytes exceed physical memory.
 
     ``subject`` names the input and how ``needed`` bounds its cost
     ("n_max = 40 needs about"); ``what`` says what the bytes hold.
+    Returns the physical memory it compared with, None where the system
+    does not say.
     """
     memory = physical_memory_bytes()
     if memory is not None and needed > memory:
         raise error(f"{subject} {needed} bytes, {what}, more than the {memory} bytes of physical memory")
+    return memory
 
 
 @dataclass(frozen=True)

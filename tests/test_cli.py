@@ -681,13 +681,13 @@ def test_runtime_never_imports_scipy(argv):
 
 def test_importing_the_cli_loads_only_the_runtime_modules():
     # `import uil.cli` is what every invocation pays before it runs; the
-    # repr kernel, hashlib and numpy.random load only where a data file
-    # or a random draw needs them
+    # repr kernel, hashlib, json and numpy.random load only where a data
+    # file, a JSON text or a random draw needs them
     src = os.path.dirname(os.path.dirname(uil.cli.__file__))
     script = (
         "import sys, uil.cli\n"
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'uil'))\n"
-        "print(sorted({'hashlib', 'uil.floatrepr', 'numpy.random'} & set(sys.modules)))\n"
+        "print(sorted({'hashlib', 'json', 'uil.floatrepr', 'numpy.random'} & set(sys.modules)))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True
@@ -706,13 +706,15 @@ def test_importing_the_cli_loads_only_the_runtime_modules():
 )
 def test_stdout_commands_load_no_hashing_random_or_repr_kernel(argv):
     # hashlib (with OpenSSL) and numpy.random cost a process about 6 MB;
-    # only a data file needs a hash or the repr kernel
+    # only a data file needs a hash or the repr kernel, and verify, which
+    # prints no JSON, needs no json either
     src = os.path.dirname(os.path.dirname(uil.cli.__file__))
+    unwanted = {"numpy.random", "hashlib", "_hashlib", "uil.floatrepr"} | ({"json"} if argv[0] == "verify" else set())
     script = (
         "import sys, uil.cli\n"
         "code = uil.cli.main(sys.argv[1:])\n"
-        "unwanted = {'numpy.random', 'hashlib', '_hashlib', 'uil.floatrepr'}\n"
-        "print(code, sorted(unwanted & set(sys.modules)), file=sys.stderr)\n"
+        f"unwanted = {sorted(unwanted)!r}\n"
+        "print(code, sorted(set(unwanted) & set(sys.modules)), file=sys.stderr)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script, *argv],
@@ -723,6 +725,101 @@ def test_stdout_commands_load_no_hashing_random_or_repr_kernel(argv):
     )
     assert done.stdout
     assert done.stderr.splitlines()[-1] == "0 []", done.stderr
+
+
+def test_verify_refuses_samples_beyond_physical_memory(tmp_path):
+    # 10^15 samples are refused before any is drawn; before, they were
+    # drawn until the process's memory ran out (here limited to 1.5 GiB)
+    src = os.path.dirname(os.path.dirname(uil.cli.__file__))
+    script = (
+        "import sys, time, uil.cli\n"
+        "began = time.perf_counter()\n"
+        "code = uil.cli.main(sys.argv[1:])\n"
+        "print(code, time.perf_counter() - began)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, "verify", "--samples", str(10**15)],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 * 2**29, 3 * 2**29)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    code, seconds = done.stdout.split()
+    assert code == "2"
+    assert float(seconds) < 1.0
+    assert done.stderr.startswith(f"uil verify: error: {10**15} samples need at least {128 * 10**15} bytes, ")
+    assert done.stderr.rstrip().endswith("bytes of physical memory")
+
+
+CLI_PROCESSES = {
+    "python -m uil": ["-m", "uil"],
+    "console script": ["-c", "import sys; sys.argv[0] = 'uil'; from uil.cli import entry; entry()"],
+}
+
+
+@pytest.mark.parametrize("process", CLI_PROCESSES)
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["metrics", "--alpha", "2"], 0),
+        (["verify", "--alpha", "1", "--cutoff", "40", "--samples", "5", "--tol", "1e-17"], 1),
+        (["sweep", "--axis", "eta=0.5:1:3"], 2),
+        (["metrics", "--phi", "nan"], 2),
+        (["no-such-command"], 2),
+        (["verify", "--alpha", "3", "--cutoff", "5", "--samples", "1"], 4),
+    ],
+)
+def test_cli_process_exits_with_the_code_and_output_of_main(capsys, process, argv, code):
+    # entry() freezes the garbage collector before it exits: the exit
+    # code, stdout and stderr are those of the same call in process
+    expected = run(capsys, *argv)
+    assert expected[0] == code
+    src = os.path.dirname(os.path.dirname(uil.cli.__file__))
+    done = subprocess.run(
+        [sys.executable, *CLI_PROCESSES[process], *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["sweep", "--axis", "kappa=0:3:40", "--axis", "theta1=0:1.5:60"], "grid.csv"),
+        (["sweep", "--axis", "phi=0:6:50", "--format", "json"], "grid.json"),
+        (["metrics", "--format", "csv", "--kappa", "0.3"], "point.csv"),
+    ],
+)
+def test_cli_process_writes_the_bytes_of_main(capsys, tmp_path, argv, name):
+    # a process ends through entry(), which skips the final garbage
+    # collection; its data file and manifest hold the bytes that main()
+    # writes in process, and the manifest's sha256 is the file's, so a
+    # write lost at exit fails here
+    import hashlib
+
+    (tmp_path / "process").mkdir()
+    (tmp_path / "main").mkdir()
+    assert run(capsys, *argv, "--output", str(tmp_path / "main" / name))[0] == 0
+    src = os.path.dirname(os.path.dirname(uil.cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "uil", *argv, "--output", str(tmp_path / "process" / name)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    data = {side: (tmp_path / side / name).read_bytes() for side in ("main", "process")}
+    manifests = {side: json.loads((tmp_path / side / f"{name}.manifest.json").read_text()) for side in data}
+    assert data["process"] == data["main"]
+    assert manifests["process"]["sha256"] == manifests["main"]["sha256"] == hashlib.sha256(data["main"]).hexdigest()
+    for manifest in manifests.values():
+        del manifest["created"]
+    assert manifests["process"] == manifests["main"]
 
 
 def test_verify_seed_picks_the_same_points():

@@ -18,10 +18,12 @@ from uil.fock import (
     _mixer_sectors,
     _poisson_tail,
     _split_table,
+    SimulationMoments,
     TruncationError,
     TruncationWarning,
     required_cutoff,
     simulate,
+    simulate_values,
 )
 from uil.params import InterferometerParams
 
@@ -158,6 +160,31 @@ def test_poisson_tail_matches_scipy(alpha_abs, position):
     expected = special.pdtrc(n, mean)
     if expected > 1e-300:
         assert _poisson_tail(n, mean) == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [3e7, 1e8, 1e150])
+def test_required_cutoff_refuses_a_drive_beyond_memory_at_once(alpha):
+    # the drive's amplitudes at n_max = floor(|alpha|^2) already exceed
+    # physical memory: refused before the search, which took 56 s at
+    # |alpha| = 3e7 (naming a cutoff 5.71 std above the mean), named the
+    # mean itself at 1e8 and did not end at 1e150
+    src = os.path.dirname(os.path.dirname(uil.fock.__file__))
+    script = (
+        "import time\n"
+        "from uil.fock import TruncationError, required_cutoff\n"
+        "began = time.perf_counter()\n"
+        f"try:\n    required_cutoff({alpha!r})\n"
+        "except TruncationError as exc:\n    print(exc.required_cutoff, time.perf_counter() - began)\n    print(exc)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=20
+    )
+    assert done.returncode == 0, done.stderr
+    required, seconds = done.stdout.splitlines()[0].split()
+    assert required == "None"
+    assert float(seconds) < 1.0
+    assert f"n_max = {int(alpha**2)} needs about" in done.stdout
+    assert "for the drive alone, more than the" in done.stdout
 
 
 def test_required_cutoff_matches_scipy_search():
@@ -559,6 +586,41 @@ def test_simulate_moments_match_the_full_lossy_state(theta1, kappa, alpha):
     assert simulate(p, n_max) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0, 8.0])
+def test_simulate_values_agrees_with_simulate_point_by_point(alpha, monkeypatch):
+    # 101 points a drive, every other one lossy, at a random phase, run in
+    # chunks of 7 (the last one short) and all in one chunk: every field
+    # of every point agrees with that point's own simulate call
+    n_max = required_cutoff(alpha, 1e-8) + 2
+    count = 64 * (n_max + 1) ** 2
+    rng = np.random.default_rng(int(10 * alpha))
+    theta1, theta2 = rng.uniform(0.0, math.pi / 2, (2, 101))
+    phi = rng.uniform(0.0, 2.0 * math.pi, 101)
+    kappa = np.where(np.arange(101) % 2 == 1, rng.uniform(0.0, 1.5, 101), 0.0)
+    expected = np.array(
+        [simulate(InterferometerParams(*point, alpha=alpha), n_max) for point in zip(theta1, theta2, phi, kappa)]
+    ).T
+    for chunk in (7, 101):
+        monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: chunk * uil.fock._CHUNK_SHARE * count)
+        values = simulate_values(theta1, theta2, phi, kappa, alpha, n_max)
+        assert list(values) == list(SimulationMoments._fields)
+        got = np.array(list(values.values()))
+        assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected)), chunk
+
+
+def test_simulate_values_keeps_the_broadcast_shape():
+    # theta1 along one axis, phi along another, the rest scalars: each
+    # field has the broadcast shape, and a scalar call gives 0-d arrays
+    theta1 = np.array([0.3, 0.9, 1.2])[:, None]
+    phi = np.array([0.4, 2.0])
+    values = simulate_values(theta1, 0.7, phi, 0.2, 1.5, 20)
+    assert {value.shape for value in values.values()} == {(3, 2)}
+    for i, j in np.ndindex(3, 2):
+        one = simulate(InterferometerParams(theta1[i, 0], 0.7, phi[j], kappa=0.2, alpha=1.5), 20)
+        assert tuple(value[i, j] for value in values.values()) == pytest.approx(one, rel=1e-13, abs=0.0)
+    assert {value.shape for value in simulate_values(0.3, 0.7, 0.4, 0.2, 1.5, 20).values()} == {()}
+
+
 def test_simulate_warns_on_edge_population():
     # the drive's |1> weight, about 1.4e-5 at n_max = 1, is above the 1e-8 threshold
     p = InterferometerParams(0.0, 0.0, 0.0, alpha=0.00375)
@@ -630,11 +692,15 @@ def test_simulate_refuses_a_cutoff_beyond_physical_memory():
     assert peak < 1_000_000  # bytes: the drive alone would be 16 MB
 
 
-def first_lossy_peak(alpha, n_max):
+def first_lossy_peak(alpha, n_max, points=None):
+    """Traced peak of a lossy simulate call, or of a simulate_values call over ``points`` copies of its point."""
     p = InterferometerParams(0.7, 0.9, 1.1, kappa=0.4, alpha=alpha)
     tracemalloc.start()
     try:
-        simulate(p, n_max)
+        if points is None:
+            simulate(p, n_max)
+        else:
+            simulate_values(*(np.full(points, x) for x in (p.theta1, p.theta2, p.phi, p.kappa)), alpha, n_max)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -656,13 +722,20 @@ def test_lossy_simulate_peak_at_a_large_cutoff():
 
 @pytest.mark.parametrize("alpha, n_max", [(3.0, 60), (12.0, 229)])
 def test_memory_refusal_counts_at_least_the_traced_peak(alpha, n_max, monkeypatch):
-    # the count bounds what a first lossy call holds, and a memory one byte
-    # short of it refuses the cutoff
+    # the count bounds what a first lossy call holds, and what a batch
+    # holds per point of its chunk; a memory one byte short of one point's
+    # count refuses the cutoff, for a point and for a batch
     count = 64 * (n_max + 1) ** 2
-    assert first_lossy_peak(alpha, n_max) <= count
+    single = first_lossy_peak(alpha, n_max)
+    assert single <= count
+    monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: 3 * uil.fock._CHUNK_SHARE * count)
+    batch = first_lossy_peak(alpha, n_max, points=5)  # a chunk of 3 points, then one of 2
+    assert single < batch <= 3 * count
     monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: count - 1)
     with pytest.raises(TruncationError, match=f"needs about {count} bytes"):
         simulate(InterferometerParams(0.7, 0.9, 1.1, kappa=0.4, alpha=alpha), n_max)
+    with pytest.raises(TruncationError, match=f"needs about {count} bytes"):
+        simulate_values(np.full(5, 0.7), 0.9, 1.1, 0.4, alpha, n_max)
 
 
 def test_relabeled_network_gives_identical_physics():
