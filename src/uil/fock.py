@@ -7,34 +7,28 @@ probe-arm attenuation is a beam splitter coupling the probe to a vacuum
 ancilla that is traced out (the non-unitary shortcut used by the closed
 forms only works for coherent beams; the dilation works for any drive).
 
-:func:`simulate` never holds a two- or three-mode state.  The input and
-loss splitters each meet a number state with vacuum, which splits
-binomially (:func:`_split_table`), and the two splits compose into a
-trinomial: in output-mixer sector N = n_a + n_b the amplitude of n_a,
-n_b and l lost photons is a product u_N[n_a] v_N[l].  So the ancilla
-traces out to one column per sector, weighted by the drive's
-photon-number distribution thinned by the loss (:func:`_vacuum_split`),
-and the sector's real rotation (:func:`_mixer_sectors`, each from the
-one before) turns it into the detector marginal.  Lossy and lossless
-calls take one path, at O(n_max^3) time and O(n_max^2) memory a point.
+:func:`simulate` never holds a two- or three-mode state.  Every photon
+of the drive leaves the input splitter, the phase and the loss in one
+mode, and the loss keeps each one independently, so the ancilla traces
+out to sectors of N surviving photons: sector N has the weight K[N],
+the drive's photon-number distribution thinned binomially
+(:func:`_thinned`), and the pure state v_N of N photons in the
+survivors' mode, after the output mixer.  Each v_N follows from the one
+before by one creation operator, v_N = (x a† + y b†) v_(N-1) / sqrt(N),
+with (x, y) the mixer applied to that mode.  Lossy and lossless calls
+take one path, at O(n_max^2) time and O(n_max) memory a point.
 
-:func:`simulate_values` is that engine over a leading point axis:
-arrays of theta1, theta2, phi and kappa that share the drive and the
-cutoff, as :func:`~uil.analytic.metrics_values` takes them.  The splitter
-tables, the vacuum splits and each sector's rotation carry the axis, so
-the sector loop runs once for a chunk of points.  A chunk's arrays count
-64 (n_max + 1)^2 bytes a point, and a chunk holds as many points as that
-count fits in 1/2048 of physical memory, at least one: tens of points at
-the cutoffs of small drives, where numpy's cost per call dominates, and
-one point from n_max ~ 230 on (on 8 GB), where the arithmetic does and a
-larger chunk would only outgrow the CPU cache.  :func:`simulate` is its
-one-point call.
+:func:`simulate_values` is that engine over arrays of theta1, theta2,
+phi and kappa that share the drive and the cutoff, as
+:func:`~uil.analytic.metrics_values` takes them.  The thinnings and
+each sector's column carry a point axis, so the sector loop runs once
+for a chunk of points, as many as fit in 1/2048 of physical memory.  :func:`simulate` is its one-point call.
 
 Truncation is surfaced, never hidden.  :func:`check_cutoff` is the one
 rule for which cutoff holds a drive, and :func:`simulate_values` and
 ``uil verify`` (with its tolerance) both apply it; coherent states are
-not renormalized.  :func:`simulate_values` also refuses a cutoff whose
-arrays for one point would exceed physical memory, and emits
+not renormalized, and a cutoff whose count for one point would exceed
+physical memory is refused there.  :func:`simulate_values` emits
 :class:`TruncationWarning` when the drive puts weight on |n_max>, the
 one photon number that the network carries unchanged to total n_max.
 """
@@ -44,17 +38,19 @@ from __future__ import annotations
 import math
 from numbers import Integral
 import sys
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 import warnings
 
 import numpy as np
 
+from . import params as _params
 from .params import InterferometerParams, check_memory
 
 TAIL_TOL = 1e-10  # Poisson weight a coherent state may leave beyond n_max
 EDGE_TOL = 1e-8  # population at total photon number n_max at which simulate warns
-_TAIL_BLOCK = 4096  # Poisson terms summed per numpy call
+_TAIL_BLOCK = 4096  # Poisson terms summed per numpy call, at most
 _CHUNK_SHARE = 2048  # a chunk of simulate_values's points counts at most 1/_CHUNK_SHARE of physical memory
+_POINT_BYTES = 192, 72  # a point counts _POINT_BYTES[0] (n_max + _POINT_BYTES[1]) bytes, at least its traced peak
 
 __all__ = [
     "TruncationError",
@@ -98,9 +94,10 @@ def _poisson_tail(n: int, mean: float) -> float:
     k = n + 1
     log_first = k * math.log(mean) - mean - math.lgamma(k + 1)
     term = total = 1.0  # relative to p_k
+    block = min(_TAIL_BLOCK, k)  # a small n needs few terms, and 4096 would set a small call's memory
     while term > 1e-17 * total:  # a block of terms at a time
-        terms = term * np.cumprod(mean / np.arange(k + 1, k + 1 + _TAIL_BLOCK))
-        k += _TAIL_BLOCK
+        terms = term * np.cumprod(mean / np.arange(k + 1, k + 1 + block))
+        k += block
         total += float(terms.sum())
         term = float(terms[-1])
     return math.exp(log_first + math.log(total))
@@ -159,11 +156,12 @@ def check_cutoff(alpha: complex, n_max, tol: float | None = None) -> int:
     In order: ``n_max`` must be an integer >= 1 and |alpha|^2 finite,
     else ValueError.  Then, else :class:`TruncationError`: |alpha|^2 <=
     n_max (a drive beyond the cutoff leaves about half its Poisson
-    weight or more there, refused without a search); the drive's
-    amplitudes fit physical memory; and the Poisson weight beyond n_max
-    is below ``TAIL_TOL`` and, with ``tol``, shifts the drive's moments
-    by less than ``tol`` (:func:`_shortfall`).  That last error names the
-    smallest cutoff that fits, :func:`required_cutoff`.
+    weight or more there, refused without a search); one point of
+    :func:`simulate_values` fits physical memory; and the Poisson weight
+    beyond n_max is below ``TAIL_TOL`` and, with ``tol``, shifts the
+    drive's moments by less than ``tol`` (:func:`_shortfall`).  That
+    last error names the smallest cutoff that fits,
+    :func:`required_cutoff`.
     """
     if not isinstance(n_max, Integral) or n_max < 1:
         raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
@@ -174,24 +172,29 @@ def check_cutoff(alpha: complex, n_max, tol: float | None = None) -> int:
             f"|alpha|^2 = {mean:.6g} exceeds n_max = {n_max}, which leaves about half the "
             f"Poisson weight or more beyond the cutoff; n_max must exceed |alpha|^2"
         )
-    _check_drive_memory(n_max)
+    _check_point_memory(n_max)
     if mean > 0.0 and (shortfall := _shortfall(n_max, mean, tol)):
         needed = required_cutoff(alpha, tol)
         raise TruncationError(f"{shortfall}; use n_max >= {needed}", required=needed)
     return n_max
 
 
-def _check_drive_memory(n_max: int) -> None:
-    """The memory refusal of a drive's amplitudes up to ``n_max``, before they are allocated."""
-    what = "16 (n_max + 1) for the drive alone"
-    check_memory(16 * (n_max + 1), f"n_max = {n_max} needs about", what, TruncationError)
+def _point_bytes(n_max: int) -> int:
+    """What one point of :func:`simulate_values` holds at most, drive included, in bytes."""
+    return _POINT_BYTES[0] * (n_max + _POINT_BYTES[1])
+
+
+def _check_point_memory(n_max: int) -> None:
+    """The memory refusal of one point at ``n_max``, before anything is allocated."""
+    what = f"{_POINT_BYTES[0]} (n_max + {_POINT_BYTES[1]}) for the drive and one point's columns"
+    check_memory(_point_bytes(n_max), f"n_max = {n_max} needs about", what, TruncationError)
 
 
 def required_cutoff(alpha: complex, tol: float | None = None) -> int:
     """Smallest n_max >= max(1, floor(|alpha|^2)) that holds the drive ``alpha`` (:func:`_shortfall`).
 
     Every condition only eases as n_max grows, so one search gallops up
-    from the mean and then bisects.  Where the drive's amplitudes at
+    from the mean and then bisects.  Where one point at
     n_max = floor(|alpha|^2) would already exceed physical memory, no
     cutoff that holds it fits, and :class:`TruncationError` (with
     ``required_cutoff`` None) says so before any search.
@@ -200,7 +203,7 @@ def required_cutoff(alpha: complex, tol: float | None = None) -> int:
     if mean == 0.0:
         return 1
     start = max(1, int(mean))
-    _check_drive_memory(start)
+    _check_point_memory(start)
     too_small, fits, step = start - 1, start, 1
     while _shortfall(fits, mean, tol):
         too_small, fits, step = fits, fits + step, 2 * step
@@ -252,63 +255,25 @@ class SimulationMoments(NamedTuple):
     probe_std: float
 
 
-def _split_table(theta, n_max: int) -> np.ndarray:
-    """<n_a, n_b| exp(theta G) |n_a + n_b, 0> for n_a, n_b = 0 .. n_max, G = a†b - ab†, per angle.
+def _thinned(drive: np.ndarray, keep, lose) -> np.ndarray:
+    """sum_n drive[n] C(n, k) keep^k lose^(n - k), k = 0 .. n_max along a leading axis, per ``keep``.
 
-    ``theta`` is a float or an array, whose shape leads the table's.  A
-    number state that meets vacuum splits binomially:
-    sqrt(C(n_a + n_b, n_b)) cos(theta)^n_a (-sin(theta))^n_b, as the
-    splitter sends a† to cos(theta) a† - sin(theta) b†.  Column n_b = 0
-    is cos(theta)^n_a, and each further column follows from the one
-    before by the factor -sin(theta) sqrt((n_a + n_b) / n_b).  Every
-    partial product is an entry of the unitary, at most 1, so none
-    overflows.
+    Each of a number state's photons is kept with probability ``keep``
+    and dropped with ``lose``, which are given, not taken as one minus
+    the other: the coefficients of sum_n drive[n] (lose + keep z)^n, by
+    Horner's rule from the top photon number down.  Every term is
+    positive, so nothing cancels.
     """
-    theta = np.asarray(theta, dtype=float)[..., None, None]
-    n = np.arange(n_max + 1.0)
-    factors = np.empty(theta.shape[:-2] + (n_max + 1, n_max + 1))
-    factors[..., 0] = np.cos(theta[..., 0]) ** n
-    np.multiply(-np.sin(theta), np.sqrt(np.add.outer(n, n[1:]) / n[1:]), out=factors[..., 1:])
-    return np.cumprod(factors, axis=-1, out=factors)
-
-
-def _mixer_sectors(theta, dim: int) -> Iterator[np.ndarray]:
-    """exp(theta G), G = a†b - ab†, on each sector N = 0 .. dim - 1, rows and columns n_a ascending.
-
-    ``theta`` is a float or an array, whose shape leads each block's.
-    Each block is real orthogonal, column n_a holding U|n_a, N - n_a>.
-    As U sends a† to c a† - s b† and b† to s a† + c b† (c, s = cos, sin
-    theta), each block follows from the one before in O(N^2), by the Fock form
-    of Risbo's recursion for the Wigner d-functions:
-    N U|n_a, n_b> = sqrt(n_a) (c a† - s b†) U|n_a - 1, n_b> + sqrt(n_b) (s a† + c b†) U|n_a, n_b - 1>.
-    """
-    theta = np.asarray(theta, dtype=float)[..., None, None]
-    cos, sin = np.cos(theta), np.sin(theta)
-    roots = np.sqrt(np.arange(1.0, dim))
-    rotation = np.ones(theta.shape)
-    yield rotation
-    for total in range(1, dim):
-        up, down = roots[:total], roots[total - 1 :: -1]  # sqrt(n_a + 1), sqrt(n_b + 1) for n_a < N
-        cos_up, sin_up = (cos / total) * up, (sin / total) * up
-        previous, rotation = rotation, np.zeros(theta.shape[:-2] + (total + 1, total + 1))
-        raised = previous * up[:, None]  # a† on each column
-        rotation[..., 1:, 1:] += raised * cos_up
-        rotation[..., 1:, :-1] += raised * sin_up[..., ::-1]
-        np.multiply(previous, down[:, None], out=raised)  # b† on each column
-        rotation[..., :-1, 1:] -= raised * sin_up
-        rotation[..., :-1, :-1] += raised * cos_up[..., ::-1]
-        yield rotation
-
-
-def _vacuum_split(weights: np.ndarray, theta) -> tuple[np.ndarray, np.ndarray]:
-    """Both output marginals, over n_a and over n_b, of a number distribution ``weights`` split
-    against vacuum: of the joint distribution weights[n_a + n_b] _split_table(theta)[n_a, n_b]^2,
-    with the shape of ``theta`` leading each."""
-    n_max = weights.size - 1
-    joint = _split_table(theta, n_max)
-    np.square(joint, out=joint)
-    joint *= np.lib.stride_tricks.sliding_window_view(np.pad(weights, (0, n_max)), n_max + 1)
-    return joint.sum(axis=-1), joint.sum(axis=-2)
+    n_max = drive.size - 1
+    thinned = np.zeros(drive.shape + np.shape(keep))
+    for n in range(n_max, -1, -1):
+        top = n_max - n  # the coefficients so far are those of z^0 .. z^(top - 1)
+        previous = thinned[:top]
+        raised = previous * keep
+        previous *= lose
+        thinned[1 : top + 1] += raised
+        thinned[0] += drive[n]
+    return thinned
 
 
 def _chunk_moments(drive: np.ndarray, theta1, theta2, phi, kappa) -> np.ndarray:
@@ -316,22 +281,40 @@ def _chunk_moments(drive: np.ndarray, theta1, theta2, phi, kappa) -> np.ndarray:
     d = drive.size
     n_max = d - 1
     photons = np.arange(d, dtype=float)
-    probe_intensity, probe_second = np.stack([photons, photons**2]) @ _vacuum_split(drive, theta1)[1].T
-    # K[N]: each drive photon stays in mode a (cos^2), in the probe (sin^2 T^2) or is lost (sin^2 (1 - T^2))
     cos, sin = np.cos(theta1), np.sin(theta1)
-    transmission, lost = np.exp(-kappa), np.sqrt(-np.expm1(-2.0 * kappa))
-    survivors = _vacuum_split(drive, np.arctan2(sin * lost, np.hypot(cos, sin * transmission)))[0]
-    # û_N with no phase is the antidiagonal n_b = N - n_a of the table: N, N + n_max, .. N d flat
-    table = _split_table(np.arctan2(transmission * sin, cos), n_max).reshape(-1, d * d)
-    # exp(i phi n_a), the probe phase exp(-i phi (N - n_a)) but for its global exp(-i phi N), as (re, im)
-    turns = np.exp(1j * np.multiply.outer(phi, photons)).view(np.float64).reshape(-1, d, 2)
+    transmission = np.exp(-kappa)
+    # each drive photon enters the probe (sin^2) or stays in mode a (cos^2); past the loss it
+    # stays in mode a or survives in the probe (cos^2 + sin^2 T^2), or is lost (sin^2 (1 - T^2))
+    keep = np.stack([sin**2, cos**2 + (sin * transmission) ** 2])
+    lose = np.stack([cos**2, sin**2 * -np.expm1(-2.0 * kappa)])
+    thinned = _thinned(drive, keep, lose)
+    probe, survivors = thinned[:, 0], thinned[:, 1]  # the probe's photon numbers, and K[N]
+    probe_intensity, probe_second = np.stack([photons, photons**2]) @ probe
+    # a surviving photon's mode but for a global phase: (cos t e^(i phi), -sin t), t = atan2(T sin, cos)
+    t = np.arctan2(transmission * sin, cos)
+    mode_a, mode_b = np.cos(t) * np.exp(1j * phi), -np.sin(t)
+    x = np.cos(theta2) * mode_a + np.sin(theta2) * mode_b  # the mixer sends a† to c a† - s b†
+    y = np.cos(theta2) * mode_b - np.sin(theta2) * mode_a  # and b† to s a† + c b†
+    roots = np.sqrt(photons)[:, None]
     signal = np.arange(n_max, -d, -1.0)  # n_b - n_a = N - 2 n_a: every other entry from n_max - N
-    powers = np.stack([signal, signal**2], axis=1)
-    moments = np.empty((phi.size, d, 2))  # each sector's mean and second moment of n_b - n_a, per point
-    for total, rotation in enumerate(_mixer_sectors(theta2, d)):
-        parts = rotation @ (table[:, total : total * d + 1 : n_max, None] * turns[:, : total + 1])
-        moments[:, total] = np.einsum("pij,pij->pi", parts, parts) @ powers[n_max - total : n_max + total + 1 : 2]
-    mean, second = np.einsum("pn,pnk->kp", survivors, moments)
+    powers = np.stack([signal, signal**2])
+    column = np.zeros((d, phi.size), dtype=complex)  # v_N[n_a] = <n_a, N - n_a| v_N>, per point
+    column[0] = 1.0
+    pairs = column.view(np.float64).reshape(d, -1, 2)
+    moments = np.zeros((d, 2, phi.size))  # each sector's mean and second moment of n_b - n_a, per point
+    for total in range(1, d):
+        # v_N = (x a† + y b†) v_(N-1) / sqrt(N)
+        previous = column[:total]
+        ratios = roots[1 : total + 1] / roots[total]  # sqrt(n_a / N), n_a = 1 .. N
+        raised = previous * ratios
+        raised *= x
+        previous *= ratios[::-1]
+        previous *= y
+        column[1 : total + 1] += raised
+        sector = pairs[: total + 1]
+        probabilities = np.einsum("ipj,ipj->ip", sector, sector)
+        np.matmul(powers[:, n_max - total : n_max + total + 1 : 2], probabilities, out=moments[total])
+    mean, second = np.einsum("np,nkp->kp", survivors, moments)
     variances = np.maximum([second - np.square(mean), probe_second - np.square(probe_intensity)], 0.0)
     return np.stack([mean, np.sqrt(variances[0]), probe_intensity, np.sqrt(variances[1])])
 
@@ -344,34 +327,28 @@ def simulate_values(theta1, theta2, phi, kappa, alpha: complex, n_max: int) -> d
     ``alpha`` and the cutoff ``n_max`` are shared by every point, and the
     parameters are taken as checked, as :class:`InterferometerParams`
     checks them.  Each point is propagated as :func:`simulate` describes.
-    The points run through the sector loop in chunks, a chunk's rotations
-    stacked along a leading axis, so each numpy call serves every point
-    of the chunk.
+    The points run through the sector loop in chunks, a chunk's columns
+    side by side along a point axis, so each numpy call serves every
+    point of the chunk.
 
-    The cutoff passes :func:`check_cutoff`, and one whose arrays would
-    exceed physical memory for a single point is refused with
-    :class:`TruncationError` before anything is allocated.  They count
-    64 d^2 bytes a point at d = n_max + 1, the most alive at once, in the
-    sector loop: the kept-photon table and two sector rotations (8 d^2
-    each), the recurrence's raised copy and a product (8 d^2 each),
-    numpy's buffers for adding into a strided view (up to 16 d^2, 128 KiB
-    at most a call) and the vectors (about 150 d, within 8 d^2 from
-    n_max = 18 on); building a splitter table before the loop takes
-    16 d^2.  A chunk holds as many points as that count fits in
-    1/_CHUNK_SHARE of physical memory, and at least one.  On 8 GB that is
-    about 4 MB, near a CPU cache's size: at small cutoffs tens of points
-    share numpy's cost per call, and from n_max ~ 230 on a chunk is one
-    point, as a larger one ran slower there.  Emits
-    :class:`TruncationWarning` when the drive's weight at |n_max> reaches
-    ``EDGE_TOL``: the network conserves the total photon number (ancilla
-    included), so that is the population at total photon number n_max.
+    The cutoff passes :func:`check_cutoff`, which refuses one whose
+    count for a single point exceeds physical memory before anything is
+    allocated.  A point counts 192 (n_max + 72) bytes (``_POINT_BYTES``),
+    at least what a first call holds at one point, as traced at
+    every cutoff from 1 to 333: the drive, the two thinnings, the column
+    and its raised copy, and the sector moments, about 180 bytes a photon
+    number, and a fixed 12 KB at small cutoffs, most of it numpy's
+    broadcasting of the inputs.  A chunk holds as many points as that
+    count fits in 1/_CHUNK_SHARE of physical memory, and at least one;
+    the chunk bounds memory only, as a larger one ran faster at every
+    cutoff.  Emits :class:`TruncationWarning` when the drive's weight at
+    |n_max> reaches ``EDGE_TOL``: the network conserves the total photon
+    number (ancilla included), so that is the population at total photon
+    number n_max.
     """
     inputs = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (theta1, theta2, phi, kappa)))
     n_max = check_cutoff(alpha, n_max)
-    d = n_max + 1
-    what = "64 (n_max + 1)^2 for the kept-photon table, two sector rotations and their temporaries"
-    memory = check_memory(64 * d**2, f"n_max = {n_max} needs about", what, TruncationError)
-    chunk = max(1, (memory or 0) // (_CHUNK_SHARE * 64 * d**2))
+    chunk = max(1, (_params.physical_memory_bytes() or 0) // (_CHUNK_SHARE * _point_bytes(n_max)))
     drive = np.abs(_coherent_amplitudes(alpha, n_max)) ** 2  # photon-number distribution
     if drive[-1] >= EDGE_TOL:
         warnings.warn(
@@ -395,17 +372,18 @@ def simulate(params: InterferometerParams, n_max: int) -> SimulationMoments:
     T = exp(-kappa), splitter(theta2), then mean and standard deviation
     of the detector difference signal n_b - n_a, the drive entering mode
     a with vacuum in mode b.  The ancilla is traced out as the module
-    describes: sector N holds K[N], the drive thinned at loss
-    probability sin(theta1)^2 (1 - T^2), in the unit column
-    û_N[n_a] = sqrt(C(N, n_a)) cos(t)^n_a (-sin(t))^(N - n_a) exp(-i phi (N - n_a)),
-    t = atan2(T sin(theta1), cos(theta1)); its detector marginal is
-    K[N] |R_N û_N|^2, R_N the sector's rotation.
+    describes: each drive photon survives with probability
+    cos(theta1)^2 + sin(theta1)^2 T^2, into the mode
+    (cos(t) e^(i phi), -sin(t)) of modes a and b but for a global phase,
+    t = atan2(T sin(theta1), cos(theta1)).  Sector N holds K[N], the
+    drive thinned to its survivors, and the column v_N of N photons in
+    that mode after the mixer, whose detector marginal is
+    K[N] |v_N[n_a]|^2 at n_b = N - n_a.
 
-    The one-point call of :func:`simulate_values`: its point axis has
-    one point, so its one chunk counts 64 (n_max + 1)^2 bytes, and a
-    cutoff whose count exceeds physical memory is refused before
-    anything is allocated.  The cutoff passes :func:`check_cutoff`, and
-    an edge population warns, as there.
+    The one-point call of :func:`simulate_values`: the cutoff passes
+    :func:`check_cutoff`, which refuses one whose count for that point
+    exceeds physical memory before anything is allocated, and an edge
+    population warns, as there.
     """
     values = simulate_values(params.theta1, params.theta2, params.phi, params.kappa, params.alpha, n_max)
     return SimulationMoments(**{name: float(value) for name, value in values.items()})

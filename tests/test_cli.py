@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -608,12 +609,13 @@ def test_verify_prints_what_the_benchmark_reads():
 
 def test_verify_refuses_a_drive_beyond_the_cutoff_at_once():
     # |alpha|^2 = 1e20 > n_max = 40: refused before the Poisson-tail search,
-    # whose work grows with |alpha|; at n_max = 1e20 the drive's own
-    # amplitudes exceed physical memory, refused before the Poisson tail
+    # whose work grows with |alpha|; at n_max = 1e20 one point's arrays,
+    # the drive's among them, exceed physical memory, refused before the
+    # Poisson tail
     src = os.path.dirname(os.path.dirname(uil.cli.__file__))
     for cutoff, message in [
         ("40", "n_max must exceed |alpha|^2"),
-        (str(10**20), "for the drive alone, more than the"),
+        (str(10**20), "192 (n_max + 72) for the drive and one point's columns, more than the"),
     ]:
         done = subprocess.run(
             [sys.executable, "-m", "uil", "verify", "--alpha", "1e10", "--cutoff", cutoff, "--samples", "1"],
@@ -627,30 +629,40 @@ def test_verify_refuses_a_drive_beyond_the_cutoff_at_once():
 
 
 def test_verify_refuses_a_cutoff_beyond_physical_memory(capsys):
-    # 64 d^2 bytes at d = 10^6 + 1, about 6.4e13: simulate refuses them
-    # before anything is allocated
-    code, out, err = run(capsys, "verify", "--cutoff", str(10**6), "--samples", "1")
+    # 192 (n_max + 72) bytes at n_max = 10^11, about 1.9e13: check_cutoff
+    # refuses them before any sample is drawn or anything allocated, where
+    # a cutoff that fits would start an O(n_max^2) sector loop
+    code, out, err = run(capsys, "verify", "--cutoff", str(10**11), "--samples", "1")
     assert code == 4
     assert out == ""
-    needed = 64 * (10**6 + 1) ** 2
-    what = "64 (n_max + 1)^2 for the kept-photon table, two sector rotations and their temporaries"
+    needed = 192 * (10**11 + 72)
+    what = "192 (n_max + 72) for the drive and one point's columns"
     assert f"needs about {needed} bytes, {what}, more than" in err
     assert "physical memory" in err
 
 
-def test_verify_memory_bound_counts_the_kept_table_and_the_rotations(capsys, monkeypatch):
-    # simulate holds the kept-photon table and two sector rotations with
-    # their temporaries, 64 d^2 bytes: one byte less is refused, and
-    # exactly that much runs
-    d = 21
-    monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: 64 * d**2 - 1)
+def test_verify_memory_bound_counts_one_point(capsys, monkeypatch):
+    # check_cutoff counts one point of the Fock engine, 192 (n_max + 72)
+    # bytes: one byte less is refused, and exactly that much runs
+    count = 192 * (20 + 72)
+    monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: count - 1)
     code, out, err = run(capsys, "verify", "--cutoff", "20", "--samples", "1")
     assert code == 4
     assert out == ""
-    assert f"needs about {64 * d**2} bytes" in err
+    assert f"needs about {count} bytes" in err
     assert "physical memory" in err
-    monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: 64 * d**2)
+    monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: count)
     assert run(capsys, "verify", "--cutoff", "20", "--samples", "1")[0] == 0
+
+
+def test_verify_passes_a_deep_drive_in_seconds():
+    # |alpha| = 39 at the cutoff named for tol 1e-9: a point costs O(n_max^2),
+    # where whole sector rotations took about 35 s a point
+    began = time.perf_counter()
+    done = verify_process("--alpha", "39", "--cutoff", "1822", "--samples", "5", "--seed", "1")
+    assert time.perf_counter() - began < 10.0
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "PASS" in done.stdout
 
 
 @pytest.mark.parametrize(

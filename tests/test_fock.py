@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,9 +16,8 @@ import uil.fock
 import uil.params
 from uil.analytic import evaluate_metrics
 from uil.fock import (
-    _mixer_sectors,
     _poisson_tail,
-    _split_table,
+    _thinned,
     SimulationMoments,
     TruncationError,
     TruncationWarning,
@@ -27,7 +27,7 @@ from uil.fock import (
 )
 from uil.params import InterferometerParams
 
-from box_fock import apply_beam_splitter, coherent_state
+from box_fock import apply_beam_splitter, coherent_state, mixer_sectors
 from dense_fock import (
     ModeOperatorMatrix,
     TwoModeState,
@@ -39,6 +39,14 @@ from dense_fock import (
     splitter_generator,
 )
 from matrix_amplitudes import output_amplitudes
+
+
+POINT_WHAT = "192 (n_max + 72) for the drive and one point's columns"
+
+
+def point_bytes(n_max):
+    """What check_cutoff counts for one point at n_max."""
+    return 192 * (n_max + 72)
 
 
 def vacuum(dim):
@@ -184,7 +192,7 @@ def test_required_cutoff_refuses_a_drive_beyond_memory_at_once(alpha):
     assert required == "None"
     assert float(seconds) < 1.0
     assert f"n_max = {int(alpha**2)} needs about" in done.stdout
-    assert "for the drive alone, more than the" in done.stdout
+    assert f"{POINT_WHAT}, more than the" in done.stdout
 
 
 def test_required_cutoff_matches_scipy_search():
@@ -309,7 +317,7 @@ def test_mixer_sectors_are_the_sector_blocks_of_the_dense_expm(n_max):
     rng = np.random.default_rng(200 + n_max)
     for theta in rng.uniform(-math.pi, math.pi, 3):
         unitary = linalg.expm(theta * splitter_generator(n_max))
-        sectors = list(_mixer_sectors(theta, d))
+        sectors = list(mixer_sectors(theta, d))
         assert len(sectors) == d
         for total, rotation in enumerate(sectors):
             index = np.arange(total + 1) * d + total - np.arange(total + 1)
@@ -319,7 +327,7 @@ def test_mixer_sectors_are_the_sector_blocks_of_the_dense_expm(n_max):
 @pytest.mark.parametrize("theta", [-0.7, 0.3, math.pi / 4, 1.2])
 def test_mixer_sectors_stay_orthogonal_to_the_largest_cutoff(theta):
     # every sector N <= 329, about |alpha| = 15's cutoff, built by the recurrence
-    for total, rotation in enumerate(_mixer_sectors(theta, 330)):
+    for total, rotation in enumerate(mixer_sectors(theta, 330)):
         assert np.max(np.abs(rotation.T @ rotation - np.eye(total + 1))) <= 1e-13, total
 
 
@@ -345,27 +353,30 @@ def test_sector_splitter_matches_dense_expm(n_max):
 
 @pytest.mark.parametrize("n_max", range(1, 9))
 def test_split_table_is_the_dense_splitter_on_a_number_state_and_vacuum(n_max):
-    # column (n, 0) of the dense exp(theta G) holds <n_a, n - n_a| U |n, 0>
+    # column (n, 0) of the dense exp(theta G) holds <n_a, n - n_a| U |n, 0>:
+    # its squares summed over n_b are the row of n kept at cos^2, over n_a
+    # the row of n kept at sin^2, for the angles stacked along one axis
     d = n_max + 1
     rng = np.random.default_rng(100 + n_max)
-    for theta in rng.uniform(-math.pi, math.pi, 3):
-        unitary = linalg.expm(theta * splitter_generator(n_max))
-        table = _split_table(theta, n_max)
-        totals = np.add.outer(np.arange(d), np.arange(d))
-        for n in range(d):
-            column = unitary[:, n * d].reshape(d, d)
-            assert np.max(np.abs(column - np.where(totals == n, table, 0.0))) <= 1e-12
+    thetas = rng.uniform(-math.pi, math.pi, 3)
+    cos2, sin2 = np.cos(thetas) ** 2, np.sin(thetas) ** 2
+    for n in range(d):
+        rows = _thinned(np.eye(d)[n], np.stack([cos2, sin2]), np.stack([sin2, cos2]))
+        for i, theta in enumerate(thetas):
+            column = np.abs(linalg.expm(theta * splitter_generator(n_max))[:, n * d].reshape(d, d)) ** 2
+            assert np.max(np.abs(rows[:, 0, i] - column.sum(axis=1))) <= 1e-12
+            assert np.max(np.abs(rows[:, 1, i] - column.sum(axis=0))) <= 1e-12
 
 
 def test_split_number_states_keep_their_norm():
-    # every total n <= 329, about |alpha| = 15's cutoff, sums to 1
+    # every number state n <= 329, about |alpha| = 15's cutoff, of a random
+    # weight: its thinned row sums to that weight
     rng = np.random.default_rng(329)
-    n_max = 329
-    totals = np.add.outer(np.arange(n_max + 1), np.arange(n_max + 1)).ravel()
-    for theta in [0.0, math.pi / 2, math.pi, *rng.uniform(-math.pi, math.pi, 6)]:
-        table = _split_table(theta, n_max)
-        norms = np.bincount(totals, weights=table.ravel() ** 2)[: n_max + 1]
-        assert np.max(np.abs(norms - 1.0)) <= 1e-13, theta
+    thetas = np.array([0.0, math.pi / 2, math.pi, *rng.uniform(-math.pi, math.pi, 6)])
+    for n in range(330):
+        weight = rng.uniform(0.5, 1.0)
+        rows = _thinned(np.eye(n + 1)[n] * weight, np.cos(thetas) ** 2, np.sin(thetas) ** 2)
+        assert np.max(np.abs(rows.sum(axis=0) - weight)) <= 1e-13, n
 
 
 def test_apply_beam_splitter_rejects_mismatched_axes():
@@ -586,13 +597,81 @@ def test_simulate_moments_match_the_full_lossy_state(theta1, kappa, alpha):
     assert simulate(p, n_max) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+def rotation_route(p, n_max):
+    """simulate's four moments from whole sector rotations on boxes.
+
+    The input splitter and the loss are :func:`apply_beam_splitter` on
+    boxes.  The ancilla is traced out branch by branch, one branch for
+    each number l of lost photons, and each sector's whole rotation from
+    :func:`mixer_sectors` turns every branch of the sector at once.
+    """
+    d = n_max + 1
+    psi = apply_beam_splitter(np.outer(coherent_state(p.alpha, n_max), vacuum(d)), p.theta1, axes=(0, 1))
+    probe_intensity, probe_std = number_moments(psi, axis=1)
+    psi = psi * np.exp(-1j * p.phi * np.arange(d))
+    number_states = np.zeros((d, d), dtype=complex)
+    number_states[:, 0] = 1.0
+    loss = apply_beam_splitter(number_states, math.acos(math.exp(-p.kappa)), axes=(0, 1))  # <m, l| U |m + l, 0>
+    mean = second = 0.0
+    for total, rotation in enumerate(mixer_sectors(p.theta2, d)):
+        n_a = np.arange(total + 1)[:, None]
+        lost = np.arange(n_max - total + 1)  # n_a + n_b + l <= n_max
+        branches = psi[n_a, total - n_a + lost] * loss[total - n_a, lost]
+        probabilities = np.abs(rotation @ branches) ** 2
+        signal = total - 2.0 * n_a  # n_b - n_a
+        mean += float((signal * probabilities).sum())
+        second += float((signal**2 * probabilities).sum())
+    return mean, math.sqrt(second - mean**2), probe_intensity, probe_std
+
+
+def dense_route(p, n_max):
+    """simulate's four moments from the dense two-mode unitaries, the ancilla traced out branch by branch."""
+    d = n_max + 1
+    state = TwoModeState.from_single_modes(coherent_state(p.alpha, n_max), vacuum(d), n_max)
+    state = state.apply(beam_splitter_unitary(p.theta1, n_max))
+    probe_intensity, probe_std = number_moments(state.as_matrix(), axis=1)
+    psi = state.apply(phase_unitary(p.phi, n_max)).as_matrix()
+    # loss[m, l, n] = <m, l| U |n, 0>, the probe's photons m kept and l lost
+    loss = beam_splitter_unitary(math.acos(math.exp(-p.kappa)), n_max)[:, ::d].reshape(d, d, d)
+    branches = np.einsum("an,mln->lam", psi, loss).reshape(d, d * d)  # branch l's box, flat
+    turned = beam_splitter_unitary(p.theta2, n_max) @ branches.T
+    observable = difference_observable(n_max)
+    mean = float(np.real(np.vdot(turned, observable @ turned)))
+    second = float(np.real(np.vdot(turned, observable @ (observable @ turned))))
+    return mean, math.sqrt(second - mean**2), probe_intensity, probe_std
+
+
+ROUTE_POINTS = [(0.7, 0.9, 1.1, 0.0), (1.2, 0.3, 4.0, 0.4), (0.4, 1.4, 2.5, 1.3)]
+
+
+@pytest.mark.parametrize("alpha, n_max", [(1.0, 12), (3.0, 36), (8.0, 131), (15.0, 333)])
+def test_simulate_agrees_with_the_rotation_route(alpha, n_max):
+    # lossless and lossy points, up to |alpha| = 15's cutoff: the column
+    # recursion and the binomial thinnings against whole rotations and the
+    # dilated loss, within 1e-11 of the larger of a moment and 1e-3 |alpha|^2
+    for point in ROUTE_POINTS:
+        p = InterferometerParams(*point, alpha=alpha)
+        expected = np.array(rotation_route(p, n_max))
+        got = np.array(simulate(p, n_max))
+        assert np.all(np.abs(got - expected) <= 1e-11 * np.maximum(np.abs(expected), 1e-3 * alpha**2)), point
+
+
+@pytest.mark.parametrize("alpha, n_max", [(0.3, 6), (1.0, 12)])
+def test_simulate_agrees_with_the_dense_route(alpha, n_max):
+    for point in ROUTE_POINTS:
+        p = InterferometerParams(*point, alpha=alpha)
+        expected = np.array(dense_route(p, n_max))
+        assert np.array(simulate(p, n_max)) == pytest.approx(expected, rel=1e-12, abs=1e-14), point
+        assert np.array(rotation_route(p, n_max)) == pytest.approx(expected, rel=1e-12, abs=1e-14), point
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0, 8.0])
 def test_simulate_values_agrees_with_simulate_point_by_point(alpha, monkeypatch):
     # 101 points a drive, every other one lossy, at a random phase, run in
     # chunks of 7 (the last one short) and all in one chunk: every field
     # of every point agrees with that point's own simulate call
     n_max = required_cutoff(alpha, 1e-8) + 2
-    count = 64 * (n_max + 1) ** 2
+    count = point_bytes(n_max)
     rng = np.random.default_rng(int(10 * alpha))
     theta1, theta2 = rng.uniform(0.0, math.pi / 2, (2, 101))
     phi = rng.uniform(0.0, 2.0 * math.pi, 101)
@@ -673,23 +752,22 @@ def test_library_refuses_a_drive_beyond_the_cutoff_at_once(call):
 
 
 def test_simulate_refuses_a_cutoff_beyond_physical_memory():
-    # 64 d^2 bytes at d = 10^6 + 1, about 6.4e13: refused
-    # before the drive (16 MB) or any state is allocated; a drive of
-    # 1.6e13 bytes is refused before its Poisson tail is summed
+    # 192 (n_max + 72) bytes at n_max = 10^11, about 1.9e13: refused before
+    # the drive (1.6 TB) or anything else is allocated, and before the
+    # O(n_max^2) sector loop could start; n_max = 10^12 is refused the same
+    # way before its Poisson tail is summed
     p = InterferometerParams(0.4, 0.9, 0.5, kappa=0.3, alpha=1.0)
     tracemalloc.start()
     try:
         with pytest.raises(TruncationError, match="physical memory") as err:
-            simulate(p, 10**6)
-        with pytest.raises(TruncationError, match="for the drive alone, more than the"):
+            simulate(p, 10**11)
+        with pytest.raises(TruncationError, match=re.escape(f"{POINT_WHAT}, more than the")):
             coherent_state(1.0, 10**12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    needed = 64 * (10**6 + 1) ** 2
-    what = "64 (n_max + 1)^2 for the kept-photon table, two sector rotations and their temporaries"
-    assert f"needs about {needed} bytes, {what}, more than" in str(err.value)
-    assert peak < 1_000_000  # bytes: the drive alone would be 16 MB
+    assert f"needs about {point_bytes(10**11)} bytes, {POINT_WHAT}, more than" in str(err.value)
+    assert peak < 1_000_000  # bytes: the drive alone would be 1.6e12
 
 
 def first_lossy_peak(alpha, n_max, points=None):
@@ -707,16 +785,12 @@ def first_lossy_peak(alpha, n_max, points=None):
 
 
 def test_lossy_simulate_peaks_well_below_the_box():
-    # measured at 0.06 of the 16 * 61^3 byte box (0.08 when each sector
-    # carried the loss ancilla, 0.25 for a first call that built cached
-    # sector eigenvectors, 0.52 when the engine held packed three-mode
-    # states, 2.3 when states filled the box)
+    # measured at 0.005 of the 16 * 61^3 byte box: a point holds O(n_max)
     assert first_lossy_peak(3.0, 60) < 0.15 * 16 * 61**3
 
 
 def test_lossy_simulate_peak_at_a_large_cutoff():
-    # measured at 2.3 MB; 3.1 MB when each sector carried the loss
-    # ancilla, 36 MB when the sector eigenvectors were cached
+    # measured at 48 KB
     assert first_lossy_peak(12.0, 229) < 3_000_000
 
 
@@ -725,7 +799,7 @@ def test_memory_refusal_counts_at_least_the_traced_peak(alpha, n_max, monkeypatc
     # the count bounds what a first lossy call holds, and what a batch
     # holds per point of its chunk; a memory one byte short of one point's
     # count refuses the cutoff, for a point and for a batch
-    count = 64 * (n_max + 1) ** 2
+    count = point_bytes(n_max)
     single = first_lossy_peak(alpha, n_max)
     assert single <= count
     monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: 3 * uil.fock._CHUNK_SHARE * count)
@@ -736,6 +810,20 @@ def test_memory_refusal_counts_at_least_the_traced_peak(alpha, n_max, monkeypatc
         simulate(InterferometerParams(0.7, 0.9, 1.1, kappa=0.4, alpha=alpha), n_max)
     with pytest.raises(TruncationError, match=f"needs about {count} bytes"):
         simulate_values(np.full(5, 0.7), 0.9, 1.1, 0.4, alpha, n_max)
+
+
+def test_point_count_bounds_the_traced_peak_at_every_cutoff(monkeypatch):
+    # every n_max from 1 to 333, each with the largest of these drives it
+    # holds: a first lossy call stays within one point's count, and a
+    # batch of 5 in chunks of 3 within three counts.  At small cutoffs a
+    # fixed 12 KB, most of it numpy broadcasting the inputs, sets the peak
+    drives = [(required_cutoff(alpha), alpha) for alpha in (1e-5, 1.0, 3.0, 8.0, 12.0, 15.0)]
+    for n_max in range(1, 334):
+        alpha = max(alpha for needed, alpha in drives if needed <= n_max)
+        count = point_bytes(n_max)
+        monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: 3 * uil.fock._CHUNK_SHARE * count)
+        assert first_lossy_peak(alpha, n_max) <= count, n_max
+        assert first_lossy_peak(alpha, n_max, points=5) <= 3 * count, n_max
 
 
 def test_relabeled_network_gives_identical_physics():
