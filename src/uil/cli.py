@@ -22,7 +22,7 @@ import math
 import os
 import random
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -31,7 +31,7 @@ from . import __version__
 from .analytic import metrics_values
 from .fock import TruncationError, check_cutoff, simulate_values
 from .optimize import REGIME_KINDS, ConstraintRegime, optimize
-from .params import DOMAINS, check_domain, check_memory, modulus
+from .params import DOMAINS, PerformanceMetrics, check_domain, check_memory, modulus
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -40,23 +40,7 @@ EXIT_TRUNCATION = 4
 
 DEFAULT_VERIFY_CUTOFF = 40
 
-CSV_COLUMNS = (
-    "theta1",
-    "theta2",
-    "phi",
-    "kappa",
-    "transmission",
-    "eta",
-    "alpha_abs",
-    "mean_O",
-    "std_O",
-    "delta_phi",
-    "intensity_probe",
-    "std_intensity_probe",
-    "rho_intensity",
-    "rho_fluctuation",
-    "visibility",
-)
+CSV_COLUMNS = (*DOMAINS, *(field.name for field in fields(PerformanceMetrics)))  # inputs, then metrics
 
 PARAM_DEFAULTS = {
     "theta1": math.pi / 4,
@@ -67,6 +51,7 @@ PARAM_DEFAULTS = {
     "alpha_re": 1.0,
     "alpha_im": 0.0,
 }
+OPTIMIZE_DEFAULTS = {key: value for key, value in PARAM_DEFAULTS.items() if key not in ("theta1", "theta2")}
 
 # Default sweep: loss-surface preset.  Transmission axis is linear in
 # exp(-kappa) (the CSV always carries both kappa and transmission).
@@ -370,7 +355,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    resolved, _ = _resolve(args, PARAM_DEFAULTS)
+    resolved, _ = _resolve(args, OPTIMIZE_DEFAULTS)
     regime = ConstraintRegime(
         kind=args.regime.replace("-", "_"),
         kappa=resolved["kappa"],
@@ -446,18 +431,20 @@ def _add_alpha_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha-im", type=float, dest="alpha_im", help="input amplitude, imaginary part")
 
 
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--theta1", type=float, help="input splitter mixing angle, radians")
-    parser.add_argument("--theta2", type=float, help="output mixer mixing angle, radians")
+def _add_param_flags(parser: argparse.ArgumentParser, angles: bool = True) -> None:
+    if angles:  # optimize chooses them
+        parser.add_argument("--theta1", type=float, help="input splitter mixing angle, radians")
+        parser.add_argument("--theta2", type=float, help="output mixer mixing angle, radians")
     parser.add_argument("--phi", type=float, help="probe-arm phase delay, radians")
     parser.add_argument("--kappa", type=float, help="probe-arm attenuation exponent (>= 0)")
     parser.add_argument("--eta", type=float, help="detector quantum efficiency in (0, 1]")
     _add_alpha_flags(parser)
 
 
-def _add_io_flags(parser: argparse.ArgumentParser) -> None:
+def _add_io_flags(parser: argparse.ArgumentParser, formats: bool = True) -> None:
     parser.add_argument("--output", help="write result to this path (with a .manifest.json)")
-    parser.add_argument("--format", choices=("csv", "json"), help="output format")
+    if formats:  # optimize writes JSON only
+        parser.add_argument("--format", choices=("csv", "json"), help="output format")
     parser.add_argument("--config", help="key = value config file (flags win over it)")
 
 
@@ -490,8 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     regimes = sorted(kind.replace("_", "-") for kind in REGIME_KINDS)
     p.add_argument("--regime", choices=regimes, required=True)
     p.add_argument("--free-phi", action="store_true", help="optimize the operating phase too")
-    _add_param_flags(p)
-    _add_io_flags(p)
+    _add_param_flags(p, angles=False)
+    _add_io_flags(p, formats=False)
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("verify", help="check closed forms against the Fock-space simulator")

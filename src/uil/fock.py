@@ -1,11 +1,12 @@
 """Truncated Fock-space simulator of the interferometer.
 
 Brute-force oracle for the closed forms in :mod:`uil.analytic`: the
-drive is held as number-state amplitudes up to n_max photons, beam
-splitters are exponentials of the quadratic mode generator, and
-probe-arm attenuation is a beam splitter coupling the probe to a vacuum
-ancilla that is traced out (the non-unitary shortcut used by the closed
-forms only works for coherent beams; the dilation works for any drive).
+drive is held as the moduli of its number-state amplitudes, up to
+n_max photons or to where its weights underflow to 0, beam splitters
+are exponentials of the quadratic mode generator, and probe-arm
+attenuation is a beam splitter coupling the probe to a vacuum ancilla
+that is traced out (the non-unitary shortcut used by the closed forms
+only works for coherent beams; the dilation works for any drive).
 
 :func:`simulate` never holds a two- or three-mode state.  Every photon
 of the drive leaves the input splitter, the phase and the loss in one
@@ -16,19 +17,20 @@ the drive's photon-number distribution thinned binomially
 survivors' mode, after the output mixer.  Each v_N follows from the one
 before by one creation operator, v_N = (x a† + y b†) v_(N-1) / sqrt(N),
 with (x, y) the mixer applied to that mode.  Lossy and lossless calls
-take one path, at O(n_max^2) time and O(n_max) memory a point.
+take one path, at O(n^2) time and O(n) memory a point, n the drive's
+last photon number: the drive, not the cutoff, sets the cost.
 
 :func:`simulate_values` is that engine over arrays of theta1, theta2,
 phi and kappa that share the drive and the cutoff, as
 :func:`~uil.analytic.metrics_values` takes them.  The thinnings and
 each sector's column carry a point axis, so the sector loop runs once
-for a chunk of points, as many as fit in 1/2048 of physical memory.  :func:`simulate` is its one-point call.
+for a chunk of points, as many as fit in 1/2048 of physical memory.
+:func:`simulate` is its one-point call.
 
 Truncation is surfaced, never hidden.  :func:`check_cutoff` is the one
 rule for which cutoff holds a drive, and :func:`simulate_values` and
 ``uil verify`` (with its tolerance) both apply it; coherent states are
-not renormalized, and a cutoff whose count for one point would exceed
-physical memory is refused there.  :func:`simulate_values` emits
+not renormalized.  :func:`simulate_values` emits
 :class:`TruncationWarning` when the drive puts weight on |n_max>, the
 one photon number that the network carries unchanged to total n_max.
 """
@@ -50,7 +52,7 @@ TAIL_TOL = 1e-10  # Poisson weight a coherent state may leave beyond n_max
 EDGE_TOL = 1e-8  # population at total photon number n_max at which simulate warns
 _TAIL_BLOCK = 4096  # Poisson terms summed per numpy call, at most
 _CHUNK_SHARE = 2048  # a chunk of simulate_values's points counts at most 1/_CHUNK_SHARE of physical memory
-_POINT_BYTES = 192, 72  # a point counts _POINT_BYTES[0] (n_max + _POINT_BYTES[1]) bytes, at least its traced peak
+_POINT_BYTES = 192, 72  # a point on the drive's weights 0 .. n counts 192 (n + 72) bytes, at least its traced peak
 
 __all__ = [
     "TruncationError",
@@ -132,7 +134,7 @@ def _moment_shift(n: int, mean: float, tail: float) -> float:
 
 
 def _shortfall(n: int, mean: float, tol: float | None) -> str | None:
-    """Why n_max = n does not hold a drive of mean |alpha|^2 > 0, n + 1 >= mean; None if it does.
+    """Why n_max = n does not hold a drive of mean |alpha|^2, n + 1 >= mean; None if it does.
 
     The Poisson weight beyond n must stay below ``TAIL_TOL``.  With
     ``tol``, the limit of a check of moments to within ``tol``, the
@@ -157,8 +159,9 @@ def check_cutoff(alpha: complex, n_max, tol: float | None = None) -> int:
     else ValueError.  Then, else :class:`TruncationError`: |alpha|^2 <=
     n_max (a drive beyond the cutoff leaves about half its Poisson
     weight or more there, refused without a search); one point of
-    :func:`simulate_values` fits physical memory; and the Poisson weight
-    beyond n_max is below ``TAIL_TOL`` and, with ``tol``, shifts the
+    :func:`simulate_values` at the drive's mean fits physical memory
+    (:func:`_check_drive_memory`, whatever the cutoff); and the Poisson
+    weight beyond n_max is below ``TAIL_TOL`` and, with ``tol``, shifts the
     drive's moments by less than ``tol`` (:func:`_shortfall`).  That
     last error names the smallest cutoff that fits,
     :func:`required_cutoff`.
@@ -172,38 +175,36 @@ def check_cutoff(alpha: complex, n_max, tol: float | None = None) -> int:
             f"|alpha|^2 = {mean:.6g} exceeds n_max = {n_max}, which leaves about half the "
             f"Poisson weight or more beyond the cutoff; n_max must exceed |alpha|^2"
         )
-    _check_point_memory(n_max)
-    if mean > 0.0 and (shortfall := _shortfall(n_max, mean, tol)):
+    _check_drive_memory(mean)
+    if shortfall := _shortfall(n_max, mean, tol):
         needed = required_cutoff(alpha, tol)
         raise TruncationError(f"{shortfall}; use n_max >= {needed}", required=needed)
     return n_max
 
 
-def _point_bytes(n_max: int) -> int:
-    """What one point of :func:`simulate_values` holds at most, drive included, in bytes."""
-    return _POINT_BYTES[0] * (n_max + _POINT_BYTES[1])
+def _point_bytes(n: int) -> int:
+    """What one point of :func:`simulate_values` holds at most on the drive's weights 0 .. n, in bytes."""
+    return _POINT_BYTES[0] * (n + _POINT_BYTES[1])
 
 
-def _check_point_memory(n_max: int) -> None:
-    """The memory refusal of one point at ``n_max``, before anything is allocated."""
-    what = f"{_POINT_BYTES[0]} (n_max + {_POINT_BYTES[1]}) for the drive and one point's columns"
-    check_memory(_point_bytes(n_max), f"n_max = {n_max} needs about", what, TruncationError)
+def _check_drive_memory(mean: float) -> None:
+    """The memory refusal of a drive of |alpha|^2 = ``mean``, whose weights reach floor(mean) at least."""
+    what = f"{_POINT_BYTES[0]} (n + {_POINT_BYTES[1]}) at n = floor(|alpha|^2) for the drive and one point's columns"
+    check_memory(_point_bytes(int(mean)), f"|alpha|^2 = {mean:.6g} needs at least", what, TruncationError)
 
 
 def required_cutoff(alpha: complex, tol: float | None = None) -> int:
     """Smallest n_max >= max(1, floor(|alpha|^2)) that holds the drive ``alpha`` (:func:`_shortfall`).
 
     Every condition only eases as n_max grows, so one search gallops up
-    from the mean and then bisects.  Where one point at
-    n_max = floor(|alpha|^2) would already exceed physical memory, no
-    cutoff that holds it fits, and :class:`TruncationError` (with
-    ``required_cutoff`` None) says so before any search.
+    from the mean and then bisects.  Where the drive's one point would
+    already exceed physical memory (:func:`_check_drive_memory`), no
+    cutoff fits, and :class:`TruncationError` (with ``required_cutoff``
+    None) says so before any search.
     """
     mean = _photon_mean(alpha)
-    if mean == 0.0:
-        return 1
+    _check_drive_memory(mean)
     start = max(1, int(mean))
-    _check_point_memory(start)
     too_small, fits, step = start - 1, start, 1
     while _shortfall(fits, mean, tol):
         too_small, fits, step = fits, fits + step, 2 * step
@@ -217,19 +218,22 @@ def required_cutoff(alpha: complex, tol: float | None = None) -> int:
 
 
 def _coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
-    """exp(-|alpha|^2/2) alpha^n / sqrt(n!) for n = 0 .. n_max, by the stable recurrence.
+    """exp(-|alpha|^2/2) |alpha|^n / sqrt(n!) from n = 0 up to n_max at most, by the stable recurrence.
 
-    The recurrence starts at the first n whose amplitude is a normal
-    double, as a running sum of logs tells (n = 0 unless |alpha|^2 exceeds
-    about 1416), and the amplitudes below it are 0, so a drive whose
+    The moduli only: the phase of alpha enters no output.  The
+    recurrence starts at the first n whose amplitude is a normal double,
+    as a running sum of logs tells (n = 0 unless |alpha|^2 exceeds about
+    1416), and the amplitudes below it are 0, so a drive whose
     exp(-|alpha|^2/2) underflows keeps its digits and its weight.  The
     start's value is the exact sum (``math.fsum``) of -|alpha|^2/2 and the
     steps log(|alpha| / sqrt(n)), each rounded once, taken to exp in two
     parts, the rounded sum and its residue, since doubles near -708 lie
-    1.1e-13 apart.
+    1.1e-13 apart.  Each step is a_(n-1) |alpha| (1 / sqrt(n)), as numpy
+    rounds a complex a_(n-1) alpha / sqrt(n) at real alpha.  They end at
+    n_max, or before the first n above |alpha|^2 whose weight a_n^2 is 0.
     """
-    alpha = complex(alpha)
-    mean = abs(alpha) ** 2
+    modulus = abs(complex(alpha))
+    mean = modulus**2
     terms = [-0.5 * mean]  # they sum to log |amplitude| at n = len(terms) - 1, rising up to n = |alpha|^2
     running = terms[0]  # their rounded sum, as fsum-ing them at each step would be quadratic
     while running < math.log(sys.float_info.min):  # below it the amplitude is subnormal
@@ -237,11 +241,13 @@ def _coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
         running += terms[-1]
     log_modulus = math.fsum(terms)
     start, residue = len(terms) - 1, math.fsum([*terms, -log_modulus])
-    amplitudes = np.zeros(n_max + 1, dtype=complex)
-    amplitudes[start] = math.exp(log_modulus) * math.exp(residue) * np.exp(1j * np.angle(alpha)) ** start
+    amplitudes = [math.exp(log_modulus) * math.exp(residue)]
     for n in range(start + 1, n_max + 1):
-        amplitudes[n] = amplitudes[n - 1] * alpha / math.sqrt(n)
-    return amplitudes
+        amplitude = amplitudes[-1] * modulus * (1.0 / math.sqrt(n))
+        if n > mean and amplitude * amplitude == 0.0:
+            break
+        amplitudes.append(amplitude)
+    return np.concatenate([np.zeros(start), amplitudes])
 
 
 class SimulationMoments(NamedTuple):
@@ -331,32 +337,28 @@ def simulate_values(theta1, theta2, phi, kappa, alpha: complex, n_max: int) -> d
     side by side along a point axis, so each numpy call serves every
     point of the chunk.
 
-    The cutoff passes :func:`check_cutoff`, which refuses one whose
-    count for a single point exceeds physical memory before anything is
-    allocated.  A point counts 192 (n_max + 72) bytes (``_POINT_BYTES``),
-    at least what a first call holds at one point, as traced at
-    every cutoff from 1 to 333: the drive, the two thinnings, the column
-    and its raised copy, and the sector moments, about 180 bytes a photon
-    number, and a fixed 12 KB at small cutoffs, most of it numpy's
-    broadcasting of the inputs.  A chunk holds as many points as that
-    count fits in 1/_CHUNK_SHARE of physical memory, and at least one;
-    the chunk bounds memory only, as a larger one ran faster at every
-    cutoff.  Emits :class:`TruncationWarning` when the drive's weight at
-    |n_max> reaches ``EDGE_TOL``: the network conserves the total photon
-    number (ancilla included), so that is the population at total photon
-    number n_max.
+    The cutoff passes :func:`check_cutoff`.  The drive, not the cutoff,
+    sets the work: the engine runs on the weights 0 .. n that
+    :func:`_coherent_amplitudes` gives, n <= n_max.  A point counts
+    192 (n + 72) bytes (``_POINT_BYTES``), at least what a first call
+    holds at one point, as traced at every cutoff from 1 to 333: the
+    drive, the two thinnings, the column and its raised copy, and the
+    sector moments, about 180 bytes a photon number, and a fixed 12 KB
+    at small cutoffs, most of it numpy's broadcasting of the inputs.  A
+    chunk holds as many points as that count fits in 1/_CHUNK_SHARE of
+    physical memory, and at least one; the chunk bounds memory only, as
+    a larger one ran faster at every cutoff.  Emits
+    :class:`TruncationWarning` when the drive's weight at |n_max> reaches
+    ``EDGE_TOL``: the network conserves the total photon number (ancilla
+    included), so that is the population at total photon number n_max.
     """
     inputs = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (theta1, theta2, phi, kappa)))
     n_max = check_cutoff(alpha, n_max)
-    chunk = max(1, (_params.physical_memory_bytes() or 0) // (_CHUNK_SHARE * _point_bytes(n_max)))
-    drive = np.abs(_coherent_amplitudes(alpha, n_max)) ** 2  # photon-number distribution
-    if drive[-1] >= EDGE_TOL:
-        warnings.warn(
-            f"edge population {drive[-1]:.3e} at total photon number n_max = {n_max} "
-            f"reaches {EDGE_TOL:.1e}; increase the cutoff",
-            TruncationWarning,
-            stacklevel=2,
-        )
+    drive = _coherent_amplitudes(alpha, n_max) ** 2  # photon-number distribution
+    chunk = max(1, (_params.physical_memory_bytes() or 0) // (_CHUNK_SHARE * _point_bytes(drive.size - 1)))
+    if drive.size > n_max and drive[-1] >= EDGE_TOL:
+        edge = f"edge population {drive[-1]:.3e} at total photon number n_max = {n_max} reaches {EDGE_TOL:.1e}"
+        warnings.warn(f"{edge}; increase the cutoff", TruncationWarning, stacklevel=2)
     points = [values.ravel() for values in inputs]
     moments = np.empty((4, points[0].size))
     for start in range(0, points[0].size, chunk):
@@ -380,10 +382,8 @@ def simulate(params: InterferometerParams, n_max: int) -> SimulationMoments:
     that mode after the mixer, whose detector marginal is
     K[N] |v_N[n_a]|^2 at n_b = N - n_a.
 
-    The one-point call of :func:`simulate_values`: the cutoff passes
-    :func:`check_cutoff`, which refuses one whose count for that point
-    exceeds physical memory before anything is allocated, and an edge
-    population warns, as there.
+    The one-point call of :func:`simulate_values`, with its checks and
+    its warning.
     """
     values = simulate_values(params.theta1, params.theta2, params.phi, params.kappa, params.alpha, n_max)
     return SimulationMoments(**{name: float(value) for name, value in values.items()})

@@ -25,9 +25,13 @@ def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
     The cutoff passes :func:`uil.fock.check_cutoff` first, as in
     :func:`uil.fock.simulate`: |alpha|^2 > n_max is refused at once,
     and a Poisson weight beyond n_max of ``TAIL_TOL`` or more raises
-    ``TruncationError`` naming the cutoff that fits.
+    ``TruncationError`` naming the cutoff that fits.  The engine's real
+    amplitudes times e^(i n arg alpha), and 0 past the last of them.
     """
-    return _coherent_amplitudes(alpha, check_cutoff(alpha, n_max))
+    moduli = _coherent_amplitudes(alpha, check_cutoff(alpha, n_max))
+    state = np.zeros(n_max + 1, dtype=complex)
+    state[: moduli.size] = moduli * np.exp(1j * np.angle(alpha) * np.arange(moduli.size))
+    return state
 
 
 def mixer_sectors(theta, dim: int) -> Iterator[np.ndarray]:

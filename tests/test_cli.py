@@ -28,6 +28,25 @@ from uil.params import InterferometerParams
 
 BALANCED = ["--theta1", repr(math.pi / 4), "--theta2", repr(math.pi / 4), "--phi", repr(math.pi / 2)]
 
+# the README's CSV schema, as a fixed list
+CSV_HEADER = (
+    "theta1",
+    "theta2",
+    "phi",
+    "kappa",
+    "transmission",
+    "eta",
+    "alpha_abs",
+    "mean_O",
+    "std_O",
+    "delta_phi",
+    "intensity_probe",
+    "std_intensity_probe",
+    "rho_intensity",
+    "rho_fluctuation",
+    "visibility",
+)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -139,6 +158,15 @@ def test_invalid_eta_is_usage_error(capsys):
 
 def test_missing_subcommand_is_usage_error(capsys):
     assert run(capsys)[0] == 2
+
+
+def test_csv_columns_are_the_readme_schema():
+    # CSV_COLUMNS is derived from the domain table and the metrics fields;
+    # it must stay the fixed header the README documents
+    assert CSV_COLUMNS == CSV_HEADER
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8").read()
+    schema = re.search(r"header\s+row\): `([^`]*)`", readme).group(1)
+    assert tuple(re.sub(r"\s", "", schema).split(",")) == CSV_HEADER
 
 
 def test_help_exits_cleanly(capsys):
@@ -467,6 +495,28 @@ def test_optimize_refuses_tolerance_and_bad_operating_points(capsys, tmp_path):
         assert err
 
 
+def test_optimize_refuses_the_flags_it_does_not_read(capsys, tmp_path):
+    # optimize chooses the angles and writes JSON: --theta1, --theta2 and
+    # --format, and the theta1 and theta2 config keys, which it once took and
+    # ignored, exit 2 with no file written; its manifest records what it reads
+    base = ["optimize", "--objective", "rho-di", "--regime", "equal-splitters"]
+    output = tmp_path / "o.csv"
+    refused = [["--theta1", "0.3"], ["--theta2", "0.3"], ["--format", "csv"], ["--format", "json"]]
+    for key in ("theta1", "theta2"):
+        config = tmp_path / f"{key}.cfg"
+        config.write_text(f"{key} = 0.3\n")
+        refused.append(["--config", str(config)])
+    for flags in refused:
+        code, out, err = run(capsys, *base, *flags, "--output", str(output))
+        assert (code, out) == (2, ""), flags
+        assert err, flags
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["theta1.cfg", "theta2.cfg"], flags
+    assert run(capsys, *base, "--output", str(output))[0] == 0
+    with open(f"{output}.manifest.json", encoding="utf-8") as handle:
+        parameters = json.load(handle)["parameters"]
+    assert sorted(parameters) == ["alpha_im", "alpha_re", "eta", "kappa", "objective", "phi", "regime"]
+
+
 # verify
 
 
@@ -574,14 +624,14 @@ def test_verify_passes_at_the_cutoff_it_names(capsys):
     assert "PASS" in out
 
 
-def verify_process(*argv):
+def verify_process(*argv, timeout=120):
     src = os.path.dirname(os.path.dirname(uil.cli.__file__))
     return subprocess.run(
         [sys.executable, "-m", "uil", "verify", *argv],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -609,13 +659,13 @@ def test_verify_prints_what_the_benchmark_reads():
 
 def test_verify_refuses_a_drive_beyond_the_cutoff_at_once():
     # |alpha|^2 = 1e20 > n_max = 40: refused before the Poisson-tail search,
-    # whose work grows with |alpha|; at n_max = 1e20 one point's arrays,
-    # the drive's among them, exceed physical memory, refused before the
-    # Poisson tail
+    # whose work grows with |alpha|; at n_max = 1e20 one point's arrays on
+    # the drive's weights up to its mean exceed physical memory, refused
+    # before the Poisson tail
     src = os.path.dirname(os.path.dirname(uil.cli.__file__))
     for cutoff, message in [
         ("40", "n_max must exceed |alpha|^2"),
-        (str(10**20), "192 (n_max + 72) for the drive and one point's columns, more than the"),
+        (str(10**20), "192 (n + 72) at n = floor(|alpha|^2) for the drive and one point's columns, more than the"),
     ]:
         done = subprocess.run(
             [sys.executable, "-m", "uil", "verify", "--alpha", "1e10", "--cutoff", cutoff, "--samples", "1"],
@@ -629,30 +679,43 @@ def test_verify_refuses_a_drive_beyond_the_cutoff_at_once():
 
 
 def test_verify_refuses_a_cutoff_beyond_physical_memory(capsys):
-    # 192 (n_max + 72) bytes at n_max = 10^11, about 1.9e13: check_cutoff
-    # refuses them before any sample is drawn or anything allocated, where
-    # a cutoff that fits would start an O(n_max^2) sector loop
-    code, out, err = run(capsys, "verify", "--cutoff", str(10**11), "--samples", "1")
+    # the drive |alpha|^2 = 10^20 at n_max = 10^20: 192 (n + 72) bytes at
+    # n = 10^20, about 1.9e22; check_cutoff refuses them before any sample
+    # is drawn or anything allocated, where a drive that fits would start
+    # an O(n^2) sector loop
+    code, out, err = run(capsys, "verify", "--alpha", "1e10", "--cutoff", str(10**20), "--samples", "1")
     assert code == 4
     assert out == ""
-    needed = 192 * (10**11 + 72)
-    what = "192 (n_max + 72) for the drive and one point's columns"
-    assert f"needs about {needed} bytes, {what}, more than" in err
+    needed = 192 * (10**20 + 72)
+    what = "192 (n + 72) at n = floor(|alpha|^2) for the drive and one point's columns"
+    assert f"|alpha|^2 = 1e+20 needs at least {needed} bytes, {what}, more than" in err
     assert "physical memory" in err
 
 
 def test_verify_memory_bound_counts_one_point(capsys, monkeypatch):
-    # check_cutoff counts one point of the Fock engine, 192 (n_max + 72)
-    # bytes: one byte less is refused, and exactly that much runs
-    count = 192 * (20 + 72)
+    # check_cutoff counts one point of the Fock engine on the drive's
+    # weights up to floor(|alpha|^2) = 9, 192 (9 + 72) bytes, whatever the
+    # cutoff: one byte less is refused, and exactly that much runs
+    count = 192 * (9 + 72)
     monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: count - 1)
-    code, out, err = run(capsys, "verify", "--cutoff", "20", "--samples", "1")
+    code, out, err = run(capsys, "verify", "--alpha", "3", "--cutoff", "40", "--samples", "1")
     assert code == 4
     assert out == ""
-    assert f"needs about {count} bytes" in err
+    assert f"needs at least {count} bytes" in err
     assert "physical memory" in err
     monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: count)
-    assert run(capsys, "verify", "--cutoff", "20", "--samples", "1")[0] == 0
+    for cutoff in ("40", str(10**6)):
+        assert run(capsys, "verify", "--alpha", "3", "--cutoff", cutoff, "--samples", "1")[0] == 0
+
+
+@pytest.mark.parametrize("argv", [["--cutoff", "1000000"], ["--cutoff", "100000000000", "--samples", "1"]])
+def test_verify_passes_a_far_cutoff_at_the_cost_of_its_drive(argv):
+    # |alpha| = 1 has 178 nonzero weights, and the engine runs on those at
+    # any cutoff; when it ran on n_max + 1 of them, n_max = 2 * 10^4 took
+    # 5.8 s a sample and 10^6 would have taken hours, and 10^11 was refused
+    done = verify_process("--alpha", "1", *argv, timeout=20)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "PASS" in done.stdout
 
 
 def test_verify_passes_a_deep_drive_in_seconds():

@@ -16,6 +16,7 @@ import uil.fock
 import uil.params
 from uil.analytic import evaluate_metrics
 from uil.fock import (
+    _coherent_amplitudes,
     _poisson_tail,
     _thinned,
     SimulationMoments,
@@ -41,12 +42,12 @@ from dense_fock import (
 from matrix_amplitudes import output_amplitudes
 
 
-POINT_WHAT = "192 (n_max + 72) for the drive and one point's columns"
+POINT_WHAT = "192 (n + 72) at n = floor(|alpha|^2) for the drive and one point's columns"
 
 
-def point_bytes(n_max):
-    """What check_cutoff counts for one point at n_max."""
-    return 192 * (n_max + 72)
+def point_bytes(n):
+    """What simulate_values counts for one point on the drive's weights 0 .. n; check_cutoff refuses it at floor(|alpha|^2)."""
+    return 192 * (n + 72)
 
 
 def vacuum(dim):
@@ -94,17 +95,22 @@ def test_vacuum_coherent_state_is_exact():
     "alpha, rel", [(0.9 - 0.4j, 1e-15), (38.5, 1e-12), (39.0, 1e-12), (45.0, 1e-12), (27.0 + 28.0j, 1e-12)]
 )
 def test_coherent_coefficients_against_factorial_formula(alpha, rel):
-    # against 50-digit mpmath, on every amplitude of weight 1e-280 or more; past
-    # |alpha| = 37.7 exp(-|alpha|^2/2) is subnormal, and past 38.6 it is 0, so a
-    # recurrence started at n = 0 would give weights summing to 1.035 at 38.5 and all 0 at 39
+    # the engine's real amplitudes against the 50-digit modulus
+    # exp(-|alpha|^2/2) |alpha|^n / sqrt(n!), on every amplitude of weight 1e-280
+    # or more; past |alpha| = 37.7 exp(-|alpha|^2/2) is subnormal, and past 38.6
+    # it is 0, so a recurrence started at n = 0 would give weights summing to
+    # 1.035 at 38.5 and all 0 at 39
     n_max = max(20, required_cutoff(alpha))
-    state = coherent_state(alpha, n_max)
+    moduli = _coherent_amplitudes(alpha, n_max)
+    assert moduli.shape == (n_max + 1,)
+    assert moduli.dtype == np.float64
     with mpmath.workdps(50):
-        exact = mpmath.exp(-abs(mpmath.mpc(alpha)) ** 2 / 2)
+        modulus = abs(mpmath.mpc(alpha))
+        exact = mpmath.exp(-(modulus**2) / 2)
         for n in range(n_max + 1):
-            if abs(exact) ** 2 >= 1e-280:
-                assert abs(state[n] - exact) <= rel * abs(exact), n
-            exact *= mpmath.mpc(alpha) / mpmath.sqrt(n + 1)
+            if exact**2 >= 1e-280:
+                assert abs(moduli[n] - exact) <= rel * exact, n
+            exact *= modulus / mpmath.sqrt(n + 1)
 
 
 def test_coherent_mean_photon_number():
@@ -191,7 +197,7 @@ def test_required_cutoff_refuses_a_drive_beyond_memory_at_once(alpha):
     required, seconds = done.stdout.splitlines()[0].split()
     assert required == "None"
     assert float(seconds) < 1.0
-    assert f"n_max = {int(alpha**2)} needs about" in done.stdout
+    assert f"|alpha|^2 = {alpha**2:.6g} needs at least {point_bytes(int(alpha**2))} bytes" in done.stdout
     assert f"{POINT_WHAT}, more than the" in done.stdout
 
 
@@ -752,22 +758,57 @@ def test_library_refuses_a_drive_beyond_the_cutoff_at_once(call):
 
 
 def test_simulate_refuses_a_cutoff_beyond_physical_memory():
-    # 192 (n_max + 72) bytes at n_max = 10^11, about 1.9e13: refused before
-    # the drive (1.6 TB) or anything else is allocated, and before the
-    # O(n_max^2) sector loop could start; n_max = 10^12 is refused the same
-    # way before its Poisson tail is summed
-    p = InterferometerParams(0.4, 0.9, 0.5, kappa=0.3, alpha=1.0)
+    # |alpha|^2 = 10^20 at n_max = 10^20: the drive's weights reach 10^20
+    # photons, 192 (10^20 + 72) bytes, about 1.9e22: refused before the
+    # drive (8e20 bytes) or anything else is allocated, and before the
+    # O(n^2) sector loop could start; n_max = 10^21 is refused the same way
+    # before its Poisson tail is summed
+    p = InterferometerParams(0.4, 0.9, 0.5, kappa=0.3, alpha=1e10)
     tracemalloc.start()
     try:
         with pytest.raises(TruncationError, match="physical memory") as err:
-            simulate(p, 10**11)
+            simulate(p, 10**20)
         with pytest.raises(TruncationError, match=re.escape(f"{POINT_WHAT}, more than the")):
-            coherent_state(1.0, 10**12)
+            coherent_state(1e10, 10**21)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert f"needs about {point_bytes(10**11)} bytes, {POINT_WHAT}, more than" in str(err.value)
-    assert peak < 1_000_000  # bytes: the drive alone would be 1.6e12
+    assert f"needs at least {point_bytes(10**20)} bytes, {POINT_WHAT}, more than" in str(err.value)
+    assert peak < 1_000_000  # bytes: the drive alone would be 8e20
+
+
+@pytest.mark.parametrize("alpha, last", [(0.0, 0), (1e-5, 29), (1.0, 177)])
+def test_a_cutoff_past_the_drive_changes_no_bit(alpha, last):
+    # the drive's weights end at the last nonzero one, n = last: in 50-digit
+    # mpmath it is at least the smallest subnormal, and the next one rounds
+    # to 0.  Every cutoff at or past it runs the same drive, so every value
+    # is the one at n_max = last to the bit, at a cost the drive sets
+    with mpmath.workdps(50):
+        def weight(n):
+            return mpmath.exp(-mpmath.mpf(alpha) ** 2) * mpmath.mpf(alpha) ** (2 * n) / mpmath.factorial(n)
+
+        assert weight(last) >= mpmath.mpf(2) ** -1074
+        assert weight(last + 1) < mpmath.mpf(2) ** -1075
+    rng = np.random.default_rng(29)
+    theta1, theta2 = rng.uniform(0.0, math.pi / 2, (2, 20))
+    phi = rng.uniform(0.0, 2.0 * math.pi, 20)
+    kappa = np.where(np.arange(20) % 2 == 1, rng.uniform(0.0, 1.5, 20), 0.0)
+    expected = simulate_values(theta1, theta2, phi, kappa, alpha, max(1, last))
+    for n_max in (last + 1, 2 * last + 7, 10**6, 10**11):
+        assert _coherent_amplitudes(alpha, n_max).size == last + 1, n_max
+        got = simulate_values(theta1, theta2, phi, kappa, alpha, n_max)
+        for name in SimulationMoments._fields:
+            assert np.array_equal(got[name], expected[name]), (n_max, name)
+
+
+def test_vacuum_runs_on_a_drive_of_one_entry():
+    # no photon at any cutoff: one weight, 1, and every moment exactly 0
+    p = InterferometerParams(0.7, 0.9, 1.1, kappa=0.4, alpha=0.0)
+    for n_max in (1, 40, 10**11):
+        drive = _coherent_amplitudes(0.0, n_max)
+        assert drive.dtype == np.float64
+        assert drive.tolist() == [1.0]
+        assert simulate(p, n_max) == (0.0, 0.0, 0.0, 0.0)
 
 
 def first_lossy_peak(alpha, n_max, points=None):
@@ -798,29 +839,36 @@ def test_lossy_simulate_peak_at_a_large_cutoff():
 def test_memory_refusal_counts_at_least_the_traced_peak(alpha, n_max, monkeypatch):
     # the count bounds what a first lossy call holds, and what a batch
     # holds per point of its chunk; a memory one byte short of one point's
-    # count refuses the cutoff, for a point and for a batch
+    # count at floor(|alpha|^2) refuses the drive, for a point and for a
+    # batch, and exactly that much runs them
     count = point_bytes(n_max)
     single = first_lossy_peak(alpha, n_max)
     assert single <= count
     monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: 3 * uil.fock._CHUNK_SHARE * count)
     batch = first_lossy_peak(alpha, n_max, points=5)  # a chunk of 3 points, then one of 2
     assert single < batch <= 3 * count
-    monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: count - 1)
-    with pytest.raises(TruncationError, match=f"needs about {count} bytes"):
-        simulate(InterferometerParams(0.7, 0.9, 1.1, kappa=0.4, alpha=alpha), n_max)
-    with pytest.raises(TruncationError, match=f"needs about {count} bytes"):
+    refused = point_bytes(int(alpha**2))
+    p = InterferometerParams(0.7, 0.9, 1.1, kappa=0.4, alpha=alpha)
+    monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: refused - 1)
+    with pytest.raises(TruncationError, match=re.escape(f"needs at least {refused} bytes")):
+        simulate(p, n_max)
+    with pytest.raises(TruncationError, match=re.escape(f"needs at least {refused} bytes")):
         simulate_values(np.full(5, 0.7), 0.9, 1.1, 0.4, alpha, n_max)
+    monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: refused)
+    simulate(p, n_max)
+    simulate_values(np.full(5, 0.7), 0.9, 1.1, 0.4, alpha, n_max)
 
 
 def test_point_count_bounds_the_traced_peak_at_every_cutoff(monkeypatch):
     # every n_max from 1 to 333, each with the largest of these drives it
-    # holds: a first lossy call stays within one point's count, and a
-    # batch of 5 in chunks of 3 within three counts.  At small cutoffs a
-    # fixed 12 KB, most of it numpy broadcasting the inputs, sets the peak
+    # holds: a first lossy call stays within one point's count at the
+    # drive's size, and a batch of 5 in chunks of 3 within three counts.
+    # At small cutoffs a fixed 12 KB, most of it numpy broadcasting the
+    # inputs, sets the peak
     drives = [(required_cutoff(alpha), alpha) for alpha in (1e-5, 1.0, 3.0, 8.0, 12.0, 15.0)]
     for n_max in range(1, 334):
         alpha = max(alpha for needed, alpha in drives if needed <= n_max)
-        count = point_bytes(n_max)
+        count = point_bytes(_coherent_amplitudes(alpha, n_max).size - 1)
         monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: 3 * uil.fock._CHUNK_SHARE * count)
         assert first_lossy_peak(alpha, n_max) <= count, n_max
         assert first_lossy_peak(alpha, n_max, points=5) <= 3 * count, n_max
