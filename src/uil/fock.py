@@ -30,9 +30,10 @@ for a chunk of points, as many as fit in 1/2048 of physical memory.
 Truncation is surfaced, never hidden.  :func:`check_cutoff` is the one
 rule for which cutoff holds a drive, and :func:`simulate_values` and
 ``uil verify`` (with its tolerance) both apply it; coherent states are
-not renormalized.  :func:`simulate_values` emits
-:class:`TruncationWarning` when the drive puts weight on |n_max>, the
-one photon number that the network carries unchanged to total n_max.
+not renormalized.  One pass over the drive's Poisson tail,
+:func:`_truncation`, gives that rule, the cutoff that
+:func:`required_cutoff` names and the moment shift at which
+:func:`simulate_values` emits :class:`TruncationWarning`.
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ from . import params as _params
 from .params import InterferometerParams, check_memory
 
 TAIL_TOL = 1e-10  # Poisson weight a coherent state may leave beyond n_max
-EDGE_TOL = 1e-8  # population at total photon number n_max at which simulate warns
-_TAIL_BLOCK = 4096  # Poisson terms summed per numpy call, at most
+SHIFT_TOL = 1e-8  # moment shift of the drive truncated at n_max at which simulate warns
 _CHUNK_SHARE = 2048  # a chunk of simulate_values's points counts at most 1/_CHUNK_SHARE of physical memory
 _POINT_BYTES = 192, 72  # a point on the drive's weights 0 .. n counts 192 (n + 72) bytes, at least its traced peak
 
@@ -74,35 +74,7 @@ class TruncationError(Exception):
 
 
 class TruncationWarning(UserWarning):
-    """Emitted when population at total photon number n_max makes results untrustworthy."""
-
-
-def _poisson_tail(n: int, mean: float) -> float:
-    """P(X > n) for X ~ Poisson(mean), at n + 1 >= mean, summed from its terms.
-
-    The terms p_k = exp(k log(mean) - mean - lgamma(k + 1)), k > n, are
-    summed relative to the first, whose logarithm carries the scale.  At
-    or above the mean each is smaller than the one before, so a small
-    tail is never a difference of nearly equal numbers, and no term
-    over- or underflows before it is negligible.  Below the mean, which
-    no caller asks for (:func:`check_cutoff` refuses |alpha|^2 > n_max
-    first, and :func:`required_cutoff` starts at floor(|alpha|^2)), a
-    ValueError.
-    """
-    if n + 1 < mean:
-        raise ValueError(f"the Poisson tail is summed at n + 1 >= mean only, got n = {n}, mean = {mean!r}")
-    if mean == 0.0:
-        return 0.0
-    k = n + 1
-    log_first = k * math.log(mean) - mean - math.lgamma(k + 1)
-    term = total = 1.0  # relative to p_k
-    block = min(_TAIL_BLOCK, k)  # a small n needs few terms, and 4096 would set a small call's memory
-    while term > 1e-17 * total:  # a block of terms at a time
-        terms = term * np.cumprod(mean / np.arange(k + 1, k + 1 + block))
-        k += block
-        total += float(terms.sum())
-        term = float(terms[-1])
-    return math.exp(log_first + math.log(total))
+    """Emitted when truncating the drive at n_max shifts its photon-number moments by ``SHIFT_TOL`` or more."""
 
 
 def _photon_mean(alpha: complex) -> float:
@@ -113,43 +85,50 @@ def _photon_mean(alpha: complex) -> float:
         raise ValueError(f"|alpha|^2 exceeds the double range, got alpha = {alpha!r}") from None
 
 
-def _moment_shift(n: int, mean: float, tail: float) -> float:
-    """How far dropping the Poisson weight ``tail`` = P(X > n) moves the drive's moments.
+def _truncation(mean: float, tol: float | None) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The first cutoff of a drive of |alpha|^2 = ``mean``, and the tail, moment shift and verdict at each from it.
 
-    The larger shift, of the photon-number mean or of its standard
-    deviation, that the truncated drive (not renormalized, as
-    :func:`simulate` holds it) shows against the full Poisson(mean).
-    Both follow exactly from three tails:
+    Entry i is n_max = start + i, start = max(1, floor(mean)): the
+    Poisson(mean) weight beyond n_max, P(X > n_max); the larger shift,
+    of the photon-number mean or of its standard deviation, that the
+    drive truncated there (not renormalized, as :func:`simulate` holds
+    it) shows against the full Poisson(mean); and whether n_max holds
+    the drive.  It does where the tail is below ``TAIL_TOL`` and, with
+    ``tol``, the limit of a check of moments to within ``tol``, the
+    shift is below ``tol`` too, unless the tail is already below eps,
+    which double precision cannot resolve: such a tail is never asked for.
+
+    The weights p_n are one lgamma at start and then a running product
+    of mean / n, and the tails their sums from the top down: every term
+    is positive, so a small tail is never a difference of nearly equal
+    numbers.  The table ends where the weights underflow to 0, or where
+    Bernstein's bound on P(X >= n), exp(-t^2 / (2 (mean + t / 3))) at
+    t = n - mean, falls below e^-745 if that comes first: the mean sets
+    its length, never the cutoff, and past its end every tail is below
+    the smallest double.  Both shifts follow exactly from three tails:
     sum_{k>n} k p_k = mean P(X > n - 1) and
     sum_{k>n} k^2 p_k = mean^2 P(X > n - 2) + mean P(X > n - 1),
-    where P(X > n - 1) = ``tail`` + p_n and P(X > n - 2) adds
+    where P(X > n - 1) = P(X > n) + p_n and P(X > n - 2) adds
     p_{n-1} = n p_n / mean to that.  The variance shift is a sum of
     terms, so no difference of nearly equal moments is rounded.
     """
-    term = math.exp(n * math.log(mean) - mean - math.lgamma(n + 1))  # p_n
-    above = tail + term  # P(X > n - 1)
-    variance_shift = mean**2 * (above - above**2) - mean * (n * term + above)
-    std_shift = abs(variance_shift) / (math.sqrt(mean + variance_shift) + math.sqrt(mean))
-    return max(mean * above, std_shift)
-
-
-def _shortfall(n: int, mean: float, tol: float | None) -> str | None:
-    """Why n_max = n does not hold a drive of mean |alpha|^2, n + 1 >= mean; None if it does.
-
-    The Poisson weight beyond n must stay below ``TAIL_TOL``.  With
-    ``tol``, the limit of a check of moments to within ``tol``, the
-    drive's mean and standard deviation must also shift by less than
-    ``tol`` (:func:`_moment_shift`), unless the tail is already below
-    eps, which double precision cannot resolve: such a tail is never
-    asked for.
-    """
-    tail = _poisson_tail(n, mean)
-    dropped = f"the Poisson weight {tail:.3e} of |alpha|^2 = {mean:.6g} beyond n_max = {n}"
-    if tail >= TAIL_TOL:
-        return f"{dropped} is not below {TAIL_TOL:.1e}"
-    if tol is None or tail < sys.float_info.epsilon or (shift := _moment_shift(n, mean, tail)) < tol:
-        return None
-    return f"{dropped} shifts the drive's moments by {shift:.3e}, not below tol = {tol:.1e}"
+    start = max(1, int(mean))
+    if mean == 0.0:
+        return start, np.zeros(1), np.zeros(1), np.ones(1, dtype=bool)
+    weights = mean / np.arange(start, start + 251 + int(math.sqrt(1490.0 * mean + 250.0**2)), dtype=float)
+    weights[0] = math.exp(start * math.log(mean) - mean - math.lgamma(start + 1))
+    np.cumprod(weights, out=weights)  # p_n
+    weights = weights[: np.count_nonzero(weights)].copy()  # up to where they underflow to 0
+    tails = np.append(np.cumsum(weights[:0:-1])[::-1], 0.0)  # P(X > n)
+    above = tails + weights  # P(X > n - 1)
+    weights *= np.arange(start, start + weights.size, dtype=float)  # n p_n
+    variance_shift = mean**2 * (above - above**2) - mean * (weights + above)
+    std_shift = np.abs(variance_shift) / (np.sqrt(mean + variance_shift) + math.sqrt(mean))
+    shifts = np.maximum(mean * above, std_shift)
+    holds = tails < TAIL_TOL
+    if tol is not None:
+        holds &= (tails < sys.float_info.epsilon) | (shifts < tol)
+    return start, tails, shifts, holds
 
 
 def check_cutoff(alpha: complex, n_max, tol: float | None = None) -> int:
@@ -158,14 +137,19 @@ def check_cutoff(alpha: complex, n_max, tol: float | None = None) -> int:
     In order: ``n_max`` must be an integer >= 1 and |alpha|^2 finite,
     else ValueError.  Then, else :class:`TruncationError`: |alpha|^2 <=
     n_max (a drive beyond the cutoff leaves about half its Poisson
-    weight or more there, refused without a search); one point of
+    weight or more there, refused without a table); one point of
     :func:`simulate_values` at the drive's mean fits physical memory
     (:func:`_check_drive_memory`, whatever the cutoff); and the Poisson
     weight beyond n_max is below ``TAIL_TOL`` and, with ``tol``, shifts the
-    drive's moments by less than ``tol`` (:func:`_shortfall`).  That
-    last error names the smallest cutoff that fits,
-    :func:`required_cutoff`.
+    drive's moments by less than ``tol``.  That last error names the
+    smallest cutoff that fits, :func:`required_cutoff`: both read the
+    drive's :func:`_truncation` table.
     """
+    return _checked(alpha, n_max, tol)[0]
+
+
+def _checked(alpha: complex, n_max, tol: float | None) -> tuple[int, float]:
+    """:func:`check_cutoff`'s cutoff, and the moment shift of the drive truncated there."""
     if not isinstance(n_max, Integral) or n_max < 1:
         raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
     n_max = int(n_max)
@@ -176,10 +160,19 @@ def check_cutoff(alpha: complex, n_max, tol: float | None = None) -> int:
             f"Poisson weight or more beyond the cutoff; n_max must exceed |alpha|^2"
         )
     _check_drive_memory(mean)
-    if shortfall := _shortfall(n_max, mean, tol):
-        needed = required_cutoff(alpha, tol)
+    start, tails, shifts, holds = _truncation(mean, tol)
+    at = n_max - start
+    if at >= tails.size:
+        return n_max, 0.0
+    if not holds[at]:
+        dropped = f"the Poisson weight {tails[at]:.3e} of |alpha|^2 = {mean:.6g} beyond n_max = {n_max}"
+        if tails[at] >= TAIL_TOL:
+            shortfall = f"{dropped} is not below {TAIL_TOL:.1e}"
+        else:
+            shortfall = f"{dropped} shifts the drive's moments by {shifts[at]:.3e}, not below tol = {tol:.1e}"
+        needed = start + int(np.argmax(holds))
         raise TruncationError(f"{shortfall}; use n_max >= {needed}", required=needed)
-    return n_max
+    return n_max, float(shifts[at])
 
 
 def _point_bytes(n: int) -> int:
@@ -194,27 +187,18 @@ def _check_drive_memory(mean: float) -> None:
 
 
 def required_cutoff(alpha: complex, tol: float | None = None) -> int:
-    """Smallest n_max >= max(1, floor(|alpha|^2)) that holds the drive ``alpha`` (:func:`_shortfall`).
+    """Smallest n_max >= max(1, floor(|alpha|^2)) that holds the drive ``alpha`` (:func:`_truncation`).
 
-    Every condition only eases as n_max grows, so one search gallops up
-    from the mean and then bisects.  Where the drive's one point would
-    already exceed physical memory (:func:`_check_drive_memory`), no
-    cutoff fits, and :class:`TruncationError` (with ``required_cutoff``
-    None) says so before any search.
+    The first cutoff that holds in the drive's :func:`_truncation`
+    table.  Where the drive's one point would already exceed physical
+    memory (:func:`_check_drive_memory`), no cutoff fits, and
+    :class:`TruncationError` (with ``required_cutoff`` None) says so
+    before any table is built.
     """
     mean = _photon_mean(alpha)
     _check_drive_memory(mean)
-    start = max(1, int(mean))
-    too_small, fits, step = start - 1, start, 1
-    while _shortfall(fits, mean, tol):
-        too_small, fits, step = fits, fits + step, 2 * step
-    while fits - too_small > 1:
-        middle = (too_small + fits) // 2
-        if _shortfall(middle, mean, tol):
-            too_small = middle
-        else:
-            fits = middle
-    return fits
+    start, *_, holds = _truncation(mean, tol)
+    return start + int(np.argmax(holds))
 
 
 def _coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
@@ -344,21 +328,25 @@ def simulate_values(theta1, theta2, phi, kappa, alpha: complex, n_max: int) -> d
     holds at one point, as traced at every cutoff from 1 to 333: the
     drive, the two thinnings, the column and its raised copy, and the
     sector moments, about 180 bytes a photon number, and a fixed 12 KB
-    at small cutoffs, most of it numpy's broadcasting of the inputs.  A
-    chunk holds as many points as that count fits in 1/_CHUNK_SHARE of
-    physical memory, and at least one; the chunk bounds memory only, as
-    a larger one ran faster at every cutoff.  Emits
-    :class:`TruncationWarning` when the drive's weight at |n_max> reaches
-    ``EDGE_TOL``: the network conserves the total photon number (ancilla
-    included), so that is the population at total photon number n_max.
+    at small cutoffs, most of it numpy's broadcasting of the inputs.
+    The cutoff check's :func:`_truncation` table comes before them, and
+    holds at most 0.87 of the count, at |alpha| = 4.4 and n_max = 53, as
+    traced for |alpha| up to 16 at the cutoff :func:`required_cutoff`
+    names.  A chunk holds as many points as that count fits in
+    1/_CHUNK_SHARE of physical memory, and at least one; the chunk
+    bounds memory only, as a larger one ran faster at every cutoff.  Emits
+    :class:`TruncationWarning` when the drive truncated at n_max shifts
+    its photon-number mean or standard deviation by ``SHIFT_TOL`` or more
+    (:func:`_truncation`): every sector up to n_max is exact, so the
+    dropped Poisson tail is the one truncation error.
     """
     inputs = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (theta1, theta2, phi, kappa)))
-    n_max = check_cutoff(alpha, n_max)
+    n_max, shift = _checked(alpha, n_max, None)
     drive = _coherent_amplitudes(alpha, n_max) ** 2  # photon-number distribution
     chunk = max(1, (_params.physical_memory_bytes() or 0) // (_CHUNK_SHARE * _point_bytes(drive.size - 1)))
-    if drive.size > n_max and drive[-1] >= EDGE_TOL:
-        edge = f"edge population {drive[-1]:.3e} at total photon number n_max = {n_max} reaches {EDGE_TOL:.1e}"
-        warnings.warn(f"{edge}; increase the cutoff", TruncationWarning, stacklevel=2)
+    if shift >= SHIFT_TOL:
+        dropped = f"truncating the drive at n_max = {n_max} shifts its moments by {shift:.3e}"
+        warnings.warn(f"{dropped}, which reaches {SHIFT_TOL:.1e}; increase the cutoff", TruncationWarning, stacklevel=2)
     points = [values.ravel() for values in inputs]
     moments = np.empty((4, points[0].size))
     for start in range(0, points[0].size, chunk):

@@ -17,11 +17,12 @@ import uil.params
 from uil.analytic import evaluate_metrics
 from uil.fock import (
     _coherent_amplitudes,
-    _poisson_tail,
     _thinned,
+    _truncation,
     SimulationMoments,
     TruncationError,
     TruncationWarning,
+    check_cutoff,
     required_cutoff,
     simulate,
     simulate_values,
@@ -164,16 +165,16 @@ def test_overflowing_mean_photon_number_is_a_value_error(alpha):
     st.floats(min_value=0.0, max_value=1.0),
 )
 def test_poisson_tail_matches_scipy(alpha_abs, position):
-    # n anywhere from 0 to far beyond the mean, where the tail is tiny
+    # n anywhere from 0 to far beyond the mean, where the tail is tiny; the
+    # truncation table holds n = max(1, floor(mean)) on, and past its end
+    # every tail is 0
     mean = alpha_abs**2
     n = int(position * (mean + 40.0 * math.sqrt(mean) + 60.0))
-    if n + 1 < mean:  # a head, which no caller asks for: refused
-        with pytest.raises(ValueError, match="n \\+ 1 >= mean"):
-            _poisson_tail(n, mean)
-        return
+    start, tails, *_ = _truncation(mean, None)
     expected = special.pdtrc(n, mean)
-    if expected > 1e-300:
-        assert _poisson_tail(n, mean) == pytest.approx(expected, rel=1e-10, abs=0.0)
+    if n >= start and expected > 1e-300:
+        tail = tails[n - start] if n - start < tails.size else 0.0
+        assert tail == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("alpha", [3e7, 1e8, 1e150])
@@ -199,6 +200,19 @@ def test_required_cutoff_refuses_a_drive_beyond_memory_at_once(alpha):
     assert float(seconds) < 1.0
     assert f"|alpha|^2 = {alpha**2:.6g} needs at least {point_bytes(int(alpha**2))} bytes" in done.stdout
     assert f"{POINT_WHAT}, more than the" in done.stdout
+
+
+@pytest.mark.parametrize(
+    "alpha, tol, needed", [(300.0, None, 91915), (300.0, 1e-8, 92404), (3000.0, None, 9019091), (3000.0, 1e-8, 9024389)]
+)
+def test_required_cutoff_pins_deep_drives(alpha, tol, needed):
+    # drives past the scipy search's grid; check_cutoff refuses one below
+    # and names the same cutoff
+    assert required_cutoff(alpha, tol) == needed
+    assert check_cutoff(alpha, needed, tol) == needed
+    with pytest.raises(TruncationError, match=f"; use n_max >= {needed}$") as err:
+        check_cutoff(alpha, needed - 1, tol)
+    assert err.value.required_cutoff == needed
 
 
 def test_required_cutoff_matches_scipy_search():
@@ -706,20 +720,36 @@ def test_simulate_values_keeps_the_broadcast_shape():
     assert {value.shape for value in simulate_values(0.3, 0.7, 0.4, 0.2, 1.5, 20).values()} == {()}
 
 
-def test_simulate_warns_on_edge_population():
-    # the drive's |1> weight, about 1.4e-5 at n_max = 1, is above the 1e-8 threshold
-    p = InterferometerParams(0.0, 0.0, 0.0, alpha=0.00375)
-    with pytest.warns(TruncationWarning, match="edge population 1.4"):
-        simulate(p, 1)
+def probe_moments_at(alpha, n_max):
+    # at theta1 = pi/2 and no loss the probe holds the whole drive, so its
+    # mean and standard deviation are the truncated drive's
+    p = InterferometerParams(math.pi / 2, 0.7, 1.1, alpha=alpha)
+    return np.array(simulate(p, n_max)[2:])
 
 
-def test_simulate_warns_at_total_photon_number_n_max():
-    # the drive's |4> weight 0.16^8 e^-0.0256 / 4! = 1.744e-8 reaches
-    # total photon number 4 unchanged; the box faces n_a = 4 or n_b = 4
-    # hold only a part of it, below the 1e-8 threshold
-    p = InterferometerParams(math.pi / 4, math.pi / 4, math.pi / 2, alpha=0.16)
-    with pytest.warns(TruncationWarning, match="edge population 1.744e-08"):
-        simulate(p, 4)
+@pytest.mark.parametrize("alpha, n_max, shift", [(0.00375, 1, "5.273e-08"), (20.0, 534, "2.725e-07")])
+def test_simulate_warns_on_the_moment_shift(alpha, n_max, shift):
+    # the drive truncated at n_max moves its mean or standard deviation by
+    # the shift, at least 1e-8, and the probe moments move by as much
+    # against a cutoff past the drive's end; 534 = required_cutoff(20),
+    # whose tail is below 1e-10
+    with pytest.warns(TruncationWarning, match=f"shifts its moments by {shift}, which reaches 1.0e-08"):
+        truncated = probe_moments_at(alpha, n_max)
+    far = probe_moments_at(alpha, 2 * n_max + 200)
+    assert np.max(np.abs(truncated - far)) == pytest.approx(float(shift), rel=1e-3)
+
+
+@pytest.mark.filterwarnings("error::uil.fock.TruncationWarning")
+@pytest.mark.parametrize("alpha, n_max, moved", [(0.16, 4, 7e-9), (1e-3, 1, 1.01e-9)])
+def test_simulate_is_silent_below_the_moment_shift_limit(alpha, n_max, moved):
+    # the truncated drive's moments shift by 6.95e-9 and 1.0e-9, below
+    # 1e-8, and no value moves by more against n_max = 40, though the
+    # drive's weight at |n_max> is 1.744e-8 and 1e-6
+    rng = np.random.default_rng(7)
+    points = [rng.uniform(0.0, high, 50) for high in (math.pi / 2, math.pi / 2, 2.0 * math.pi, 1.0)]
+    truncated = simulate_values(*points, alpha, n_max)
+    far = simulate_values(*points, alpha, 40)
+    assert max(np.max(np.abs(truncated[name] - far[name])) for name in far) < moved
 
 
 def test_simulate_rejects_undersized_cutoff():
@@ -864,8 +894,10 @@ def test_point_count_bounds_the_traced_peak_at_every_cutoff(monkeypatch):
     # holds: a first lossy call stays within one point's count at the
     # drive's size, and a batch of 5 in chunks of 3 within three counts.
     # At small cutoffs a fixed 12 KB, most of it numpy broadcasting the
-    # inputs, sets the peak
-    drives = [(required_cutoff(alpha), alpha) for alpha in (1e-5, 1.0, 3.0, 8.0, 12.0, 15.0)]
+    # inputs, sets the peak, and at |alpha| 4.4, n_max 53 the cutoff
+    # check's table, sized by the mean, holds 0.87 of the count, its
+    # largest share for |alpha| up to 16
+    drives = [(required_cutoff(alpha), alpha) for alpha in (1e-5, 1.0, 3.0, 4.4, 8.0, 12.0, 15.0)]
     for n_max in range(1, 334):
         alpha = max(alpha for needed, alpha in drives if needed <= n_max)
         count = point_bytes(_coherent_amplitudes(alpha, n_max).size - 1)
