@@ -66,7 +66,13 @@ def metrics_values(theta1, theta2, phi, kappa, eta, alpha_abs) -> dict[str, np.n
     t = np.exp(-kappa)
     c1, s1 = np.cos(theta1), np.sin(theta1)
     c2, s2 = np.cos(theta2), np.sin(theta2)
-    sin2t1, sin2t2 = np.sin(2.0 * theta1), np.sin(2.0 * theta2)
+    # from |theta| = 2^1023 on, 2 theta overflows to inf: there the double
+    # angle comes from theta's own sine and cosine, elsewhere from the exact 2 theta
+    huge1, huge2 = np.abs(theta1) >= 2.0**1023, np.abs(theta2) >= 2.0**1023
+    twice1, twice2 = 2.0 * np.where(huge1, 0.0, theta1), 2.0 * np.where(huge2, 0.0, theta2)
+    sin2t1 = np.where(huge1, 2.0 * s1 * c1, np.sin(twice1))
+    sin2t2 = np.where(huge2, 2.0 * s2 * c2, np.sin(twice2))
+    cos2t2 = np.where(huge2, (c2 - s2) * (c2 + s2), np.cos(twice2))
     noise = np.hypot(c1, t * s1)
     mixer, sin_phi = np.abs(sin2t2), np.abs(np.sin(phi))
     sensitivity = alpha_abs * t * eta * mixer * sin_phi * (np.abs(sin2t1) / noise)
@@ -81,7 +87,7 @@ def metrics_values(theta1, theta2, phi, kappa, eta, alpha_abs) -> dict[str, np.n
     total = oscillation + np.square(np.abs(s2 * c1) - t * np.abs(c2 * s1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         delta_phi = 1.0 / sensitivity  # no sensitivity: 1/0 = inf
-        mean = alpha_abs * (np.cos(2.0 * theta2) * imbalance + phase_term) * alpha_abs
+        mean = alpha_abs * (cos2t2 * imbalance + phase_term) * alpha_abs
         contrast = np.where((total == 0.0) | (alpha_abs == 0.0), 0.0, oscillation / total)
         columns = {
             "mean_O": mean,

@@ -38,25 +38,34 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_TRUNCATION = 4
 
-DEFAULT_VERIFY_CUTOFF = 40
-
 CSV_COLUMNS = (*DOMAINS, *(field.name for field in fields(PerformanceMetrics)))  # inputs, then metrics
 
-PARAM_DEFAULTS = {
-    "theta1": math.pi / 4,
-    "theta2": math.pi / 4,
-    "phi": math.pi / 2,
-    "kappa": 0.0,
-    "eta": 1.0,
-    "alpha_re": 1.0,
-    "alpha_im": 0.0,
+# Every value a subcommand reads from a flag or a config key: its default,
+# whose type the flag ``--key-name`` takes, and the flag's help.
+PARAMETERS = {
+    key: (default, f"{text} (default {default:g})")
+    for key, default, text in (
+        ("theta1", math.pi / 4, "input splitter mixing angle, radians"),
+        ("theta2", math.pi / 4, "output mixer mixing angle, radians"),
+        ("phi", math.pi / 2, "probe-arm phase delay, radians"),
+        ("kappa", 0.0, "probe-arm attenuation exponent (>= 0)"),
+        ("eta", 1.0, "detector quantum efficiency in (0, 1]"),
+        ("alpha_re", 1.0, "input amplitude, real part"),
+        ("alpha_im", 0.0, "input amplitude, imaginary part"),
+        ("samples", 50, "number of random operating points"),
+        ("seed", 0, "random seed"),
+        ("tol", 1e-8, "max allowed |analytic - simulator|"),
+        ("cutoff", 40, "Fock cutoff n_max"),
+    )
 }
-OPTIMIZE_DEFAULTS = {key: value for key, value in PARAM_DEFAULTS.items() if key not in ("theta1", "theta2")}
+# The keys each subcommand reads, in the order of its flags; it resolves them,
+# and a manifest records them, in table order.
+POINT_KEYS = ("theta1", "theta2", "phi", "kappa", "eta", "alpha_re", "alpha_im")
+VERIFY_KEYS = ("alpha_re", "alpha_im", "cutoff", "samples", "seed", "tol")
 
 # Default sweep: loss-surface preset.  Transmission axis is linear in
 # exp(-kappa) (the CSV always carries both kappa and transmission).
 PRESET_AXES = ("transmission=0.05:1.0:40", "theta1=0.01:1.5707963267948966:60")
-PRESET_FIXED = {"theta2": math.pi / 4, "phi": math.pi / 2}
 
 _OBJECTIVE_FLAGS = {"rho-di": "rho_fluctuation", "rho-i": "rho_intensity"}
 
@@ -99,23 +108,22 @@ def _load_config(path: str | None) -> dict[str, str]:
     return entries
 
 
-def _resolve(args, defaults: dict) -> tuple[dict, set[str]]:
-    """Apply flag > config > default precedence for the given keys.
+def _resolve(args) -> tuple[dict, set[str]]:
+    """Apply flag > config > default precedence over the subcommand's keys, in table order.
 
     Returns the resolved values and the keys that a flag or the config
     file set (``alpha`` counts as ``alpha_re``).
     """
     config = _load_config(args.config)
-    unknown = sorted(set(config) - set(defaults) - {"alpha"})
+    unknown = sorted(set(config) - {*args.keys, "alpha"})
     if unknown:
-        raise UsageError(
-            f"unknown config key(s) {unknown}; accepted: {sorted({*defaults, 'alpha'})}"
-        )
+        raise UsageError(f"unknown config key(s) {unknown}; accepted: {sorted({*args.keys, 'alpha'})}")
     resolved, explicit = {}, set()
-    for key, default in defaults.items():
-        flag_value = getattr(args, key, None)
+    for key in (key for key in PARAMETERS if key in args.keys):
+        flag_value = getattr(args, key)
         if key == "alpha_re" and flag_value is None:
-            flag_value = getattr(args, "alpha", None)  # --alpha is shorthand for --alpha-re
+            flag_value = args.alpha  # --alpha is shorthand for --alpha-re
+        default = PARAMETERS[key][0]
         if flag_value is not None:
             resolved[key] = flag_value
         elif key in config:
@@ -273,7 +281,7 @@ def _emit(data: str, args, command: str, parameters: dict) -> None:
 
 
 def _cmd_metrics(args) -> int:
-    resolved, _ = _resolve(args, PARAM_DEFAULTS)
+    resolved, _ = _resolve(args)
     columns = _columns(_point_inputs(resolved))
     fmt = args.format or "json"
     if fmt == "csv":
@@ -313,8 +321,11 @@ def _sweep_inputs(axes, fixed: dict) -> dict:
         for end in (start, stop):
             if not math.isfinite(end):  # no domain holds it; spaced out, it would read as NaN
                 check_domain(name, end)
-        with np.errstate(invalid="ignore", over="ignore"):  # an overflowing step spaces out to NaN
-            values = check_domain(name, np.linspace(start, stop, steps))
+        if math.isfinite(stop - start):
+            values = np.linspace(start, stop, steps)
+        else:  # finite ends whose span overflows: spaced out at half scale, which halves and doubles exactly
+            values = 2.0 * np.linspace(start / 2, stop / 2, steps)
+        check_domain(name, values)
         if name == "transmission":
             # math.log per value, not np.log, whose vector loop may differ
             # in the last ulp: kappa = -log(T) exactly as a reader computes it.
@@ -324,11 +335,8 @@ def _sweep_inputs(axes, fixed: dict) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    resolved, explicit = _resolve(args, PARAM_DEFAULTS)
-
+    resolved, explicit = _resolve(args)
     axis_specs = list(args.axis) if args.axis else list(PRESET_AXES)
-    if not args.axis:
-        resolved.update({k: v for k, v in PRESET_FIXED.items() if k not in explicit})
     axes = [_parse_axis(spec) for spec in axis_specs]
 
     names = [axis[0] for axis in axes]
@@ -355,7 +363,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    resolved, _ = _resolve(args, OPTIMIZE_DEFAULTS)
+    resolved, _ = _resolve(args)
     regime = ConstraintRegime(
         kind=args.regime.replace("-", "_"),
         kappa=resolved["kappa"],
@@ -373,15 +381,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    defaults = {
-        "alpha_re": 1.0,
-        "alpha_im": 0.0,
-        "samples": 50,
-        "seed": 0,
-        "tol": 1e-8,
-        "cutoff": DEFAULT_VERIFY_CUTOFF,
-    }
-    resolved, _ = _resolve(args, defaults)
+    resolved, _ = _resolve(args)
     alpha = complex(resolved["alpha_re"], resolved["alpha_im"])
     alpha_abs = modulus(alpha)
     cutoff, samples, seed, tol = (resolved[key] for key in ("cutoff", "samples", "seed", "tol"))
@@ -425,29 +425,6 @@ def _cmd_verify(args) -> int:
 # Parser
 
 
-def _add_alpha_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, help="shorthand for --alpha-re")
-    parser.add_argument("--alpha-re", type=float, dest="alpha_re", help="input amplitude, real part")
-    parser.add_argument("--alpha-im", type=float, dest="alpha_im", help="input amplitude, imaginary part")
-
-
-def _add_param_flags(parser: argparse.ArgumentParser, angles: bool = True) -> None:
-    if angles:  # optimize chooses them
-        parser.add_argument("--theta1", type=float, help="input splitter mixing angle, radians")
-        parser.add_argument("--theta2", type=float, help="output mixer mixing angle, radians")
-    parser.add_argument("--phi", type=float, help="probe-arm phase delay, radians")
-    parser.add_argument("--kappa", type=float, help="probe-arm attenuation exponent (>= 0)")
-    parser.add_argument("--eta", type=float, help="detector quantum efficiency in (0, 1]")
-    _add_alpha_flags(parser)
-
-
-def _add_io_flags(parser: argparse.ArgumentParser, formats: bool = True) -> None:
-    parser.add_argument("--output", help="write result to this path (with a .manifest.json)")
-    if formats:  # optimize writes JSON only
-        parser.add_argument("--format", choices=("csv", "json"), help="output format")
-    parser.add_argument("--config", help="key = value config file (flags win over it)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uil",
@@ -455,41 +432,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"uil {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    metrics = sub.add_parser("metrics", help="all performance metrics at one operating point")
+    sweep = sub.add_parser("sweep", help="metrics over a parameter grid (default: loss surface preset)")
+    optimize = sub.add_parser("optimize", help="maximize a performance ratio over splitting angles")
+    verify = sub.add_parser("verify", help="check closed forms against the Fock-space simulator")
 
-    p = sub.add_parser("metrics", help="all performance metrics at one operating point")
-    _add_param_flags(p)
-    _add_io_flags(p)
-    p.set_defaults(func=_cmd_metrics)
-
-    p = sub.add_parser("sweep", help="metrics over a parameter grid (default: loss surface preset)")
-    _add_param_flags(p)
-    _add_io_flags(p)
-    p.add_argument(
+    optimize.add_argument("--objective", choices=sorted(_OBJECTIVE_FLAGS), required=True)
+    regimes = sorted(kind.replace("_", "-") for kind in REGIME_KINDS)
+    optimize.add_argument("--regime", choices=regimes, required=True)
+    optimize.add_argument("--free-phi", action="store_true", help="optimize the operating phase too")
+    # optimize chooses the angles; verify draws the operating points
+    for p, func, keys in (
+        (metrics, _cmd_metrics, POINT_KEYS),
+        (sweep, _cmd_sweep, POINT_KEYS),
+        (optimize, _cmd_optimize, POINT_KEYS[2:]),
+        (verify, _cmd_verify, VERIFY_KEYS),
+    ):
+        p.set_defaults(func=func, keys=keys)
+        for key in keys:
+            if key == "alpha_re":
+                p.add_argument("--alpha", type=float, help="shorthand for --alpha-re")
+            default, text = PARAMETERS[key]
+            p.add_argument("--" + key.replace("_", "-"), type=type(default), help=text)
+    for p in (metrics, sweep, optimize):  # verify prints its report
+        p.add_argument("--output", help="write result to this path (with a .manifest.json)")
+    for p in (metrics, sweep):  # optimize writes JSON only
+        p.add_argument("--format", choices=("csv", "json"), help="output format")
+    for p in (metrics, sweep, optimize, verify):
+        p.add_argument("--config", help="key = value config file (flags win over it)")
+    sweep.add_argument(
         "--axis",
         action="append",
         metavar="NAME=START:STOP:STEPS",
         help=f"swept axis ({'|'.join(DOMAINS)}); repeatable, row-major in given order",
     )
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("optimize", help="maximize a performance ratio over splitting angles")
-    p.add_argument("--objective", choices=sorted(_OBJECTIVE_FLAGS), required=True)
-    regimes = sorted(kind.replace("_", "-") for kind in REGIME_KINDS)
-    p.add_argument("--regime", choices=regimes, required=True)
-    p.add_argument("--free-phi", action="store_true", help="optimize the operating phase too")
-    _add_param_flags(p, angles=False)
-    _add_io_flags(p, formats=False)
-    p.set_defaults(func=_cmd_optimize)
-
-    p = sub.add_parser("verify", help="check closed forms against the Fock-space simulator")
-    _add_alpha_flags(p)
-    p.add_argument("--cutoff", type=int, help=f"Fock cutoff n_max (default {DEFAULT_VERIFY_CUTOFF})")
-    p.add_argument("--samples", type=int, help="number of random operating points (default 50)")
-    p.add_argument("--seed", type=int, help="random seed (default 0)")
-    p.add_argument("--tol", type=float, help="max allowed |analytic - simulator| (default 1e-8)")
-    p.add_argument("--config", help="key = value config file")
-    p.set_defaults(func=_cmd_verify)
-
     return parser
 
 

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -471,6 +472,42 @@ def test_metrics_invariant_under_full_turn(theta1, theta2, phi):
     after = evaluate_metrics(params(theta1, theta2, phi + 2 * math.pi, kappa=0.1))
     for name, value in dataclasses.asdict(before).items():
         assert getattr(after, name) == pytest.approx(value, rel=1e-12)
+
+
+# from |theta| = 2^1023 on, 2 theta overflows to inf
+HUGE_ANGLES = (2.0**1023, -(2.0**1023), 1e308, 1.3e308, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+def test_angles_whose_double_overflows_keep_every_column_finite():
+    # every finite angle is in the domain; there sin 2t and cos 2t come from
+    # the angle's own sine and cosine, checked against the closed forms at
+    # 1300 bits, enough to reduce an angle near 2^1024 exactly
+    theta1, theta2 = np.array(HUGE_ANGLES)[:, None], np.array(HUGE_ANGLES)[None, :]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = metrics_values(theta1, theta2, 1.1, 0.3, 0.9, 2.0)
+    for name, value in m.items():
+        assert np.isfinite(value).all(), name
+    eps = np.finfo(float).eps
+    with mpmath.workprec(1300):
+        t, phi, eta, alpha = mpmath.mpf(float(np.exp(-0.3))), mpmath.mpf(1.1), mpmath.mpf(0.9), mpmath.mpf(2)
+        for i, j in np.ndindex(m["mean_O"].shape):
+            t1, t2 = mpmath.mpf(HUGE_ANGLES[i]), mpmath.mpf(HUGE_ANGLES[j])
+            c1, s1 = mpmath.cos(t1), mpmath.sin(t1)
+            noise = mpmath.sqrt(c1**2 + (t * s1) ** 2)
+            factor = eta * t * abs(mpmath.sin(2 * t2) * mpmath.sin(phi))
+            delta_phi = noise / (alpha * factor * abs(mpmath.sin(2 * t1)))
+            rho_fluctuation = 2 * factor * abs(c1) / noise
+            terms = (
+                mpmath.cos(2 * t2) * ((t * s1) ** 2 - c1**2),
+                t * mpmath.sin(2 * t1) * mpmath.sin(2 * t2) * mpmath.cos(phi),
+            )
+            for name, want, scale in (
+                ("delta_phi", delta_phi, delta_phi),
+                ("rho_fluctuation", rho_fluctuation, rho_fluctuation),
+                ("mean_O", alpha**2 * sum(terms), alpha**2 * sum(abs(term) for term in terms)),  # the terms cancel
+            ):
+                assert abs(mpmath.mpf(float(m[name][i, j])) - want) <= 8 * eps * scale, (name, i, j)
 
 
 def test_vector_kernels_match_scalar_api():

@@ -12,6 +12,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 
 import hypothesis.strategies as st
 import mpmath
@@ -110,7 +111,7 @@ def test_metrics_complex_amplitude_flags(capsys):
 @pytest.mark.parametrize("theta1", [None, 0.0])  # the default point, and one with delta_phi = inf
 def test_metrics_csv_matches_row_oracle_byte_for_byte(capsys, tmp_path, theta1):
     flags = [] if theta1 is None else ["--theta1", repr(theta1)]
-    point = {**uil.cli.PARAM_DEFAULTS, **({} if theta1 is None else {"theta1": theta1})}
+    point = {k: d for k, (d, _) in uil.cli.PARAMETERS.items()} | ({} if theta1 is None else {"theta1": theta1})
     params = InterferometerParams(
         theta1=point["theta1"], theta2=point["theta2"], phi=point["phi"], kappa=point["kappa"],
         eta=point["eta"], alpha=complex(point["alpha_re"], point["alpha_im"]),
@@ -167,6 +168,46 @@ def test_csv_columns_are_the_readme_schema():
     readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8").read()
     schema = re.search(r"header\s+row\): `([^`]*)`", readme).group(1)
     assert tuple(re.sub(r"\s", "", schema).split(",")) == CSV_HEADER
+
+
+def test_flags_and_config_keys_are_the_readme_lists(capsys, tmp_path):
+    # one parameter table builds each subcommand's flags and config keys;
+    # they must stay the lists the README's CLI section documents
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8").read()
+    text = " ".join(readme.split())
+
+    def listed(pattern):
+        return set(re.search(pattern + r" `([^`]*)`", text).group(1).split())
+
+    point = listed("share the flags")
+    io_flags = listed(r"\(`--alpha` is shorthand for `--alpha-re`\), plus")
+    assert "--alpha" not in point
+    want_flags = {
+        "metrics": point | io_flags | {"--alpha"},
+        "sweep": point | io_flags | {"--alpha"} | listed("`sweep` also takes"),
+        "optimize": ((point | io_flags | {"--alpha"}) - listed("`optimize` takes the same flags but"))
+        | listed("It also takes"),
+        "verify": listed("`verify` takes"),
+    }
+    keys = {flag[2:].replace("-", "_") for flag in point}
+    accept_alpha = listed("all accept")
+    want_keys = {
+        "metrics": keys | accept_alpha,
+        "sweep": keys | accept_alpha,
+        "optimize": (keys - listed("`optimize` all of them but")) | accept_alpha,
+        "verify": listed("`verify` accepts") | accept_alpha,
+    }
+    subparsers = uil.cli.build_parser()._subparsers._group_actions[0].choices
+    assert sorted(subparsers) == sorted(want_flags)
+    config = tmp_path / "typo.cfg"
+    config.write_text("thetal = 0.3\n")
+    required = {"optimize": ["--objective", "rho-di", "--regime", "free"]}
+    for command, parser in subparsers.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"}
+        assert flags == want_flags[command], command
+        code, _, err = run(capsys, command, *required.get(command, []), "--config", str(config))
+        assert code == 2, command
+        assert set(re.findall(r"'(\w+)'", err.split("accepted:")[1])) == want_keys[command], command
 
 
 def test_help_exits_cleanly(capsys):
@@ -312,6 +353,47 @@ def test_sweep_transmission_axis_conflicts_with_kappa(capsys, tmp_path):
 def test_sweep_rejects_bad_axes(capsys, tmp_path, axis):
     code, _, _ = run(capsys, "sweep", "--axis", axis, "--output", str(tmp_path / "x.csv"))
     assert code == 2
+
+
+def test_sweep_axis_whose_span_overflows(capsys, tmp_path):
+    # finite ends whose difference overflows are a valid axis: each row is
+    # the metrics of its point, and no value is NaN, nor any warning raised
+    path = tmp_path / "wide.csv"
+    axes = ["--axis", "theta1=-1.7976931348623157e308:1.7976931348623157e308:5", "--axis", "theta2=-1.7e308:1.7e308:3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "sweep", *axes, "--output", str(path))
+        assert (code, out, err) == (0, "", "")
+        header, *rows = path.read_text().splitlines()
+        assert len(rows) == 15
+        for row in rows:
+            theta1, theta2 = row.split(",")[:2]
+            code, out, err = run(capsys, "metrics", "--format", "csv", f"--theta1={theta1}", f"--theta2={theta2}")
+            assert (code, err) == (0, "")
+            assert out == f"{header}\n{row}\n"
+
+
+def test_negative_exponent_value_in_the_equals_form(capsys):
+    # some argparse versions read -1e-3 as an option; --phi=-1e-3 is the
+    # same value as --phi -0.001 on every version
+    want = run(capsys, "metrics", "--phi", "-0.001")
+    assert want[0] == 0
+    assert run(capsys, "metrics", "--phi=-1e-3") == want
+
+
+def test_verify_usage_and_config_errors_keep_their_order(capsys, tmp_path):
+    # verify's usage line lists its flags in their documented order, and a
+    # config file with several bad values names the first in table order
+    code, _, err = run(capsys, "verify", "--cutoff", "abc")
+    assert code == 2
+    usage = err.split("uil verify: error:")[0]
+    flags = ["--alpha", "--alpha-re", "--alpha-im", "--cutoff", "--samples", "--seed", "--tol", "--config"]
+    assert re.findall(r"\[(--[\w-]+)", usage) == flags
+    config = tmp_path / "bad.cfg"
+    config.write_text("cutoff = x\nsamples = y\n")
+    code, _, err = run(capsys, "verify", "--config", str(config))
+    assert code == 2
+    assert "config value for 'samples'" in err
 
 
 @pytest.mark.parametrize(
