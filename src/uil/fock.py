@@ -1,9 +1,9 @@
 """Truncated Fock-space simulator of the interferometer.
 
 Brute-force oracle for the closed forms in :mod:`uil.analytic`: the
-drive is held as the moduli of its number-state amplitudes, up to
-n_max photons or to where its weights underflow to 0, beam splitters
-are exponentials of the quadratic mode generator, and probe-arm
+drive is held as its Poisson photon-number weights, up to n_max
+photons or to where they underflow to 0, beam splitters are
+exponentials of the quadratic mode generator, and probe-arm
 attenuation is a beam splitter coupling the probe to a vacuum ancilla
 that is traced out (the non-unitary shortcut used by the closed forms
 only works for coherent beams; the dilation works for any drive).
@@ -33,7 +33,8 @@ rule for which cutoff holds a drive, and :func:`simulate_values` and
 not renormalized.  One pass over the drive's Poisson tail,
 :func:`_truncation`, gives that rule, the cutoff that
 :func:`required_cutoff` names and the moment shift at which
-:func:`simulate_values` emits :class:`TruncationWarning`.
+:func:`simulate_values` emits :class:`TruncationWarning`.  Its weights,
+from one start at the mode (:func:`_poisson`), are the engine's drive.
 """
 
 from __future__ import annotations
@@ -85,28 +86,65 @@ def _photon_mean(alpha: complex) -> float:
         raise ValueError(f"|alpha|^2 exceeds the double range, got alpha = {alpha!r}") from None
 
 
-def _truncation(mean: float, tol: float | None) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """The first cutoff of a drive of |alpha|^2 = ``mean``, and the tail, moment shift and verdict at each from it.
+def _poisson(mean: float, low: int, high: int) -> np.ndarray:
+    """Poisson(``mean``) weights p_n, n = ``low`` .. ``high``, or up to the last nonzero one past the mode.
+
+    One start and running products from it, of mean / n going up and of
+    n / mean going down, each ratio and product rounded once.  They start
+    at n = 0 from e^-mean while the mode m = floor(mean) is at most 15,
+    else at m from Loader's saddle-point form (R's ``dpois``):
+    log p_m = -log(2 pi m) / 2 - stirlerr(m) + (m log1p(d / m) - d),
+    d = mean - m exact, and Stirling's error
+    stirlerr(m) = log(m!) - log(sqrt(2 pi m) (m / e)^m) from five terms
+    of its series in 1 / m, exact to 1e-16 from m = 16 on.  The products
+    are carried 2^64 times too large, as normal doubles, so even a
+    subnormal weight is rounded once.  Past the mode the weights fall,
+    and end where they underflow to 0 or, if that comes first, where
+    Bernstein's bound on P(X >= n), exp(-t^2 / (2 (mean + t / 3))) at
+    t = n - mean, falls below e^-745: the mean bounds the work, never
+    ``high``.
+    """
+    mode = int(mean)
+    high = min(high, mode + 250 + int(math.sqrt(1490.0 * mean + 250.0**2)))
+    origin = mode if mode > 15 else 0  # where the products start
+    log_start = -mean  # log p_origin
+    if origin:
+        d, s = mean - origin, 1.0 / origin**2
+        stirlerr = (1 / 12 - s * (1 / 360 - s * (1 / 1260 - s * (1 / 1680 - s / 1188)))) / origin
+        log_start = origin * math.log1p(d / origin) - d - stirlerr - 0.5 * math.log(2.0 * math.pi * origin)
+    first = min(low, origin)
+    weights = np.arange(first, max(high, origin) + 1, dtype=float)  # n, then 2^64 p_n, then p_n
+    at = origin - first
+    np.divide(weights[:at] + 1.0, mean, out=weights[:at])  # p_n / p_(n+1) below the origin
+    np.divide(mean, weights[at + 1 :], out=weights[at + 1 :])  # p_n / p_(n-1) above it
+    weights[at] = math.exp(log_start) * 2.0**64
+    np.cumprod(weights[at:], out=weights[at:])
+    np.cumprod(weights[at::-1], out=weights[at::-1])
+    weights *= 2.0**-64
+    end = min(high + 1, mode + 1 + np.count_nonzero(weights[mode + 1 - first :]))
+    return weights[low - first : end - first].copy()
+
+
+def _truncation(mean: float, tol: float | None) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The first cutoff of a drive of |alpha|^2 = ``mean``, and the weight, tail, shift and verdict from it on.
 
     Entry i is n_max = start + i, start = max(1, floor(mean)): the
-    Poisson(mean) weight beyond n_max, P(X > n_max); the larger shift,
-    of the photon-number mean or of its standard deviation, that the
-    drive truncated there (not renormalized, as :func:`simulate` holds
-    it) shows against the full Poisson(mean); and whether n_max holds
-    the drive.  It does where the tail is below ``TAIL_TOL`` and, with
-    ``tol``, the limit of a check of moments to within ``tol``, the
-    shift is below ``tol`` too, unless the tail is already below eps,
-    which double precision cannot resolve: such a tail is never asked for.
+    weight p_n at n = n_max (:func:`_poisson`); the weight beyond it,
+    P(X > n_max); the larger shift, of the photon-number mean or of its
+    standard deviation, that the drive truncated there (not
+    renormalized, as :func:`simulate` holds it) shows against the full
+    Poisson(mean); and whether n_max holds the drive.  It does where the
+    tail is below ``TAIL_TOL`` and the shift is below ``tol``, the limit
+    of a check of moments to within ``tol``, or without one below
+    ``SHIFT_TOL``, where :func:`simulate_values` warns; unless the tail
+    is already below eps, which double precision cannot resolve: such a
+    tail is never asked for.
 
-    The weights p_n are one lgamma at start and then a running product
-    of mean / n, and the tails their sums from the top down: every term
-    is positive, so a small tail is never a difference of nearly equal
-    numbers.  The table ends where the weights underflow to 0, or where
-    Bernstein's bound on P(X >= n), exp(-t^2 / (2 (mean + t / 3))) at
-    t = n - mean, falls below e^-745 if that comes first: the mean sets
-    its length, never the cutoff, and past its end every tail is below
-    the smallest double.  Both shifts follow exactly from three tails:
-    sum_{k>n} k p_k = mean P(X > n - 1) and
+    The tails are the weights' sums from the top down: every term is
+    positive, so a small tail is never a difference of nearly equal
+    numbers.  The table ends where the weights do, and past its end
+    every tail is below the smallest double.  Both shifts follow exactly
+    from three tails: sum_{k>n} k p_k = mean P(X > n - 1) and
     sum_{k>n} k^2 p_k = mean^2 P(X > n - 2) + mean P(X > n - 1),
     where P(X > n - 1) = P(X > n) + p_n and P(X > n - 2) adds
     p_{n-1} = n p_n / mean to that.  The variance shift is a sum of
@@ -114,21 +152,15 @@ def _truncation(mean: float, tol: float | None) -> tuple[int, np.ndarray, np.nda
     """
     start = max(1, int(mean))
     if mean == 0.0:
-        return start, np.zeros(1), np.zeros(1), np.ones(1, dtype=bool)
-    weights = mean / np.arange(start, start + 251 + int(math.sqrt(1490.0 * mean + 250.0**2)), dtype=float)
-    weights[0] = math.exp(start * math.log(mean) - mean - math.lgamma(start + 1))
-    np.cumprod(weights, out=weights)  # p_n
-    weights = weights[: np.count_nonzero(weights)].copy()  # up to where they underflow to 0
+        return start, np.zeros(0), np.zeros(1), np.zeros(1), np.ones(1, dtype=bool)
+    weights = _poisson(mean, start, sys.maxsize)
     tails = np.append(np.cumsum(weights[:0:-1])[::-1], 0.0)  # P(X > n)
     above = tails + weights  # P(X > n - 1)
-    weights *= np.arange(start, start + weights.size, dtype=float)  # n p_n
-    variance_shift = mean**2 * (above - above**2) - mean * (weights + above)
+    variance_shift = mean**2 * (above - above**2) - mean * (weights * np.arange(start, start + tails.size) + above)
     std_shift = np.abs(variance_shift) / (np.sqrt(mean + variance_shift) + math.sqrt(mean))
     shifts = np.maximum(mean * above, std_shift)
-    holds = tails < TAIL_TOL
-    if tol is not None:
-        holds &= (tails < sys.float_info.epsilon) | (shifts < tol)
-    return start, tails, shifts, holds
+    holds = (tails < TAIL_TOL) & ((tails < sys.float_info.epsilon) | (shifts < (SHIFT_TOL if tol is None else tol)))
+    return start, weights, tails, shifts, holds
 
 
 def check_cutoff(alpha: complex, n_max, tol: float | None = None) -> int:
@@ -143,13 +175,14 @@ def check_cutoff(alpha: complex, n_max, tol: float | None = None) -> int:
     weight beyond n_max is below ``TAIL_TOL`` and, with ``tol``, shifts the
     drive's moments by less than ``tol``.  That last error names the
     smallest cutoff that fits, :func:`required_cutoff`: both read the
-    drive's :func:`_truncation` table.
+    drive's :func:`_truncation` table, which without ``tol`` names the
+    first cutoff whose shift is also below ``SHIFT_TOL``.
     """
     return _checked(alpha, n_max, tol)[0]
 
 
-def _checked(alpha: complex, n_max, tol: float | None) -> tuple[int, float]:
-    """:func:`check_cutoff`'s cutoff, and the moment shift of the drive truncated there."""
+def _checked(alpha: complex, n_max, tol: float | None) -> tuple[int, float, int, np.ndarray]:
+    """:func:`check_cutoff`'s cutoff, the drive's moment shift there, and the table's start and weights to it."""
     if not isinstance(n_max, Integral) or n_max < 1:
         raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
     n_max = int(n_max)
@@ -160,11 +193,9 @@ def _checked(alpha: complex, n_max, tol: float | None) -> tuple[int, float]:
             f"Poisson weight or more beyond the cutoff; n_max must exceed |alpha|^2"
         )
     _check_drive_memory(mean)
-    start, tails, shifts, holds = _truncation(mean, tol)
-    at = n_max - start
-    if at >= tails.size:
-        return n_max, 0.0
-    if not holds[at]:
+    start, weights, tails, shifts, holds = _truncation(mean, tol)
+    at = min(n_max - start, tails.size - 1)  # past the table's end as at its last entry, whose tail is 0
+    if tails[at] >= TAIL_TOL or (tol is not None and not holds[at]):
         dropped = f"the Poisson weight {tails[at]:.3e} of |alpha|^2 = {mean:.6g} beyond n_max = {n_max}"
         if tails[at] >= TAIL_TOL:
             shortfall = f"{dropped} is not below {TAIL_TOL:.1e}"
@@ -172,7 +203,7 @@ def _checked(alpha: complex, n_max, tol: float | None) -> tuple[int, float]:
             shortfall = f"{dropped} shifts the drive's moments by {shifts[at]:.3e}, not below tol = {tol:.1e}"
         needed = start + int(np.argmax(holds))
         raise TruncationError(f"{shortfall}; use n_max >= {needed}", required=needed)
-    return n_max, float(shifts[at])
+    return n_max, float(shifts[at]), start, weights[: at + 1]
 
 
 def _point_bytes(n: int) -> int:
@@ -190,8 +221,10 @@ def required_cutoff(alpha: complex, tol: float | None = None) -> int:
     """Smallest n_max >= max(1, floor(|alpha|^2)) that holds the drive ``alpha`` (:func:`_truncation`).
 
     The first cutoff that holds in the drive's :func:`_truncation`
-    table.  Where the drive's one point would already exceed physical
-    memory (:func:`_check_drive_memory`), no cutoff fits, and
+    table; without ``tol``, the first at which :func:`simulate` neither
+    refuses nor warns, as with ``tol`` = ``SHIFT_TOL``.  Where the
+    drive's one point would already exceed physical memory
+    (:func:`_check_drive_memory`), no cutoff fits, and
     :class:`TruncationError` (with ``required_cutoff`` None) says so
     before any table is built.
     """
@@ -199,39 +232,6 @@ def required_cutoff(alpha: complex, tol: float | None = None) -> int:
     _check_drive_memory(mean)
     start, *_, holds = _truncation(mean, tol)
     return start + int(np.argmax(holds))
-
-
-def _coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
-    """exp(-|alpha|^2/2) |alpha|^n / sqrt(n!) from n = 0 up to n_max at most, by the stable recurrence.
-
-    The moduli only: the phase of alpha enters no output.  The
-    recurrence starts at the first n whose amplitude is a normal double,
-    as a running sum of logs tells (n = 0 unless |alpha|^2 exceeds about
-    1416), and the amplitudes below it are 0, so a drive whose
-    exp(-|alpha|^2/2) underflows keeps its digits and its weight.  The
-    start's value is the exact sum (``math.fsum``) of -|alpha|^2/2 and the
-    steps log(|alpha| / sqrt(n)), each rounded once, taken to exp in two
-    parts, the rounded sum and its residue, since doubles near -708 lie
-    1.1e-13 apart.  Each step is a_(n-1) |alpha| (1 / sqrt(n)), as numpy
-    rounds a complex a_(n-1) alpha / sqrt(n) at real alpha.  They end at
-    n_max, or before the first n above |alpha|^2 whose weight a_n^2 is 0.
-    """
-    modulus = abs(complex(alpha))
-    mean = modulus**2
-    terms = [-0.5 * mean]  # they sum to log |amplitude| at n = len(terms) - 1, rising up to n = |alpha|^2
-    running = terms[0]  # their rounded sum, as fsum-ing them at each step would be quadratic
-    while running < math.log(sys.float_info.min):  # below it the amplitude is subnormal
-        terms.append(0.5 * math.log(mean / len(terms)))
-        running += terms[-1]
-    log_modulus = math.fsum(terms)
-    start, residue = len(terms) - 1, math.fsum([*terms, -log_modulus])
-    amplitudes = [math.exp(log_modulus) * math.exp(residue)]
-    for n in range(start + 1, n_max + 1):
-        amplitude = amplitudes[-1] * modulus * (1.0 / math.sqrt(n))
-        if n > mean and amplitude * amplitude == 0.0:
-            break
-        amplitudes.append(amplitude)
-    return np.concatenate([np.zeros(start), amplitudes])
 
 
 class SimulationMoments(NamedTuple):
@@ -322,8 +322,8 @@ def simulate_values(theta1, theta2, phi, kappa, alpha: complex, n_max: int) -> d
     point of the chunk.
 
     The cutoff passes :func:`check_cutoff`.  The drive, not the cutoff,
-    sets the work: the engine runs on the weights 0 .. n that
-    :func:`_coherent_amplitudes` gives, n <= n_max.  A point counts
+    sets the work: the engine runs on its weights 0 .. n, n <= n_max, the
+    cutoff table's and :func:`_poisson`'s below them.  A point counts
     192 (n + 72) bytes (``_POINT_BYTES``), at least what a first call
     holds at one point, as traced at every cutoff from 1 to 333: the
     drive, the two thinnings, the column and its raised copy, and the
@@ -341,12 +341,12 @@ def simulate_values(theta1, theta2, phi, kappa, alpha: complex, n_max: int) -> d
     dropped Poisson tail is the one truncation error.
     """
     inputs = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (theta1, theta2, phi, kappa)))
-    n_max, shift = _checked(alpha, n_max, None)
-    drive = _coherent_amplitudes(alpha, n_max) ** 2  # photon-number distribution
-    chunk = max(1, (_params.physical_memory_bytes() or 0) // (_CHUNK_SHARE * _point_bytes(drive.size - 1)))
+    n_max, shift, table_start, drive = _checked(alpha, n_max, None)
     if shift >= SHIFT_TOL:
         dropped = f"truncating the drive at n_max = {n_max} shifts its moments by {shift:.3e}"
         warnings.warn(f"{dropped}, which reaches {SHIFT_TOL:.1e}; increase the cutoff", TruncationWarning, stacklevel=2)
+    drive = np.concatenate([_poisson(_photon_mean(alpha), 0, table_start - 1), drive])  # p_0 .. p_n
+    chunk = max(1, (_params.physical_memory_bytes() or 0) // (_CHUNK_SHARE * _point_bytes(drive.size - 1)))
     points = [values.ravel() for values in inputs]
     moments = np.empty((4, points[0].size))
     for start in range(0, points[0].size, chunk):

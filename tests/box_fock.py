@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from uil.fock import _coherent_amplitudes, check_cutoff
+from uil.fock import _poisson, check_cutoff
 
 
 def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
@@ -25,10 +25,12 @@ def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
     The cutoff passes :func:`uil.fock.check_cutoff` first, as in
     :func:`uil.fock.simulate`: |alpha|^2 > n_max is refused at once,
     and a Poisson weight beyond n_max of ``TAIL_TOL`` or more raises
-    ``TruncationError`` naming the cutoff that fits.  The engine's real
-    amplitudes times e^(i n arg alpha), and 0 past the last of them.
+    ``TruncationError`` naming the cutoff that fits.  The square roots of
+    the engine's Poisson weights times e^(i n arg alpha), and 0 past the
+    last of them.
     """
-    moduli = _coherent_amplitudes(alpha, check_cutoff(alpha, n_max))
+    n_max = check_cutoff(alpha, n_max)
+    moduli = np.sqrt(_poisson(abs(alpha) ** 2, 0, n_max))
     state = np.zeros(n_max + 1, dtype=complex)
     state[: moduli.size] = moduli * np.exp(1j * np.angle(alpha) * np.arange(moduli.size))
     return state

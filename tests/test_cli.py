@@ -688,7 +688,7 @@ def test_verify_refuses_out_of_range_keys(capsys, flag, value, message):
     [("10", "170", "1e-8", 171), ("3", "35", "1e-9", 36), ("3", "10", "1e-8", 34)],
 )
 def test_verify_refuses_cutoff_its_truncation_would_fail(capsys, alpha, cutoff, tol, needed):
-    # 170 = required_cutoff(10), yet its tail shifts the drive's standard
+    # the tail beyond 170 is below 1e-10, yet it shifts the drive's standard
     # deviation by 1.7e-8; at |alpha| = 3 and n_max = 35 by 1.1e-9
     code, _, err = run(
         capsys, "verify", "--alpha", alpha, "--cutoff", cutoff, "--samples", "1", "--tol", tol

@@ -1,9 +1,11 @@
+import contextlib
 import math
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import hypothesis.strategies as st
 import mpmath
@@ -16,7 +18,7 @@ import uil.fock
 import uil.params
 from uil.analytic import evaluate_metrics
 from uil.fock import (
-    _coherent_amplitudes,
+    _poisson,
     _thinned,
     _truncation,
     SimulationMoments,
@@ -93,25 +95,41 @@ def test_vacuum_coherent_state_is_exact():
 
 
 @pytest.mark.parametrize(
-    "alpha, rel", [(0.9 - 0.4j, 1e-15), (38.5, 1e-12), (39.0, 1e-12), (45.0, 1e-12), (27.0 + 28.0j, 1e-12)]
+    "alpha, rel",
+    [
+        (1e-3, 1e-14),
+        (0.9 - 0.4j, 1e-15),
+        (3.0, 1e-14),
+        (12.0, 1e-14),
+        (38.5, 1e-14),
+        (39.0, 1e-14),
+        (45.0, 1e-14),
+        (27.0 + 28.0j, 1e-14),
+        (60.0, 1e-14),
+        (300.0, 1e-14),
+    ],
 )
 def test_coherent_coefficients_against_factorial_formula(alpha, rel):
-    # the engine's real amplitudes against the 50-digit modulus
-    # exp(-|alpha|^2/2) |alpha|^n / sqrt(n!), on every amplitude of weight 1e-280
-    # or more; past |alpha| = 37.7 exp(-|alpha|^2/2) is subnormal, and past 38.6
-    # it is 0, so a recurrence started at n = 0 would give weights summing to
-    # 1.035 at 38.5 and all 0 at 39
+    # the drive's Poisson weights, as the engine and the cutoff table take
+    # them from one start, against the 50-digit e^-mean mean^n / n! on every
+    # weight of 1e-280 or more (every 37th at |alpha| = 300); past |alpha| =
+    # 27.3 e^-mean is 0, so a running product started at n = 0 would give
+    # all 0
+    mean = abs(alpha) ** 2
     n_max = max(20, required_cutoff(alpha))
-    moduli = _coherent_amplitudes(alpha, n_max)
-    assert moduli.shape == (n_max + 1,)
-    assert moduli.dtype == np.float64
+    drive = _poisson(mean, 0, n_max)
+    start, table, *_ = _truncation(mean, None)
+    assert drive.shape == (n_max + 1,)
+    assert drive.dtype == np.float64
+    assert np.array_equal(table[: n_max + 1 - start], drive[start:])
     with mpmath.workdps(50):
-        modulus = abs(mpmath.mpc(alpha))
-        exact = mpmath.exp(-(modulus**2) / 2)
-        for n in range(n_max + 1):
-            if exact**2 >= 1e-280:
-                assert abs(moduli[n] - exact) <= rel * exact, n
-            exact *= modulus / mpmath.sqrt(n + 1)
+        x = mpmath.mpf(mean)
+        for n in range(0, n_max + 1, 37 if mean > 1e4 else 1):
+            exact = mpmath.exp(n * mpmath.log(x) - x - mpmath.loggamma(n + 1))
+            if exact >= 1e-280:
+                assert abs(drive[n] - exact) <= rel * exact, n
+                if n >= start:
+                    assert abs(table[n - start] - exact) <= rel * exact, n
 
 
 def test_coherent_mean_photon_number():
@@ -170,7 +188,7 @@ def test_poisson_tail_matches_scipy(alpha_abs, position):
     # every tail is 0
     mean = alpha_abs**2
     n = int(position * (mean + 40.0 * math.sqrt(mean) + 60.0))
-    start, tails, *_ = _truncation(mean, None)
+    start, _, tails, *_ = _truncation(mean, None)
     expected = special.pdtrc(n, mean)
     if n >= start and expected > 1e-300:
         tail = tails[n - start] if n - start < tails.size else 0.0
@@ -203,39 +221,62 @@ def test_required_cutoff_refuses_a_drive_beyond_memory_at_once(alpha):
 
 
 @pytest.mark.parametrize(
-    "alpha, tol, needed", [(300.0, None, 91915), (300.0, 1e-8, 92404), (3000.0, None, 9019091), (3000.0, 1e-8, 9024389)]
+    "alpha, tol, accepted", [(300.0, None, 91915), (300.0, 1e-8, 92404), (3000.0, None, 9019091), (3000.0, 1e-8, 9024389)]
 )
-def test_required_cutoff_pins_deep_drives(alpha, tol, needed):
-    # drives past the scipy search's grid; check_cutoff refuses one below
-    # and names the same cutoff
+def test_required_cutoff_pins_deep_drives(alpha, tol, accepted):
+    # drives past the scipy search's grid: check_cutoff accepts from
+    # `accepted` on and refuses the cutoff below, naming required_cutoff.
+    # Without tol it refuses only a tail of 1e-10 or more, yet names the
+    # cutoff of tol 1e-8; in between simulate warns, before it builds the
+    # drive
+    needed = {300.0: 92404, 3000.0: 9024389}[alpha]
     assert required_cutoff(alpha, tol) == needed
-    assert check_cutoff(alpha, needed, tol) == needed
+    assert check_cutoff(alpha, accepted, tol) == accepted
     with pytest.raises(TruncationError, match=f"; use n_max >= {needed}$") as err:
-        check_cutoff(alpha, needed - 1, tol)
+        check_cutoff(alpha, accepted - 1, tol)
     assert err.value.required_cutoff == needed
+    if accepted < needed:
+        assert check_cutoff(alpha, needed - 1) == needed - 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            with pytest.raises(TruncationWarning, match=f"at n_max = {needed - 1} shifts its moments by"):
+                simulate(InterferometerParams(0.7, 0.9, 1.1, kappa=0.4, alpha=alpha), needed - 1)
+
+
+def test_cutoff_table_builds_no_weight_below_the_mode():
+    # the table reads the drive's weights from floor(|alpha|^2) up: at
+    # |alpha| 3000 it peaks at 6.5 MB, where the 9e6 weights below the
+    # mode alone would take 72 MB
+    tracemalloc.start()
+    try:
+        assert required_cutoff(3000.0, 1e-8) == 9024389
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
 
 
 def test_required_cutoff_matches_scipy_search():
     def scipy_cutoff(alpha, tol):
-        # first n >= max(1, floor(mean)) whose tail is below 1e-10 and, with
-        # tol, that shifts the drive's photon-number mean and standard
-        # deviation by less than tol, or leaves a tail below eps; the
-        # shifts from the tail's moments summed term by term
+        # first n >= max(1, floor(mean)) whose tail is below 1e-10 and
+        # that shifts the drive's photon-number mean and standard deviation
+        # by less than tol, 1e-8 (the warning's limit) without one, or
+        # leaves a tail below eps; the shifts from the tail's moments
+        # summed term by term
         mean = alpha**2
         if mean == 0.0:
             return 1
         start = max(1, int(mean))
         n = np.arange(start, start + int(10.0 * math.sqrt(mean)) + 40)
         tail = special.pdtrc(n, mean)
-        fits = tail < 1e-10
-        if tol is not None:
-            k = np.arange(n[-1] + 200.0)
-            pmf = stats.poisson.pmf(k, mean)
-            first = np.cumsum((k * pmf)[::-1])[::-1][n + 1]  # sum over k > n of k p_k
-            second = np.cumsum((k**2 * pmf)[::-1])[::-1][n + 1]
-            variance_shift = 2.0 * mean * first - second - first**2
-            std_shift = np.abs(variance_shift) / (np.sqrt(mean + variance_shift) + math.sqrt(mean))
-            fits &= (tail < np.finfo(float).eps) | (np.maximum(first, std_shift) < tol)
+        k = np.arange(n[-1] + 200.0)
+        pmf = stats.poisson.pmf(k, mean)
+        first = np.cumsum((k * pmf)[::-1])[::-1][n + 1]  # sum over k > n of k p_k
+        second = np.cumsum((k**2 * pmf)[::-1])[::-1][n + 1]
+        variance_shift = 2.0 * mean * first - second - first**2
+        std_shift = np.abs(variance_shift) / (np.sqrt(mean + variance_shift) + math.sqrt(mean))
+        shift_tol = 1e-8 if tol is None else tol
+        fits = (tail < 1e-10) & ((tail < np.finfo(float).eps) | (np.maximum(first, std_shift) < shift_tol))
         assert fits.any(), alpha
         return int(n[np.argmax(fits)])
 
@@ -731,15 +772,14 @@ def probe_moments_at(alpha, n_max):
 def test_simulate_warns_on_the_moment_shift(alpha, n_max, shift):
     # the drive truncated at n_max moves its mean or standard deviation by
     # the shift, at least 1e-8, and the probe moments move by as much
-    # against a cutoff past the drive's end; 534 = required_cutoff(20),
-    # whose tail is below 1e-10
+    # against a cutoff past the drive's end; 534 is the first cutoff whose
+    # tail is below 1e-10, and required_cutoff(20) names 545
     with pytest.warns(TruncationWarning, match=f"shifts its moments by {shift}, which reaches 1.0e-08"):
         truncated = probe_moments_at(alpha, n_max)
     far = probe_moments_at(alpha, 2 * n_max + 200)
     assert np.max(np.abs(truncated - far)) == pytest.approx(float(shift), rel=1e-3)
 
 
-@pytest.mark.filterwarnings("error::uil.fock.TruncationWarning")
 @pytest.mark.parametrize("alpha, n_max, moved", [(0.16, 4, 7e-9), (1e-3, 1, 1.01e-9)])
 def test_simulate_is_silent_below_the_moment_shift_limit(alpha, n_max, moved):
     # the truncated drive's moments shift by 6.95e-9 and 1.0e-9, below
@@ -825,7 +865,7 @@ def test_a_cutoff_past_the_drive_changes_no_bit(alpha, last):
     kappa = np.where(np.arange(20) % 2 == 1, rng.uniform(0.0, 1.5, 20), 0.0)
     expected = simulate_values(theta1, theta2, phi, kappa, alpha, max(1, last))
     for n_max in (last + 1, 2 * last + 7, 10**6, 10**11):
-        assert _coherent_amplitudes(alpha, n_max).size == last + 1, n_max
+        assert _poisson(alpha**2, 0, n_max).size == last + 1, n_max
         got = simulate_values(theta1, theta2, phi, kappa, alpha, n_max)
         for name in SimulationMoments._fields:
             assert np.array_equal(got[name], expected[name]), (n_max, name)
@@ -835,7 +875,7 @@ def test_vacuum_runs_on_a_drive_of_one_entry():
     # no photon at any cutoff: one weight, 1, and every moment exactly 0
     p = InterferometerParams(0.7, 0.9, 1.1, kappa=0.4, alpha=0.0)
     for n_max in (1, 40, 10**11):
-        drive = _coherent_amplitudes(0.0, n_max)
+        drive = _poisson(0.0, 0, n_max)
         assert drive.dtype == np.float64
         assert drive.tolist() == [1.0]
         assert simulate(p, n_max) == (0.0, 0.0, 0.0, 0.0)
@@ -861,8 +901,11 @@ def test_lossy_simulate_peaks_well_below_the_box():
 
 
 def test_lossy_simulate_peak_at_a_large_cutoff():
-    # measured at 48 KB
-    assert first_lossy_peak(12.0, 229) < 3_000_000
+    # measured at 48 KB; 229 is one below the cutoff required_cutoff(12)
+    # names, so the drive's moments shift by 1.413e-8 and simulate warns
+    with pytest.warns(TruncationWarning, match="shifts its moments by 1.413e-08"):
+        peak = first_lossy_peak(12.0, 229)
+    assert peak < 3_000_000
 
 
 @pytest.mark.parametrize("alpha, n_max", [(3.0, 60), (12.0, 229)])
@@ -870,23 +913,26 @@ def test_memory_refusal_counts_at_least_the_traced_peak(alpha, n_max, monkeypatc
     # the count bounds what a first lossy call holds, and what a batch
     # holds per point of its chunk; a memory one byte short of one point's
     # count at floor(|alpha|^2) refuses the drive, for a point and for a
-    # batch, and exactly that much runs them
-    count = point_bytes(n_max)
-    single = first_lossy_peak(alpha, n_max)
-    assert single <= count
-    monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: 3 * uil.fock._CHUNK_SHARE * count)
-    batch = first_lossy_peak(alpha, n_max, points=5)  # a chunk of 3 points, then one of 2
-    assert single < batch <= 3 * count
-    refused = point_bytes(int(alpha**2))
-    p = InterferometerParams(0.7, 0.9, 1.1, kappa=0.4, alpha=alpha)
-    monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: refused - 1)
-    with pytest.raises(TruncationError, match=re.escape(f"needs at least {refused} bytes")):
+    # batch, and exactly that much runs them.  At |alpha| 12, n_max 229 is
+    # one below the cutoff required_cutoff names, so every run warns
+    expected = pytest.warns(TruncationWarning) if n_max < required_cutoff(alpha) else contextlib.nullcontext()
+    with expected:
+        count = point_bytes(n_max)
+        single = first_lossy_peak(alpha, n_max)
+        assert single <= count
+        monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: 3 * uil.fock._CHUNK_SHARE * count)
+        batch = first_lossy_peak(alpha, n_max, points=5)  # a chunk of 3 points, then one of 2
+        assert single < batch <= 3 * count
+        refused = point_bytes(int(alpha**2))
+        p = InterferometerParams(0.7, 0.9, 1.1, kappa=0.4, alpha=alpha)
+        monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: refused - 1)
+        with pytest.raises(TruncationError, match=re.escape(f"needs at least {refused} bytes")):
+            simulate(p, n_max)
+        with pytest.raises(TruncationError, match=re.escape(f"needs at least {refused} bytes")):
+            simulate_values(np.full(5, 0.7), 0.9, 1.1, 0.4, alpha, n_max)
+        monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: refused)
         simulate(p, n_max)
-    with pytest.raises(TruncationError, match=re.escape(f"needs at least {refused} bytes")):
         simulate_values(np.full(5, 0.7), 0.9, 1.1, 0.4, alpha, n_max)
-    monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: refused)
-    simulate(p, n_max)
-    simulate_values(np.full(5, 0.7), 0.9, 1.1, 0.4, alpha, n_max)
 
 
 def test_point_count_bounds_the_traced_peak_at_every_cutoff(monkeypatch):
@@ -900,7 +946,7 @@ def test_point_count_bounds_the_traced_peak_at_every_cutoff(monkeypatch):
     drives = [(required_cutoff(alpha), alpha) for alpha in (1e-5, 1.0, 3.0, 4.4, 8.0, 12.0, 15.0)]
     for n_max in range(1, 334):
         alpha = max(alpha for needed, alpha in drives if needed <= n_max)
-        count = point_bytes(_coherent_amplitudes(alpha, n_max).size - 1)
+        count = point_bytes(_poisson(alpha**2, 0, n_max).size - 1)
         monkeypatch.setattr(uil.params, "physical_memory_bytes", lambda: 3 * uil.fock._CHUNK_SHARE * count)
         assert first_lossy_peak(alpha, n_max) <= count, n_max
         assert first_lossy_peak(alpha, n_max, points=5) <= 3 * count, n_max
